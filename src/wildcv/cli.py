@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .model import CASE_NAMES, UnknownCaseError, case_spec
 from .pipeline import DEFAULT_SEED, DEFAULT_TRIALS, derive_case
@@ -24,6 +23,10 @@ from .report import (report_to_dict, report_to_latex, report_to_text,
 ENV_SEED = "WCV_SEED"
 
 
+class UsageError(Exception):
+    """Bad input found after argument parsing; reported as exit code 2."""
+
+
 def _default_seed() -> int:
     raw = os.environ.get(ENV_SEED)
     if raw is None:
@@ -31,7 +34,17 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(2)
+        raise UsageError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _case_list(name: str) -> list:
@@ -45,8 +58,11 @@ def _case_list(name: str) -> list:
 
 def _emit(text: str, output) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -65,7 +81,7 @@ def _add_common(sub, with_format=True, with_oracle=True, case_default=None):
         sub.add_argument("--seed", type=int, default=None,
                          help=f"oracle seed (default {DEFAULT_SEED}; "
                               f"{ENV_SEED} overrides)")
-        sub.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+        sub.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS)
     sub.add_argument("--output", default=None, help="write to file instead of stdout")
 
 
@@ -125,12 +141,7 @@ def _cmd_directions(args) -> int:
 def _cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     names = _case_list(args.case)
-
-    def run(name):
-        return derive_case(name, trials=args.trials, seed=seed)
-
-    with ThreadPoolExecutor(max_workers=len(names)) as pool:
-        reports = list(pool.map(run, names))
+    reports = [derive_case(name, trials=args.trials, seed=seed) for name in names]
 
     lines = [f"verification (seed={seed}, trials={args.trials})", ""]
     header = (f"{'case':8s} {'det=1':6s} {'cubic':18s} "
@@ -176,7 +187,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except UnknownCaseError as exc:
+    except (UnknownCaseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .polyring import LaurentPoly, Monomial, PolyError, var_id
-from .model import CaseSpec, torus_weight_of_position
+from .model import tautological_check, torus_weights  # re-exported
 
 
 class NotInvariantError(PolyError):
@@ -21,15 +21,6 @@ class NotInvariantError(PolyError):
 
 
 WeightVector = tuple
-
-
-def torus_weights(spec: CaseSpec) -> dict:
-    """Weight of every scheduled Stokes coefficient under the case torus."""
-    out = {}
-    for layout in spec.schedule:
-        for row, col, name in layout.entries:
-            out[name] = torus_weight_of_position(spec.twist, row, col)
-    return out
 
 
 def _weight_of(mono: Monomial, weights: dict, dim: int) -> tuple:
@@ -132,9 +123,3 @@ def rewrite_in_invariants(eq: LaurentPoly, defs) -> LaurentPoly:
                 gmono = gmono * Monomial(((var_id(gname), e),))
         out = out + LaurentPoly.term(coef, gmono)
     return out
-
-
-def tautological_check(defs, relation: LaurentPoly) -> bool:
-    """True when the relation vanishes identically under the definitions."""
-    bindings = {var_id(nm): LaurentPoly.term(1, mono) for nm, mono in defs}
-    return relation.substitute(bindings).is_zero()

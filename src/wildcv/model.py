@@ -133,13 +133,12 @@ class ExpectedCubic:
 
 @dataclass(frozen=True)
 class OraclePlan:
-    """How the Monte-Carlo oracle samples a point on the constraint locus."""
+    """The Monte-Carlo oracle's two per-case choices; everything else it
+    samples follows from the case data (``pipeline.oracle_sampling``)."""
 
-    sample_units: tuple            # unit variable names drawn at random
-    derived_units: tuple           # ((name, LaurentPoly), ...) evaluated after sampling
-    free_xvars: tuple              # freely sampled Stokes coefficients
     solve_targets: tuple           # coefficients solved from the closure equations
-    use_trace_params: bool         # p, q are computed from the sampled traces
+    # Written independently of cov_steps, not inverted from them, so that the
+    # oracle still catches a wrong change of variables.
     xyz_map: tuple                 # ((name, LaurentPoly), ...) pushforward to X, Y, Z
 
 
@@ -166,9 +165,6 @@ class CaseSpec:
     expected: ExpectedCubic
     inverse_parameter_form: Optional[LaurentPoly]
     oracle: OraclePlan
-
-    def generator_dict(self) -> dict:
-        return dict(self.generator_defs)
 
     def schedule_variables(self) -> tuple:
         out = []
@@ -279,11 +275,7 @@ def _build_jktvi() -> CaseSpec:
                                y2=parse("beta"), z2=parse("gamma")),
         inverse_parameter_form=None,
         oracle=OraclePlan(
-            sample_units=("alpha", "beta"),
-            derived_units=(("gamma", parse("alpha^-1*beta^-1")),),
-            free_xvars=tuple(f"x{i}" for i in range(1, 7)),
             solve_targets=(),
-            use_trace_params=True,
             xyz_map=(("X", parse("-x3*x6 - beta*gamma^-1 - 1")),
                      ("Y", parse("-x2*x5 - alpha*gamma^-1 - 1")),
                      ("Z", parse("-x2*x5 - x3*x6 - x2*x4*x6 - 1 + p*gamma^-1"))),
@@ -326,11 +318,7 @@ def _build_jktv() -> CaseSpec:
                                y2=parse("1"), z2=parse("0")),
         inverse_parameter_form=None,
         oracle=OraclePlan(
-            sample_units=("r",),
-            derived_units=(("alpha", parse("r^2")),),
-            free_xvars=("x1", "x2", "x3", "x5", "x6"),
             solve_targets=(),
-            use_trace_params=True,
             xyz_map=(("X", parse("x3*x5 + r^-2")),
                      ("Y", parse("r*x3*x6 + r")),
                      ("Z", parse("r*x1"))),
@@ -374,11 +362,7 @@ def _build_jktiva() -> CaseSpec:
                                c4=parse("1/2*p^2 - 1/2*q")),
         inverse_parameter_form=None,
         oracle=OraclePlan(
-            sample_units=(),
-            derived_units=(),
-            free_xvars=("x1", "x2", "x3", "x4"),
             solve_targets=(),
-            use_trace_params=True,
             xyz_map=(("X", parse("x3")), ("Y", parse("x2")), ("Z", parse("x4"))),
         ),
     )
@@ -426,11 +410,7 @@ def _build_jktivb() -> CaseSpec:
                                c4=parse("alpha*gamma^-1 + alpha + gamma^-1")),
         inverse_parameter_form=None,
         oracle=OraclePlan(
-            sample_units=("alpha", "beta"),
-            derived_units=(("gamma", parse("alpha^-1*beta^-1")),),
-            free_xvars=("x1", "x2", "x3", "x4"),
             solve_targets=("x5", "x6"),
-            use_trace_params=False,
             xyz_map=(("X", parse("x1*x4 + 1")),
                      ("Y", parse("x2*x5 + 1")),
                      ("Z", parse("x3*x6 + 1"))),
@@ -483,11 +463,7 @@ def _build_jktii() -> CaseSpec:
                                c3=parse("-1"), c4=parse("1 + alpha^-1")),
         inverse_parameter_form=parse("X*Y*Z - X - alpha*Y - Z + 1 + alpha"),
         oracle=OraclePlan(
-            sample_units=("alpha",),
-            derived_units=(),
-            free_xvars=("x1", "x2", "x3"),
             solve_targets=("x5", "x6"),
-            use_trace_params=False,
             xyz_map=(("X", parse("x2*x5 + 1")),
                      ("Y", parse("alpha*x3*x6 + alpha")),
                      ("Z", parse("x1"))),
@@ -534,11 +510,7 @@ def _build_jkti() -> CaseSpec:
                                c3=parse("0"), c4=parse("1")),
         inverse_parameter_form=None,
         oracle=OraclePlan(
-            sample_units=(),
-            derived_units=(),
-            free_xvars=("x2", "x4"),
             solve_targets=("x1", "x3"),
-            use_trace_params=False,
             xyz_map=(("X", parse("-x1")), ("Y", parse("x2")), ("Z", parse("-x4"))),
         ),
     )
@@ -574,18 +546,24 @@ class Violation:
     detail: str
 
 
-_SCHEDULE_LENGTHS = {"JKTVI": 6, "JKTV": 3, "JKTIVa": 4,
-                     "JKTIVb": 12, "JKTII": 7, "JKTI": 10}
+def torus_weights(spec: CaseSpec) -> dict:
+    """Weight of every scheduled Stokes coefficient under the case torus."""
+    out = {}
+    for layout in spec.schedule:
+        for row, col, name in layout.entries:
+            out[name] = torus_weight_of_position(spec.twist, row, col)
+    return out
+
+
+def tautological_check(defs, relation: LaurentPoly) -> bool:
+    """True when the relation vanishes identically under the definitions."""
+    bindings = {var_id(nm): LaurentPoly.term(1, mono) for nm, mono in defs}
+    return relation.substitute(bindings).is_zero()
 
 
 def validate_spec(spec: CaseSpec) -> list:
     """Mechanical consistency checks; an empty list means the case data is sound."""
     out = []
-
-    expected_len = _SCHEDULE_LENGTHS.get(spec.name)
-    if expected_len is not None and len(spec.schedule) != expected_len:
-        out.append(Violation("schedule_length",
-                             f"expected {expected_len} layouts, got {len(spec.schedule)}"))
 
     for layout in spec.schedule:
         for row, col, name in layout.entries:
@@ -598,10 +576,7 @@ def validate_spec(spec: CaseSpec) -> list:
                              f"divisor {spec.divisor} with closure {spec.closure.kind}"))
 
     # generator monomials: torus-invariant, built from surviving coefficients
-    weights = {}
-    for layout in spec.schedule:
-        for row, col, name in layout.entries:
-            weights[name] = torus_weight_of_position(spec.twist, row, col)
+    weights = torus_weights(spec)
     first_half = set(spec.first_half_variables())
     zero = tuple([0] * spec.twist.torus_dim)
     for gname, mono in spec.generator_defs:
@@ -620,10 +595,7 @@ def validate_spec(spec: CaseSpec) -> list:
             out.append(Violation("generator_mismatch",
                                  f"{gname} = {mono} has nonzero weight {tuple(total)}"))
 
-    # the tautological relation must vanish under the definitions
-    bindings = {var_id(nm): LaurentPoly.term(1, mono)
-                for nm, mono in spec.generator_defs}
-    if not spec.tautological.substitute(bindings).is_zero():
+    if not tautological_check(spec.generator_defs, spec.tautological):
         out.append(Violation("tautological_relation",
                              f"{spec.tautological} does not vanish under the definitions"))
 

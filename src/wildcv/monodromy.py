@@ -32,7 +32,6 @@ class ClosureSystem:
     provenance: tuple           # one tag per equation
     raw_equations: tuple        # same equations before the invariant rewrite
     trace_polys: Optional[tuple] = None      # (Tr M, Tr M^2) for fixed-class cases
-    split: Optional[tuple] = None            # (left product, inverted right side)
     back_subs: Optional[tuple] = None        # ((varname, LaurentPoly), ...) composed
     dropped: Optional[LaurentPoly] = None    # the redundant entry equation
 
@@ -125,4 +124,4 @@ def closure_equations(spec: CaseSpec, monodromy: SymMat3) -> ClosureSystem:
         provenance.append("tautological")
         raw.append(spec.tautological)
     return ClosureSystem(tuple(eqs), tuple(provenance), tuple(raw),
-                         split=(left, right), back_subs=subs, dropped=dropped)
+                         back_subs=subs, dropped=dropped)

@@ -337,28 +337,66 @@ def _linear_solve(equations, targets, values) -> dict:
     raise ValueError(f"unsupported number of solve targets: {n}")
 
 
-def _oracle_trial(report: CaseReport, rng: random.Random) -> tuple:
+@dataclass(frozen=True)
+class OracleSampling:
+    """What every oracle trial of one report samples, solves and evaluates."""
+
+    sample_units: tuple      # unit VarIds drawn at random, in registry order
+    derived_units: tuple     # ((VarId, LaurentPoly), ...) evaluated in order
+    free_xvars: tuple        # Stokes-coefficient VarIds drawn at random
+    solve_targets: tuple     # VarIds solved from solve_equations
+    solve_equations: tuple   # the raw closure equations the targets occur in
+    trace_params: tuple      # ((VarId, trace polynomial), ...), e.g. p = Tr M
+
+
+def oracle_sampling(report: CaseReport) -> OracleSampling:
+    """Derive the oracle's sampling from the case data.
+
+    The unit bindings are the parameter normalization followed by every
+    substitution step of the change of variables that binds only units
+    (JKTV's alpha = r^2); the units left in the formal monodromy after them
+    are sampled.  The surviving Stokes coefficients that are not solved for
+    are sampled freely.  Both are drawn in registry order.
+    """
     spec = report.spec
-    plan = spec.oracle
+    bindings = list(spec.parameter_normalization)
+    for step in spec.cov_steps:
+        if step.kind == "subst" and all(var_id(nm).unit for nm, _ in step.mapping):
+            bindings.extend(step.mapping)
+    derived = tuple((var_id(nm), poly) for nm, poly in bindings)
+    H = report.formal_monodromy
+    for v, poly in derived:
+        H = H.substitute({v: poly})
+    units = tuple(sorted({v for row in H.rows for e in row for v in e.variables()
+                          if v.unit}))
+    targets = tuple(var_id(nm) for nm in spec.oracle.solve_targets)
+    free = tuple(sorted({var_id(nm) for nm in spec.first_half_variables()}
+                        - set(targets)))
+    equations = tuple(eq for eq in report.closure.raw_equations
+                      if eq.variables() & set(targets))[:len(targets)]
+    traces = report.closure.trace_polys or ()
+    return OracleSampling(
+        sample_units=units, derived_units=derived, free_xvars=free,
+        solve_targets=targets, solve_equations=equations,
+        trace_params=tuple(zip(map(var_id, spec.closure.trace_symbols), traces)))
+
+
+def _oracle_trial(report: CaseReport, sampling: OracleSampling,
+                  rng: random.Random) -> tuple:
     values: dict = {}
-    for nm in plan.sample_units:
-        values[var_id(nm)] = _sample_unit(rng)
-    for nm, expr in plan.derived_units:
-        values[var_id(nm)] = expr.evaluate(values)
-    for nm in plan.free_xvars:
-        values[var_id(nm)] = _sample_complex(rng)
+    for v in sampling.sample_units:
+        values[v] = _sample_unit(rng)
+    for v, expr in sampling.derived_units:
+        values[v] = expr.evaluate(values)
+    for v in sampling.free_xvars:
+        values[v] = _sample_complex(rng)
 
-    if plan.solve_targets:
-        targets = [var_id(nm) for nm in plan.solve_targets]
-        eqs = [eq for eq in report.closure.raw_equations
-               if set(eq.variables()) & set(targets)]
-        solved = _linear_solve(eqs[:len(targets)], targets, values)
-        values.update(solved)
+    if sampling.solve_targets:
+        values.update(_linear_solve(sampling.solve_equations,
+                                    sampling.solve_targets, values))
 
-    if plan.use_trace_params:
-        tr, tr2 = report.closure.trace_polys
-        values[var_id("p")] = tr.evaluate(values)
-        values[var_id("q")] = tr2.evaluate(values)
+    for v, trace in sampling.trace_params:
+        values[v] = trace.evaluate(values)
 
     dropped_residual = 0.0
     if report.closure.back_subs is not None:
@@ -366,7 +404,7 @@ def _oracle_trial(report: CaseReport, rng: random.Random) -> tuple:
             values[var_id(nm)] = expr.evaluate(values)
         dropped_residual = abs(report.closure.dropped.evaluate(values))
 
-    for nm, expr in plan.xyz_map:
+    for nm, expr in report.spec.oracle.xyz_map:
         values[var_id(nm)] = expr.evaluate(values)
 
     residual = abs(report.cubic.reconstruct().evaluate(values))
@@ -384,6 +422,7 @@ def oracle_verify(report: CaseReport, trials: int = DEFAULT_TRIALS,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    sampling = oracle_sampling(report)
     max_res = 0.0
     max_drop = 0.0
     resamples = 0
@@ -391,7 +430,7 @@ def oracle_verify(report: CaseReport, trials: int = DEFAULT_TRIALS,
         for attempt in range(_MAX_RESAMPLES):
             rng = random.Random(seed * 1_000_003 + t * 1_009 + attempt)
             try:
-                res, drop = _oracle_trial(report, rng)
+                res, drop = _oracle_trial(report, sampling, rng)
             except DegenerateSampleError:
                 resamples += 1
                 continue

@@ -113,10 +113,6 @@ def var_id(name: str) -> VarId:
         raise UnknownVariableError(f"unknown variable {name!r}") from None
 
 
-def registry_names() -> tuple:
-    return _REGISTRY_NAMES
-
-
 def unit_names() -> tuple:
     return _UNIT_NAMES
 
@@ -150,10 +146,6 @@ class Monomial:
     @classmethod
     def one(cls) -> "Monomial":
         return _MONOMIAL_ONE
-
-    @classmethod
-    def of(cls, **exps: int) -> "Monomial":
-        return cls((var_id(n), k) for n, k in exps.items())
 
     def __hash__(self):
         return self._hash
@@ -411,16 +403,6 @@ def _lift(x) -> LaurentPoly:
     raise TypeError(f"cannot lift {x!r} into the ring")
 
 
-# convenience aliases used across the package
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.constant(1)
-
-
-def v(name: str) -> LaurentPoly:
-    """Shorthand for a degree-1 variable polynomial."""
-    return LaurentPoly.variable(name)
-
-
 # --------------------------------------------------------------------------
 # linear solving
 # --------------------------------------------------------------------------
@@ -490,10 +472,6 @@ def evaluate_numeric(poly: LaurentPoly, assignment: NumericAssignment) -> comple
 # --------------------------------------------------------------------------
 
 
-def _fmt_coef(c: Fraction) -> str:
-    return str(c)
-
-
 def format_poly(poly: LaurentPoly) -> str:
     """Canonical deterministic rendering (registry order, descending)."""
     items = poly.sorted_terms()
@@ -506,9 +484,9 @@ def format_poly(poly: LaurentPoly) -> str:
         if m.exps and mag == 1:
             body = str(m)
         elif m.exps:
-            body = f"{_fmt_coef(mag)}*{m}"
+            body = f"{mag}*{m}"
         else:
-            body = _fmt_coef(mag)
+            body = str(mag)
         if i == 0:
             pieces.append(("-" if neg else "") + body)
         else:

@@ -6,8 +6,6 @@ a report is byte-deterministic, which is what the golden files pin down.
 
 from __future__ import annotations
 
-import json
-
 from .model import CaseSpec
 from .pipeline import CaseReport
 from .polyring import LaurentPoly
@@ -84,10 +82,6 @@ def report_to_dict(report: CaseReport) -> dict:
     return out
 
 
-def report_to_json(report: CaseReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2)
-
-
 def spec_to_dict(spec: CaseSpec) -> dict:
     return {
         "name": spec.name,
@@ -130,10 +124,6 @@ def spec_to_dict(spec: CaseSpec) -> dict:
             "c4": None if spec.expected.c4 is None else str(spec.expected.c4),
         },
     }
-
-
-def spec_to_json(spec: CaseSpec) -> str:
-    return json.dumps(spec_to_dict(spec), indent=2)
 
 
 # --------------------------------------------------------------------------

@@ -152,3 +152,34 @@ def test_json_polynomials_use_the_text_grammar(capsys):
     for row in doc["topological_monodromy"]:
         for cell in row:
             assert str(parse(cell)) == cell
+
+
+@pytest.mark.parametrize("argv", [
+    ("derive", "--case", "JKTI", "--trials", "0"),
+    ("derive", "--case", "JKTI", "--trials", "-3"),
+    ("verify", "--trials", "0"),
+    ("verify", "--trials=-1"),
+])
+def test_nonpositive_trials_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+
+
+def test_bad_env_seed_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv(cli.ENV_SEED, "abc")
+    code = cli.main(["derive", "--case", "JKTI"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: WCV_SEED must be an integer, got 'abc'\n"
+
+
+def test_output_into_missing_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code = cli.main(["dump-spec", "--case", "JKTI", "--output", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1

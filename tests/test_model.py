@@ -96,10 +96,14 @@ def test_shipped_specs_validate_cleanly():
 
 
 def test_validate_detects_wrong_schedule_length():
-    spec = case_spec("JKTVI")
-    mutated = dataclasses.replace(spec, schedule=spec.schedule[:5])
-    kinds = {v.kind for v in validate_spec(mutated)}
-    assert "schedule_length" in kinds
+    """Cutting the first or the last layout leaves a direction of the
+    eigenvalue pairs without a Stokes matrix."""
+    for name in CASE_NAMES:
+        spec = case_spec(name)
+        for cut in (spec.schedule[1:], spec.schedule[:-1]):
+            mutated = dataclasses.replace(spec, schedule=cut)
+            kinds = {v.kind for v in validate_spec(mutated)}
+            assert "direction_mismatch" in kinds, name
 
 
 def test_validate_detects_generator_mismatch():

@@ -8,10 +8,10 @@ import pytest
 from wildcv.model import CASE_NAMES, case_spec
 from wildcv.monodromy import closure_equations, topological_monodromy
 from wildcv.pipeline import (CubicSurface, ShapeError, derive_case,
-                             eliminate, oracle_verify,
+                             eliminate, oracle_sampling, oracle_verify,
                              specialize_unit_cube_root, to_cubic_normal_form)
 from wildcv.polyring import LaurentPoly, parse, var_id
-from wildcv.report import report_to_dict, report_to_json
+from wildcv.report import report_to_dict
 
 P = parse
 
@@ -218,6 +218,36 @@ def test_oracle_constraints_are_affine_in_solve_targets():
                 assert sum(1 for t in targets if m.exponent(t) > 0) <= 1
 
 
+_SAMPLING = {
+    # sampled units, derived units, free coefficients, trace parameters
+    "JKTVI": (("alpha", "beta"), (("gamma", "alpha^-1*beta^-1"),),
+              ("x1", "x2", "x3", "x4", "x5", "x6"), ("p", "q")),
+    "JKTV": (("r",), (("alpha", "r^2"),), ("x1", "x2", "x3", "x5", "x6"), ("p", "q")),
+    "JKTIVa": ((), (), ("x1", "x2", "x3", "x4"), ("p", "q")),
+    "JKTIVb": (("alpha", "beta"), (("gamma", "alpha^-1*beta^-1"),),
+               ("x1", "x2", "x3", "x4"), ()),
+    "JKTII": (("alpha",), (), ("x1", "x2", "x3"), ()),
+    "JKTI": ((), (), ("x2", "x4"), ()),
+}
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_oracle_sampling_is_pinned(name):
+    """The oracle draws units, then free coefficients, in exactly this order:
+    a change here moves every oracle residual, so it must be deliberate."""
+    rep = _derived(name)
+    sampling = oracle_sampling(rep)
+    got = (tuple(v.name for v in sampling.sample_units),
+           tuple((v.name, str(poly)) for v, poly in sampling.derived_units),
+           tuple(v.name for v in sampling.free_xvars),
+           tuple(v.name for v, _ in sampling.trace_params))
+    assert got == _SAMPLING[name]
+    assert tuple(v.name for v in sampling.solve_targets) == rep.spec.oracle.solve_targets
+    assert len(sampling.solve_equations) == len(sampling.solve_targets)
+    assert tuple(poly for _, poly in sampling.trace_params) == (
+        rep.closure.trace_polys or ())
+
+
 def test_sample_points_land_on_the_surface():
     # an easy fixed point: the JKTI cubic vanishes at X=-1, Y=0, any Z
     cubic = _derived("JKTI").cubic.reconstruct()
@@ -231,8 +261,8 @@ def test_sample_points_land_on_the_surface():
 
 
 def test_derive_case_is_idempotent():
-    a = report_to_json(derive_case("JKTVI", trials=20, seed=11))
-    b = report_to_json(derive_case("JKTVI", trials=20, seed=11))
+    a = json.dumps(report_to_dict(derive_case("JKTVI", trials=20, seed=11)), indent=2)
+    b = json.dumps(report_to_dict(derive_case("JKTVI", trials=20, seed=11)), indent=2)
     assert a == b
 
 

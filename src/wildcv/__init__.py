@@ -1,8 +1,8 @@
 """Exact derivation of the wild character varieties (affine cubic surfaces)
 of the six rank-3 JKT Painleve representations from their Stokes data."""
 
-from .polyring import (LaurentPoly, Monomial, NumericAssignment, parse,
-                       format_poly, solve_linear, evaluate_numeric, var_id)
+from .polyring import (LaurentPoly, Monomial, parse, format_poly, solve_linear,
+                       var_id)
 from .stokes import RationalAngle, SymMat3, formal_monodromy, stokes_matrix, \
     singular_directions
 from .model import (CASE_NAMES, CaseSpec, TwistClass, case_spec, validate_spec,

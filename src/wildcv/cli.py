@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -54,6 +55,26 @@ def _case_list(name: str) -> list:
         raise UnknownCaseError(f"unknown case {name!r}; expected one of "
                                f"{', '.join(CASE_NAMES)} or all")
     return [name]
+
+
+def _check_output(output) -> None:
+    """Reject an --output that is a directory, or whose directory is missing
+    or not writable, before any derivation runs; no file is created."""
+    parent = os.path.dirname(output) or "."
+    try:
+        os.stat(parent)
+    except OSError as exc:
+        reason = exc.strerror
+    else:
+        if not os.path.isdir(parent):
+            reason = os.strerror(errno.ENOTDIR)
+        elif not os.access(parent, os.W_OK | os.X_OK):
+            reason = os.strerror(errno.EACCES)
+        elif os.path.isdir(output):
+            reason = os.strerror(errno.EISDIR)
+        else:
+            return
+    raise UsageError(f"cannot write {output}: {reason}")
 
 
 def _emit(text: str, output) -> None:
@@ -186,6 +207,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.output:
+            _check_output(args.output)
         return _COMMANDS[args.command](args)
     except (UnknownCaseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

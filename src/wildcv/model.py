@@ -1,16 +1,24 @@
 """Static definitions of the six JKT cases.
 
-Each case is a frozen ``CaseSpec`` bundling the twist class, the eigenvalue
-pair data that generates the Stokes directions, the schedule of Stokes
-matrices (which fresh variable sits at which direction and matrix position),
-the closure condition, the invariant-monomial generators, and the plans the
-pipeline executes verbatim: back substitutions, linear eliminations, affine
-changes of variables, and the expected final cubic.
+Each case is a frozen ``CaseSpec`` bundling the twist class, the divisor,
+the eigenvalue pair data that generates the Stokes directions, the schedule
+of Stokes matrices (which fresh variable sits at which direction and matrix
+position), the invariant-monomial generators, and the plans the pipeline
+executes verbatim: back substitutions, linear eliminations, affine changes of
+variables, and the expected final cubic.
+
+The twist class and the divisor fix four more facts, derived, not stored:
+
+* formal monodromy: ``formal_monodromy(twist.ramification_index)``, and the
+  ramification index of every eigenvalue pair;
+* closure: ``M = I`` for the one-point divisor ``3{inf}``, otherwise the
+  fixed trace class ``Tr M = p``, ``Tr M^2 = q``;
+* invariant rewrite: exactly when the twist's torus is nontrivial;
+* gamma normalization: ``gamma = alpha^-1 * beta^-1`` (imposing
+  alpha*beta*gamma = 1) exactly for the untwisted cases (JKTVI, JKTIVb).
 
 Conventions used throughout (all polynomials exact over the rationals):
 
-* ``gamma`` is eliminated via ``gamma = alpha^-1 * beta^-1`` in the untwisted
-  pipelines (JKTVI, JKTIVb), imposing alpha*beta*gamma = 1;
 * ``r`` is a formal square root of ``alpha`` (JKTV runs in ``r``);
 * schedules are stored in positive orientation exactly as written, so the
   topological monodromy is H * S_last * ... * S_first.
@@ -19,7 +27,7 @@ Conventions used throughout (all polynomials exact over the rationals):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -100,9 +108,13 @@ class ClosureCondition:
     kind: str  # "identity" | "fixed_class"
     trace_symbols: tuple = ()
 
-    def __post_init__(self):
-        if self.kind not in ("identity", "fixed_class"):
-            raise ValueError(f"bad closure kind {self.kind!r}")
+
+_CLOSURE_BY_DIVISOR = {
+    "{0}+2{inf}": ClosureCondition("fixed_class", ("p", "q")),
+    "3{inf}": ClosureCondition("identity"),
+}
+
+_GAMMA_NORMALIZATION = (("gamma", parse("alpha^-1*beta^-1")),)
 
 
 @dataclass(frozen=True)
@@ -130,6 +142,9 @@ class ExpectedCubic:
     c3: Optional[LaurentPoly] = None
     c4: Optional[LaurentPoly] = None
 
+    def coefficients(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 @dataclass(frozen=True)
 class OraclePlan:
@@ -147,14 +162,10 @@ class CaseSpec:
     name: str
     twist: TwistClass
     divisor: str                   # "{0}+2{inf}" | "3{inf}"
-    formal_monodromy_kind: int     # 1 | 2 | 3
     pair_specs: tuple
     schedule: tuple
-    closure: ClosureCondition
     generator_defs: tuple          # ((name, Monomial), ...) over U,V,W,R,T
     tautological: LaurentPoly
-    use_invariant_rewrite: bool
-    parameter_normalization: tuple  # ((varname, LaurentPoly), ...)
     split_index: Optional[int]
     back_sub_plan: tuple           # (((i, j), varname), ...)
     drop_entry: Optional[tuple]
@@ -165,6 +176,22 @@ class CaseSpec:
     expected: ExpectedCubic
     inverse_parameter_form: Optional[LaurentPoly]
     oracle: OraclePlan
+
+    @property
+    def closure(self) -> ClosureCondition:
+        try:
+            return _CLOSURE_BY_DIVISOR[self.divisor]
+        except KeyError:
+            raise ValueError(f"unknown divisor {self.divisor!r}") from None
+
+    @property
+    def use_invariant_rewrite(self) -> bool:
+        return self.twist.torus_dim > 0
+
+    @property
+    def parameter_normalization(self) -> tuple:
+        """((varname, LaurentPoly), ...) applied before elimination."""
+        return _GAMMA_NORMALIZATION if self.twist is TwistClass.UNTWISTED else ()
 
     def schedule_variables(self) -> tuple:
         out = []
@@ -189,10 +216,10 @@ def _ang(num: int, den: int = 1) -> RationalAngle:
     return RationalAngle.of(num, den)
 
 
-def _pairs(data) -> tuple:
+def _pairs(twist: TwistClass, data) -> tuple:
     return tuple(
-        EigenvaluePairSpec(label, l, N, _ang(num, den))
-        for (label, l, N, (num, den)) in data
+        EigenvaluePairSpec(label, l, twist.ramification_index, _ang(num, den))
+        for (label, l, (num, den)) in data
     )
 
 
@@ -216,8 +243,6 @@ def _defs(**named: str) -> tuple:
 
 _UNTWISTED_CYCLE = ((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2))
 
-_GAMMA_NORMALIZATION = (("gamma", parse("alpha^-1*beta^-1")),)
-
 
 def _subst(**named: str) -> CovStep:
     return CovStep("subst", tuple((k, parse(expr)) for k, expr in named.items()))
@@ -233,30 +258,27 @@ def _divide(term: str) -> CovStep:
 
 
 def _build_jktvi() -> CaseSpec:
+    twist = TwistClass.UNTWISTED
     schedule = _layouts([
         ((k, 3), [(_UNTWISTED_CYCLE[k - 1][0], _UNTWISTED_CYCLE[k - 1][1], f"x{k}")])
         for k in range(1, 7)
     ])
     return CaseSpec(
         name="JKTVI",
-        twist=TwistClass.UNTWISTED,
+        twist=twist,
         divisor="{0}+2{inf}",
-        formal_monodromy_kind=1,
-        pair_specs=_pairs([
-            ((0, 1), 1, 1, (5, 6)),
-            ((0, 2), 1, 1, (7, 6)),
-            ((1, 2), 1, 1, (3, 2)),
-            ((1, 0), 1, 1, (11, 6)),
-            ((2, 0), 1, 1, (1, 6)),
-            ((2, 1), 1, 1, (1, 2)),
+        pair_specs=_pairs(twist, [
+            ((0, 1), 1, (5, 6)),
+            ((0, 2), 1, (7, 6)),
+            ((1, 2), 1, (3, 2)),
+            ((1, 0), 1, (11, 6)),
+            ((2, 0), 1, (1, 6)),
+            ((2, 1), 1, (1, 2)),
         ]),
         schedule=schedule,
-        closure=ClosureCondition("fixed_class", ("p", "q")),
         generator_defs=_defs(U="x1*x4", V="x2*x5", W="x3*x6",
                              R="x1*x3*x5", T="x2*x4*x6"),
         tautological=parse("U*V*W - R*T"),
-        use_invariant_rewrite=True,
-        parameter_normalization=_GAMMA_NORMALIZATION,
         split_index=None,
         back_sub_plan=(),
         drop_entry=None,
@@ -284,26 +306,23 @@ def _build_jktvi() -> CaseSpec:
 
 
 def _build_jktv() -> CaseSpec:
+    twist = TwistClass.MINIMALLY_TWISTED
     return CaseSpec(
         name="JKTV",
-        twist=TwistClass.MINIMALLY_TWISTED,
+        twist=twist,
         divisor="{0}+2{inf}",
-        formal_monodromy_kind=2,
-        pair_specs=_pairs([
-            ((0, 1), 1, 2, (0, 1)),
-            ((2, 0), 2, 2, (0, 1)),
-            ((0, 2), 2, 2, (1, 1)),
+        pair_specs=_pairs(twist, [
+            ((0, 1), 1, (0, 1)),
+            ((2, 0), 2, (0, 1)),
+            ((0, 2), 2, (1, 1)),
         ]),
         schedule=_layouts([
             ((1, 2), [(1, 3, "x2"), (2, 3, "x3")]),
             ((1, 1), [(1, 2, "x1")]),
             ((3, 2), [(3, 1, "x5"), (3, 2, "x6")]),
         ]),
-        closure=ClosureCondition("fixed_class", ("p", "q")),
         generator_defs=_defs(U="x2*x5", V="x3*x6", W="x1", R="x2*x6", T="x3*x5"),
         tautological=parse("U*V - R*T"),
-        use_invariant_rewrite=True,
-        parameter_normalization=(),
         split_index=None,
         back_sub_plan=(),
         drop_entry=None,
@@ -327,16 +346,16 @@ def _build_jktv() -> CaseSpec:
 
 
 def _build_jktiva() -> CaseSpec:
+    twist = TwistClass.MAXIMALLY_TWISTED
     return CaseSpec(
         name="JKTIVa",
-        twist=TwistClass.MAXIMALLY_TWISTED,
+        twist=twist,
         divisor="{0}+2{inf}",
-        formal_monodromy_kind=3,
-        pair_specs=_pairs([
-            ((0, 1), 2, 3, (11, 6)),
-            ((0, 2), 2, 3, (1, 6)),
-            ((1, 2), 2, 3, (1, 2)),
-            ((1, 0), 2, 3, (5, 6)),
+        pair_specs=_pairs(twist, [
+            ((0, 1), 2, (11, 6)),
+            ((0, 2), 2, (1, 6)),
+            ((1, 2), 2, (1, 2)),
+            ((1, 0), 2, (5, 6)),
         ]),
         schedule=_layouts([
             ((1, 2), [(1, 2, "x1")]),
@@ -344,11 +363,8 @@ def _build_jktiva() -> CaseSpec:
             ((3, 2), [(2, 3, "x3")]),
             ((0, 1), [(2, 1, "x4")]),
         ]),
-        closure=ClosureCondition("fixed_class", ("p", "q")),
         generator_defs=_defs(U="x1*x4", V="x2", W="x3", R="x1*x3", T="x2*x4"),
         tautological=parse("U*V*W - R*T"),
-        use_invariant_rewrite=False,
-        parameter_normalization=(),
         split_index=None,
         back_sub_plan=(),
         drop_entry=None,
@@ -369,6 +385,7 @@ def _build_jktiva() -> CaseSpec:
 
 
 def _build_jktivb() -> CaseSpec:
+    twist = TwistClass.UNTWISTED
     schedule = _layouts([
         ((k, 6), [(_UNTWISTED_CYCLE[(k - 1) % 6][0],
                    _UNTWISTED_CYCLE[(k - 1) % 6][1], f"x{k}")])
@@ -376,24 +393,20 @@ def _build_jktivb() -> CaseSpec:
     ])
     return CaseSpec(
         name="JKTIVb",
-        twist=TwistClass.UNTWISTED,
+        twist=twist,
         divisor="3{inf}",
-        formal_monodromy_kind=1,
-        pair_specs=_pairs([
-            ((0, 1), 2, 1, (11, 6)),
-            ((0, 2), 2, 1, (1, 6)),
-            ((1, 2), 2, 1, (1, 2)),
-            ((1, 0), 2, 1, (5, 6)),
-            ((2, 0), 2, 1, (7, 6)),
-            ((2, 1), 2, 1, (3, 2)),
+        pair_specs=_pairs(twist, [
+            ((0, 1), 2, (11, 6)),
+            ((0, 2), 2, (1, 6)),
+            ((1, 2), 2, (1, 2)),
+            ((1, 0), 2, (5, 6)),
+            ((2, 0), 2, (7, 6)),
+            ((2, 1), 2, (3, 2)),
         ]),
         schedule=schedule,
-        closure=ClosureCondition("identity"),
         generator_defs=_defs(U="x1*x4", V="x2*x5", W="x3*x6",
                              R="x1*x3*x5", T="x2*x4*x6"),
         tautological=parse("U*V*W - R*T"),
-        use_invariant_rewrite=True,
-        parameter_normalization=_GAMMA_NORMALIZATION,
         split_index=6,
         back_sub_plan=(((2, 3), "x9"), ((3, 2), "x12"), ((3, 1), "x11"),
                        ((2, 1), "x10"), ((1, 3), "x8"), ((1, 2), "x7")),
@@ -419,16 +432,16 @@ def _build_jktivb() -> CaseSpec:
 
 
 def _build_jktii() -> CaseSpec:
+    twist = TwistClass.MINIMALLY_TWISTED
     return CaseSpec(
         name="JKTII",
-        twist=TwistClass.MINIMALLY_TWISTED,
+        twist=twist,
         divisor="3{inf}",
-        formal_monodromy_kind=2,
-        pair_specs=_pairs([
-            ((0, 1), 3, 2, (0, 1)),
-            ((1, 0), 3, 2, (1, 1)),
-            ((2, 0), 4, 2, (0, 1)),
-            ((0, 2), 4, 2, (1, 1)),
+        pair_specs=_pairs(twist, [
+            ((0, 1), 3, (0, 1)),
+            ((1, 0), 3, (1, 1)),
+            ((2, 0), 4, (0, 1)),
+            ((0, 2), 4, (1, 1)),
         ]),
         schedule=_layouts([
             ((1, 4), [(1, 3, "x2"), (2, 3, "x3")]),
@@ -439,12 +452,9 @@ def _build_jktii() -> CaseSpec:
             ((5, 3), [(1, 2, "x7")]),
             ((7, 4), [(3, 1, "x11"), (3, 2, "x12")]),
         ]),
-        closure=ClosureCondition("identity"),
         generator_defs=_defs(U="x2*x5", V="x3*x6", W="x1",
                              R="x2*x6", T="x1*x3*x5"),
         tautological=parse("U*V*W - R*T"),
-        use_invariant_rewrite=True,
-        parameter_normalization=(),
         split_index=3,
         back_sub_plan=(((3, 1), "x12"), ((3, 2), "x11"), ((1, 3), "x8"),
                        ((1, 1), "x7"), ((2, 3), "x9"), ((2, 2), "x4")),
@@ -472,6 +482,7 @@ def _build_jktii() -> CaseSpec:
 
 
 def _build_jkti() -> CaseSpec:
+    twist = TwistClass.MAXIMALLY_TWISTED
     cycle = _UNTWISTED_CYCLE
     schedule = _layouts([
         ((k, 5), [(cycle[(k - 1) % 6][0], cycle[(k - 1) % 6][1], f"x{k}")])
@@ -479,23 +490,19 @@ def _build_jkti() -> CaseSpec:
     ])
     return CaseSpec(
         name="JKTI",
-        twist=TwistClass.MAXIMALLY_TWISTED,
+        twist=twist,
         divisor="3{inf}",
-        formal_monodromy_kind=3,
-        pair_specs=_pairs([
-            ((0, 1), 5, 3, (11, 6)),
-            ((0, 2), 5, 3, (1, 6)),
-            ((1, 2), 5, 3, (1, 2)),
-            ((1, 0), 5, 3, (5, 6)),
-            ((2, 0), 5, 3, (7, 6)),
-            ((2, 1), 5, 3, (3, 2)),
+        pair_specs=_pairs(twist, [
+            ((0, 1), 5, (11, 6)),
+            ((0, 2), 5, (1, 6)),
+            ((1, 2), 5, (1, 2)),
+            ((1, 0), 5, (5, 6)),
+            ((2, 0), 5, (7, 6)),
+            ((2, 1), 5, (3, 2)),
         ]),
         schedule=schedule,
-        closure=ClosureCondition("identity"),
         generator_defs=_defs(U="x1*x4", V="x2", W="x3", R="x1*x3", T="x2*x4"),
         tautological=parse("U*V*W - R*T"),
-        use_invariant_rewrite=False,
-        parameter_normalization=(),
         split_index=4,
         back_sub_plan=(((2, 1), "x9"), ((2, 2), "x10"), ((1, 3), "x7"),
                        ((1, 1), "x8"), ((3, 3), "x6"), ((3, 2), "x5")),
@@ -565,16 +572,6 @@ def validate_spec(spec: CaseSpec) -> list:
     """Mechanical consistency checks; an empty list means the case data is sound."""
     out = []
 
-    for layout in spec.schedule:
-        for row, col, name in layout.entries:
-            if row == col:
-                out.append(Violation("diagonal_entry", f"({row},{col},{name})"))
-
-    identity_expected = spec.divisor == "3{inf}"
-    if (spec.closure.kind == "identity") != identity_expected:
-        out.append(Violation("closure_kind",
-                             f"divisor {spec.divisor} with closure {spec.closure.kind}"))
-
     # generator monomials: torus-invariant, built from surviving coefficients
     weights = torus_weights(spec)
     first_half = set(spec.first_half_variables())
@@ -615,9 +612,7 @@ def validate_spec(spec: CaseSpec) -> list:
         out.append(Violation("direction_mismatch",
                              f"schedule {sorted(sched_dirs)} vs pairs {sorted(pair_dirs)}"))
 
-    n_equations = (2 + (1 if spec.use_invariant_rewrite else 0)
-                   if spec.closure.kind == "fixed_class"
-                   else len(spec.residual_entries)
+    n_equations = ((2 if spec.closure.kind == "fixed_class" else len(spec.residual_entries))
                    + (1 if spec.use_invariant_rewrite else 0))
     used = [idx for idx, _ in spec.elimination_plan]
     if len(set(used)) != len(used) or any(not 0 <= i < n_equations for i in used) \

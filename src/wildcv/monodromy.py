@@ -41,7 +41,7 @@ def topological_monodromy(spec: CaseSpec) -> SymMat3:
     prod = SymMat3.identity()
     for layout in spec.schedule:
         prod = stokes_matrix(layout) * prod
-    return formal_monodromy(spec.formal_monodromy_kind) * prod
+    return formal_monodromy(spec.twist.ramification_index) * prod
 
 
 def split_products(spec: CaseSpec) -> tuple:
@@ -53,7 +53,7 @@ def split_products(spec: CaseSpec) -> tuple:
     right = SymMat3.identity()
     for layout in spec.schedule[k:]:
         right = stokes_matrix(layout) * right
-    right = formal_monodromy(spec.formal_monodromy_kind) * right
+    right = formal_monodromy(spec.twist.ramification_index) * right
     return left, right.inverse()
 
 

@@ -10,7 +10,7 @@ that the cubic vanishes there.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .polyring import LaurentPoly, Monomial, PolyError, solve_linear, var_id
@@ -66,8 +66,7 @@ class CubicSurface:
                 + self.c4)
 
     def coefficients(self) -> dict:
-        return {"xyz": self.xyz, "x2": self.x2, "y2": self.y2, "z2": self.z2,
-                "c1": self.c1, "c2": self.c2, "c3": self.c3, "c4": self.c4}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _decompose_cubic(poly: LaurentPoly) -> CubicSurface:
@@ -215,10 +214,8 @@ def _normalize_steps(steps, spec: CaseSpec):
 
 
 def _compare_expected(spec: CaseSpec, cubic: CubicSurface) -> ExpectedComparison:
-    exp = spec.expected
     mismatches = []
-    fixed = {"xyz": exp.xyz, "x2": exp.x2, "y2": exp.y2, "z2": exp.z2,
-             "c1": exp.c1, "c2": exp.c2, "c3": exp.c3, "c4": exp.c4}
+    fixed = spec.expected.coefficients()
     exact = all(v is not None for v in fixed.values())
     got = cubic.coefficients()
     for key, want in fixed.items():
@@ -242,7 +239,7 @@ def derive_case(name: str, trials: int = DEFAULT_TRIALS,
 
     try:
         matrices = tuple(stokes_matrix(l) for l in spec.schedule)
-        H = formal_monodromy(spec.formal_monodromy_kind)
+        H = formal_monodromy(spec.twist.ramification_index)
         M = topological_monodromy(spec)
     except PolyError as exc:
         raise DerivationError(f"[stokes] {exc}") from exc
@@ -309,8 +306,9 @@ def _sample_unit(rng: random.Random) -> complex:
 
 
 def _linear_solve(equations, targets, values) -> dict:
-    """Solve equations that are jointly affine in the targets, numerically."""
-    n = len(targets)
+    """Solve two equations that are jointly affine in two targets, numerically."""
+    if len(targets) != 2:
+        raise ValueError(f"unsupported number of solve targets: {len(targets)}")
     base = dict(values)
     for t in targets:
         base[t] = 0j
@@ -320,21 +318,14 @@ def _linear_solve(equations, targets, values) -> dict:
         probe = dict(base)
         probe[t] = 1.0 + 0j
         cols.append([eq.evaluate(probe) - c for eq, c in zip(equations, consts)])
-    if n == 1:
-        a = cols[0][0]
-        if abs(a) < _PIVOT_FLOOR:
-            raise DegenerateSampleError("singular 1x1 solve")
-        return {targets[0]: -consts[0] / a}
-    if n == 2:
-        a11, a21 = cols[0]
-        a12, a22 = cols[1]
-        det = a11 * a22 - a12 * a21
-        if abs(det) < _PIVOT_FLOOR:
-            raise DegenerateSampleError("singular 2x2 solve")
-        b1, b2 = -consts[0], -consts[1]
-        return {targets[0]: (b1 * a22 - a12 * b2) / det,
-                targets[1]: (a11 * b2 - b1 * a21) / det}
-    raise ValueError(f"unsupported number of solve targets: {n}")
+    a11, a21 = cols[0]
+    a12, a22 = cols[1]
+    det = a11 * a22 - a12 * a21
+    if abs(det) < _PIVOT_FLOOR:
+        raise DegenerateSampleError("singular 2x2 solve")
+    b1, b2 = -consts[0], -consts[1]
+    return {targets[0]: (b1 * a22 - a12 * b2) / det,
+            targets[1]: (a11 * b2 - b1 * a21) / det}
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ are preserved.
 Two registry-level conventions are baked in:
 
 * ``r`` is a formal square root of ``alpha`` (``alpha = r**2`` is applied by
-  explicit substitution where needed, and enforced on numeric assignments);
+  explicit substitution where needed);
 * ``e`` is a formal primitive cube root of unity: its exponents are reduced
   modulo 3 at construction, so ``e**3 == 1`` and ``e**-1 == e**2`` hold
   canonically.
@@ -113,10 +113,6 @@ def var_id(name: str) -> VarId:
         raise UnknownVariableError(f"unknown variable {name!r}") from None
 
 
-def unit_names() -> tuple:
-    return _UNIT_NAMES
-
-
 # --------------------------------------------------------------------------
 # monomials
 # --------------------------------------------------------------------------
@@ -177,9 +173,6 @@ class Monomial:
             if not v.unit:
                 raise NotInvertibleError(f"{self} contains non-unit {v.name}")
         return self.pow(-1)
-
-    def is_unit_only(self) -> bool:
-        return all(v.unit for v, _ in self.exps)
 
     def total_degree(self) -> int:
         return sum(k for _, k in self.exps)
@@ -426,45 +419,6 @@ def solve_linear(eq: LaurentPoly, target: VarId) -> LaurentPoly:
         raise NotInvertibleError(
             f"coefficient of {target.name} is not an invertible term: {coeff}") from None
     return -rest * inv
-
-
-# --------------------------------------------------------------------------
-# numeric assignments
-# --------------------------------------------------------------------------
-
-_UNIT_FLOOR = 1e-6
-
-
-class NumericAssignment:
-    """Complex values for variables, with unit-variable sanity enforced.
-
-    Unit variables must stay bounded away from zero, and when ``r`` is
-    assigned, ``alpha`` must be assigned ``r**2``.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Mapping[VarId, complex]):
-        vals = {k: complex(val) for k, val in values.items()}
-        for var, val in vals.items():
-            if var.unit and abs(val) < _UNIT_FLOOR:
-                raise ValueError(f"unit variable {var.name} too close to 0: {val}")
-        r = VarId._by_name["r"]
-        a = VarId._by_name["alpha"]
-        if r in vals:
-            if a not in vals:
-                raise ValueError("r assigned without alpha")
-            if abs(vals[a] - vals[r] ** 2) > 1e-9 * max(1.0, abs(vals[r]) ** 2):
-                raise ValueError("alpha must equal r**2 when r is assigned")
-        self.values = vals
-
-    @classmethod
-    def of(cls, **named: complex) -> "NumericAssignment":
-        return cls({var_id(n): c for n, c in named.items()})
-
-
-def evaluate_numeric(poly: LaurentPoly, assignment: NumericAssignment) -> complex:
-    return poly.evaluate(assignment.values)
 
 
 # --------------------------------------------------------------------------

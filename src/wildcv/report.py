@@ -87,7 +87,7 @@ def spec_to_dict(spec: CaseSpec) -> dict:
         "name": spec.name,
         "twist": spec.twist.value,
         "divisor": spec.divisor,
-        "formal_monodromy": f"H{spec.formal_monodromy_kind}",
+        "formal_monodromy": f"H{spec.twist.ramification_index}",
         "closure": {"kind": spec.closure.kind,
                     "trace_symbols": list(spec.closure.trace_symbols)},
         "eigenvalue_pairs": [
@@ -115,14 +115,8 @@ def spec_to_dict(spec: CaseSpec) -> dict:
         "elimination_plan": [[idx, nm] for idx, nm in spec.elimination_plan],
         "residual_scale": str(spec.residual_scale),
         "change_of_variables": _cov_steps(spec.cov_steps),
-        "expected_cubic": {
-            "xyz": str(spec.expected.xyz), "x2": str(spec.expected.x2),
-            "y2": str(spec.expected.y2), "z2": str(spec.expected.z2),
-            "c1": None if spec.expected.c1 is None else str(spec.expected.c1),
-            "c2": None if spec.expected.c2 is None else str(spec.expected.c2),
-            "c3": None if spec.expected.c3 is None else str(spec.expected.c3),
-            "c4": None if spec.expected.c4 is None else str(spec.expected.c4),
-        },
+        "expected_cubic": {k: None if v is None else str(v)
+                           for k, v in spec.expected.coefficients().items()},
     }
 
 

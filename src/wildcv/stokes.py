@@ -176,7 +176,8 @@ def stokes_matrix(layout) -> SymMat3:
 
 
 def formal_monodromy(kind: int) -> SymMat3:
-    """The three formal monodromies, by twist class.
+    """The three formal monodromies, indexed by the twist class's
+    ramification index (``TwistClass.ramification_index``).
 
     kind 1 (untwisted): diag(alpha, beta, gamma); det 1 once alphabetagamma = 1
     is imposed by the gamma rewrite.

@@ -219,8 +219,8 @@ def test_criterion_7_property_suites():
             n = SymMat3([[s.rows[i][j] - ident.rows[i][j] for j in range(3)]
                          for i in range(3)])
             ok = ok and all(e.is_zero() for row in (n * n).rows for e in row)
-        hdet = formal_monodromy(spec.formal_monodromy_kind).det()
-        if spec.formal_monodromy_kind == 1:
+        hdet = formal_monodromy(spec.twist.ramification_index).det()
+        if spec.twist.ramification_index == 1:
             hdet = hdet.substitute(GAMMA_UNIT)
         ok = ok and hdet == P("1")
 

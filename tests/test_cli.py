@@ -1,12 +1,18 @@
 """Command-line behaviour: determinism, formats, exit codes."""
 
 import dataclasses
+import errno
 import json
+import os
+from pathlib import Path
 
 import pytest
 
 from wildcv import cli
 from wildcv.model import CASE_NAMES
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _run(capsys, *argv):
@@ -108,6 +114,12 @@ def test_dump_spec(capsys):
     assert doc["expected_cubic"]["c1"] is None
 
 
+def test_dump_spec_all_matches_golden(capsys):
+    code, out = _run(capsys, "dump-spec", "--case", "all")
+    assert code == 0
+    assert out == (GOLDEN / "dump_spec_all.json").read_text(encoding="utf-8")
+
+
 def test_unknown_case_is_usage_error(capsys):
     code, _ = _run(capsys, "derive", "--case", "JKTXX")
     assert code == 2
@@ -176,10 +188,17 @@ def test_bad_env_seed_is_usage_error(capsys, monkeypatch):
     assert captured.err == "error: WCV_SEED must be an integer, got 'abc'\n"
 
 
-def test_output_into_missing_directory_is_usage_error(tmp_path, capsys):
-    target = tmp_path / "missing" / "report.json"
-    code = cli.main(["dump-spec", "--case", "JKTI", "--output", str(target)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith(f"error: cannot write {target}: ")
-    assert err.count("\n") == 1
+def test_output_into_missing_directory_is_usage_error(tmp_path, capsys, monkeypatch):
+    """--output is checked before any derivation runs, and nothing is created."""
+    def never(*args, **kwargs):
+        raise AssertionError("derive_case ran before --output was checked")
+
+    monkeypatch.setattr(cli, "derive_case", never)
+    missing = tmp_path / "missing" / "report.json"
+    for target, code in ((missing, errno.ENOENT), (tmp_path, errno.EISDIR)):
+        for argv in (("dump-spec", "--case", "JKTI"), ("derive", "--case", "all"),
+                     ("verify",)):
+            assert cli.main([*argv, "--output", str(target)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: cannot write {target}: {os.strerror(code)}\n"
+    assert list(tmp_path.iterdir()) == []

@@ -240,6 +240,6 @@ def test_traces_fixed_under_matrix_conjugation():
         prod = SymMat3.identity()
         for layout in spec.schedule:
             prod = conj(stokes_matrix(layout)) * prod
-        Mc = conj(formal_monodromy(spec.formal_monodromy_kind)) * prod
+        Mc = conj(formal_monodromy(spec.twist.ramification_index)) * prod
         assert Mc.trace() == M.trace()
         assert (Mc * Mc).trace() == (M * M).trace()

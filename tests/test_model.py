@@ -4,8 +4,10 @@ import dataclasses
 
 import pytest
 
+from wildcv import pipeline
 from wildcv.model import (CASE_NAMES, ClosureCondition, TwistClass,
                           UnknownCaseError, case_spec, validate_spec)
+from wildcv.pipeline import DerivationError
 from wildcv.polyring import LaurentPoly, parse
 
 
@@ -116,12 +118,38 @@ def test_validate_detects_generator_mismatch():
     assert "generator_mismatch" in kinds
 
 
-def test_validate_detects_closure_kind_mismatch():
-    spec = case_spec("JKTI")
-    mutated = dataclasses.replace(
-        spec, closure=ClosureCondition("fixed_class", ("p", "q")))
-    kinds = {v.kind for v in validate_spec(mutated)}
-    assert "closure_kind" in kinds
+def test_unknown_divisor_rejected():
+    spec = dataclasses.replace(case_spec("JKTI"), divisor="2{0}+{inf}")
+    with pytest.raises(ValueError, match="unknown divisor"):
+        spec.closure
+
+
+_OTHER_DIVISOR = {"3{inf}": "{0}+2{inf}", "{0}+2{inf}": "3{inf}"}
+
+
+def _with_twist(spec, twist):
+    """The case as built with another twist class: the pairs' ramification
+    follows the twist, as in the case tables."""
+    pairs = tuple(dataclasses.replace(p, ramification_N=twist.ramification_index)
+                  for p in spec.pair_specs)
+    return dataclasses.replace(spec, twist=twist, pair_specs=pairs)
+
+
+@pytest.mark.parametrize("name,mutant", [
+    (name, "divisor") for name in CASE_NAMES] + [
+    (name, twist) for name in CASE_NAMES for twist in TwistClass
+    if twist is not case_spec(name).twist])
+def test_wrong_divisor_or_twist_fails_derivation(name, mutant, monkeypatch):
+    spec = case_spec(name)
+    if mutant == "divisor":
+        mutated = dataclasses.replace(spec, divisor=_OTHER_DIVISOR[spec.divisor])
+    else:
+        mutated = _with_twist(spec, mutant)
+    monkeypatch.setattr(pipeline, "case_spec", lambda _: mutated)
+    with pytest.raises(DerivationError) as exc:
+        pipeline.derive_case(name, run_oracle=False)
+    if mutant != "divisor":
+        assert str(exc.value).startswith("[spec]")
 
 
 def test_first_half_variables():

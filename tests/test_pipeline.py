@@ -292,7 +292,7 @@ def test_report_replays_stage_by_stage():
         prod = None
         for mat in rep.stokes_matrices:
             prod = mat if prod is None else mat * prod
-        M = formal_monodromy(spec.formal_monodromy_kind) * prod
+        M = formal_monodromy(spec.twist.ramification_index) * prod
         assert M == rep.topological_monodromy
         # closure from the monodromy
         system = close(spec, M)

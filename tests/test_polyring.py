@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wildcv.polyring import (LaurentPoly, Monomial, NotInvertibleError,
-                             NotLinearError, NumericAssignment, ParseError,
+                             NotLinearError, ParseError,
                              SubstitutionDomainError, UnboundVariableError,
-                             UnknownVariableError, evaluate_numeric,
-                             format_poly, parse, solve_linear, var_id)
+                             UnknownVariableError, format_poly, parse,
+                             solve_linear, var_id)
 
 P = parse
 
@@ -240,26 +240,22 @@ def test_solve_linear_roundtrip_200_random_equations():
 # --------------------------------------------------------------------------
 
 
+def _values(**named):
+    return {var_id(nm): complex(val) for nm, val in named.items()}
+
+
 def test_evaluate_examples():
-    ones = NumericAssignment.of(U=1, V=1, W=1, R=1, T=1)
-    assert evaluate_numeric(P("U*V*W - R*T"), ones) == 0
-    a = NumericAssignment.of(x1=1, x2=2, x3=3, x4=5)
-    assert evaluate_numeric(P("x1 + x3 + x2*x4"), a) == 14
-    b = NumericAssignment.of(alpha=0.3 + 0.4j)
-    assert evaluate_numeric(P("alpha*alpha^-1"), b) == 1
+    ones = _values(U=1, V=1, W=1, R=1, T=1)
+    assert P("U*V*W - R*T").evaluate(ones) == 0
+    a = _values(x1=1, x2=2, x3=3, x4=5)
+    assert P("x1 + x3 + x2*x4").evaluate(a) == 14
+    b = _values(alpha=0.3 + 0.4j)
+    assert P("alpha*alpha^-1").evaluate(b) == 1
 
 
 def test_evaluate_unbound_variable():
     with pytest.raises(UnboundVariableError):
         P("x1 + x2").evaluate({var_id("x1"): 1.0})
-
-
-def test_assignment_unit_floor_and_square_root_consistency():
-    with pytest.raises(ValueError):
-        NumericAssignment.of(alpha=1e-9)
-    with pytest.raises(ValueError):
-        NumericAssignment.of(r=2.0, alpha=5.0)
-    NumericAssignment.of(r=2.0, alpha=4.0)
 
 
 def test_evaluate_is_ring_homomorphism_numerically():

@@ -7,7 +7,8 @@ from .stokes import RationalAngle, SymMat3, formal_monodromy, stokes_matrix, \
     singular_directions
 from .model import (CASE_NAMES, CaseSpec, TwistClass, case_spec, validate_spec,
                     UnknownCaseError)
-from .monodromy import closure_equations, topological_monodromy, back_substitutions
+from .monodromy import (back_substitutions, closure_equations, monodromy_factors,
+                        topological_monodromy)
 from .invariants import (invariant_monomials, rewrite_in_invariants,
                          tautological_check, torus_weights)
 from .pipeline import (CaseReport, CubicSurface, derive_case, eliminate,

@@ -84,12 +84,11 @@ class EigenvaluePairSpec:
 
     label: tuple[int, int]
     level_l: int
-    ramification_N: int
     arg_offset: RationalAngle
 
     def __post_init__(self):
-        if self.level_l < 1 or not 1 <= self.ramification_N <= 3:
-            raise ValueError("level >= 1 and ramification in 1..3 required")
+        if self.level_l < 1:
+            raise ValueError("level >= 1 required")
 
 
 @dataclass(frozen=True)
@@ -216,9 +215,9 @@ def _ang(num: int, den: int = 1) -> RationalAngle:
     return RationalAngle.of(num, den)
 
 
-def _pairs(twist: TwistClass, data) -> tuple:
+def _pairs(data) -> tuple:
     return tuple(
-        EigenvaluePairSpec(label, l, twist.ramification_index, _ang(num, den))
+        EigenvaluePairSpec(label, l, _ang(num, den))
         for (label, l, (num, den)) in data
     )
 
@@ -258,16 +257,15 @@ def _divide(term: str) -> CovStep:
 
 
 def _build_jktvi() -> CaseSpec:
-    twist = TwistClass.UNTWISTED
     schedule = _layouts([
         ((k, 3), [(_UNTWISTED_CYCLE[k - 1][0], _UNTWISTED_CYCLE[k - 1][1], f"x{k}")])
         for k in range(1, 7)
     ])
     return CaseSpec(
         name="JKTVI",
-        twist=twist,
+        twist=TwistClass.UNTWISTED,
         divisor="{0}+2{inf}",
-        pair_specs=_pairs(twist, [
+        pair_specs=_pairs([
             ((0, 1), 1, (5, 6)),
             ((0, 2), 1, (7, 6)),
             ((1, 2), 1, (3, 2)),
@@ -306,12 +304,11 @@ def _build_jktvi() -> CaseSpec:
 
 
 def _build_jktv() -> CaseSpec:
-    twist = TwistClass.MINIMALLY_TWISTED
     return CaseSpec(
         name="JKTV",
-        twist=twist,
+        twist=TwistClass.MINIMALLY_TWISTED,
         divisor="{0}+2{inf}",
-        pair_specs=_pairs(twist, [
+        pair_specs=_pairs([
             ((0, 1), 1, (0, 1)),
             ((2, 0), 2, (0, 1)),
             ((0, 2), 2, (1, 1)),
@@ -346,12 +343,11 @@ def _build_jktv() -> CaseSpec:
 
 
 def _build_jktiva() -> CaseSpec:
-    twist = TwistClass.MAXIMALLY_TWISTED
     return CaseSpec(
         name="JKTIVa",
-        twist=twist,
+        twist=TwistClass.MAXIMALLY_TWISTED,
         divisor="{0}+2{inf}",
-        pair_specs=_pairs(twist, [
+        pair_specs=_pairs([
             ((0, 1), 2, (11, 6)),
             ((0, 2), 2, (1, 6)),
             ((1, 2), 2, (1, 2)),
@@ -385,7 +381,6 @@ def _build_jktiva() -> CaseSpec:
 
 
 def _build_jktivb() -> CaseSpec:
-    twist = TwistClass.UNTWISTED
     schedule = _layouts([
         ((k, 6), [(_UNTWISTED_CYCLE[(k - 1) % 6][0],
                    _UNTWISTED_CYCLE[(k - 1) % 6][1], f"x{k}")])
@@ -393,9 +388,9 @@ def _build_jktivb() -> CaseSpec:
     ])
     return CaseSpec(
         name="JKTIVb",
-        twist=twist,
+        twist=TwistClass.UNTWISTED,
         divisor="3{inf}",
-        pair_specs=_pairs(twist, [
+        pair_specs=_pairs([
             ((0, 1), 2, (11, 6)),
             ((0, 2), 2, (1, 6)),
             ((1, 2), 2, (1, 2)),
@@ -432,12 +427,11 @@ def _build_jktivb() -> CaseSpec:
 
 
 def _build_jktii() -> CaseSpec:
-    twist = TwistClass.MINIMALLY_TWISTED
     return CaseSpec(
         name="JKTII",
-        twist=twist,
+        twist=TwistClass.MINIMALLY_TWISTED,
         divisor="3{inf}",
-        pair_specs=_pairs(twist, [
+        pair_specs=_pairs([
             ((0, 1), 3, (0, 1)),
             ((1, 0), 3, (1, 1)),
             ((2, 0), 4, (0, 1)),
@@ -482,7 +476,6 @@ def _build_jktii() -> CaseSpec:
 
 
 def _build_jkti() -> CaseSpec:
-    twist = TwistClass.MAXIMALLY_TWISTED
     cycle = _UNTWISTED_CYCLE
     schedule = _layouts([
         ((k, 5), [(cycle[(k - 1) % 6][0], cycle[(k - 1) % 6][1], f"x{k}")])
@@ -490,9 +483,9 @@ def _build_jkti() -> CaseSpec:
     ])
     return CaseSpec(
         name="JKTI",
-        twist=twist,
+        twist=TwistClass.MAXIMALLY_TWISTED,
         divisor="3{inf}",
-        pair_specs=_pairs(twist, [
+        pair_specs=_pairs([
             ((0, 1), 5, (11, 6)),
             ((0, 2), 5, (1, 6)),
             ((1, 2), 5, (1, 2)),
@@ -607,7 +600,7 @@ def validate_spec(spec: CaseSpec) -> list:
     sched_dirs = {layout.direction for layout in spec.schedule}
     pair_dirs = set()
     for pair in spec.pair_specs:
-        pair_dirs.update(singular_directions(pair))
+        pair_dirs.update(singular_directions(pair, spec.twist.ramification_index))
     if sched_dirs != pair_dirs:
         out.append(Violation("direction_mismatch",
                              f"schedule {sorted(sched_dirs)} vs pairs {sorted(pair_dirs)}"))

@@ -1,11 +1,12 @@
 """Topological monodromy and the per-case closure equation systems.
 
+M = H * S_m * ... * S_1 is composed once, as R * L at the case's split:
+L = S_k * ... * S_1 and R = H * S_m * ... * S_{k+1}; without a split, R = H.
 For the two-point cases the closure condition fixes the conjugacy class of
-the monodromy at infinity: Tr(M) = p and Tr(M^2) = q.  For the one-point
-cases the monodromy itself is the identity; the product is split as written
-in each derivation, the dependent second-half coefficients are solved off the
-entry equations (back substitutions), one redundant entry is dropped, and the
-two surviving entry equations form the residual system.
+M: Tr(M) = p and Tr(M^2) = q.  For the one-point cases M = I, read as
+L = R^-1: the dependent second-half coefficients are solved off the entry
+equations (back substitutions), one redundant entry is dropped, and the two
+surviving entry equations form the residual system.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .polyring import LaurentPoly, PolyError, solve_linear, var_id
-from .stokes import SymMat3, formal_monodromy, stokes_matrix
+from .stokes import SymMat3
 from .model import CaseSpec
 from .invariants import rewrite_in_invariants
 
@@ -36,24 +37,27 @@ class ClosureSystem:
     dropped: Optional[LaurentPoly] = None    # the redundant entry equation
 
 
-def topological_monodromy(spec: CaseSpec) -> SymMat3:
-    """H * S_m * ... * S_1 with the factors in schedule order."""
-    prod = SymMat3.identity()
-    for layout in spec.schedule:
-        prod = stokes_matrix(layout) * prod
-    return formal_monodromy(spec.twist.ramification_index) * prod
+def monodromy_factors(spec: CaseSpec, matrices, H: SymMat3) -> tuple:
+    """(L, R) with M = R * L at the case's split, from the Stokes matrices in
+    schedule order and H; R = H when the case has no split."""
+    k = len(matrices) if spec.split_index is None else spec.split_index
+    left = right = SymMat3.identity()
+    for mat in matrices[:k]:
+        left = mat * left
+    for mat in matrices[k:]:
+        right = mat * right
+    return left, (H * right if k < len(matrices) else H)
 
 
-def split_products(spec: CaseSpec) -> tuple:
-    """(S_k...S_1, (H S_m...S_{k+1})^-1) at the case's declared split."""
-    k = spec.split_index
-    left = SymMat3.identity()
-    for layout in spec.schedule[:k]:
-        left = stokes_matrix(layout) * left
-    right = SymMat3.identity()
-    for layout in spec.schedule[k:]:
-        right = stokes_matrix(layout) * right
-    right = formal_monodromy(spec.twist.ramification_index) * right
+def topological_monodromy(factors: tuple) -> SymMat3:
+    """M = H * S_m * ... * S_1, as R * L from ``monodromy_factors``."""
+    left, right = factors
+    return right * left
+
+
+def split_products(factors: tuple) -> tuple:
+    """(L, R^-1) from ``monodromy_factors``: M = I reads L = R^-1."""
+    left, right = factors
     return left, right.inverse()
 
 
@@ -90,33 +94,28 @@ def back_substitutions(spec: CaseSpec, m_split: tuple) -> tuple:
     return tuple((t.name, solved[t]) for t in order)
 
 
-def closure_equations(spec: CaseSpec, monodromy: SymMat3) -> ClosureSystem:
+def closure_equations(spec: CaseSpec, monodromy: SymMat3,
+                      factors: tuple) -> ClosureSystem:
+    """The closure system from M and its factors (L, R) at the split."""
+    trace_polys = subs = dropped = None
     if spec.closure.kind == "fixed_class":
         tr = monodromy.trace()
         tr2 = (monodromy * monodromy).trace()
         p, q = (LaurentPoly.variable(s) for s in spec.closure.trace_symbols)
-        raw = (tr - p, tr2 - q)
+        raw = [tr - p, tr2 - q]
         provenance = ["trace", "trace_square"]
-        eqs = list(raw)
-        if spec.use_invariant_rewrite:
-            eqs = [rewrite_in_invariants(e, spec.generator_defs) for e in eqs]
-            eqs.append(spec.tautological)
-            provenance.append("tautological")
-            raw = raw + (spec.tautological,)
-        return ClosureSystem(tuple(eqs), tuple(provenance), raw,
-                             trace_polys=(tr, tr2))
-
-    left, right = split_products(spec)
-    subs = back_substitutions(spec, (left, right))
-    bind = {var_id(nm): poly for nm, poly in subs}
-    raw = []
-    provenance = []
-    for (i, j), scale in spec.residual_entries:
-        eq = (left.entry(i, j) - right.entry(i, j)).substitute(bind) * scale
-        raw.append(eq)
-        provenance.append(f"entry({i},{j})")
-    di, dj = spec.drop_entry
-    dropped = (left.entry(di, dj) - right.entry(di, dj)).substitute(bind)
+        trace_polys = (tr, tr2)
+    else:
+        left, right = split_products(factors)
+        subs = back_substitutions(spec, (left, right))
+        bind = {var_id(nm): poly for nm, poly in subs}
+        raw = []
+        provenance = []
+        for (i, j), scale in spec.residual_entries:
+            raw.append((left.entry(i, j) - right.entry(i, j)).substitute(bind) * scale)
+            provenance.append(f"entry({i},{j})")
+        di, dj = spec.drop_entry
+        dropped = (left.entry(di, dj) - right.entry(di, dj)).substitute(bind)
     eqs = list(raw)
     if spec.use_invariant_rewrite:
         eqs = [rewrite_in_invariants(e, spec.generator_defs) for e in eqs]
@@ -124,4 +123,4 @@ def closure_equations(spec: CaseSpec, monodromy: SymMat3) -> ClosureSystem:
         provenance.append("tautological")
         raw.append(spec.tautological)
     return ClosureSystem(tuple(eqs), tuple(provenance), tuple(raw),
-                         back_subs=subs, dropped=dropped)
+                         trace_polys=trace_polys, back_subs=subs, dropped=dropped)

@@ -10,13 +10,15 @@ that the cubic vanishes there.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .polyring import LaurentPoly, Monomial, PolyError, solve_linear, var_id
 from .stokes import SymMat3, formal_monodromy, stokes_matrix
 from .model import CaseSpec, CovStep, case_spec, validate_spec
-from .monodromy import ClosureSystem, closure_equations, topological_monodromy
+from .monodromy import (ClosureSystem, closure_equations, monodromy_factors,
+                        topological_monodromy)
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 100
@@ -119,21 +121,17 @@ def eliminate(system, plan, scale=None) -> LaurentPoly:
     return residual
 
 
-def apply_cov(residual: LaurentPoly, cov_steps) -> LaurentPoly:
-    out = residual
-    for step in cov_steps:
-        if step.kind == "subst":
-            out = out.substitute({var_id(nm): poly for nm, poly in step.mapping})
-        elif step.kind == "divide":
-            out = out * step.term.inverse_term()
-        else:
-            raise ValueError(f"unknown cov step {step.kind!r}")
-    return out
-
-
 def to_cubic_normal_form(residual: LaurentPoly, cov_steps) -> CubicSurface:
     """Apply the change of variables and decompose into the cubic shape."""
-    return _decompose_cubic(apply_cov(residual, cov_steps))
+    for step in cov_steps:
+        if step.kind == "subst":
+            residual = residual.substitute(
+                {var_id(nm): poly for nm, poly in step.mapping})
+        elif step.kind == "divide":
+            residual = residual * step.term.inverse_term()
+        else:
+            raise ValueError(f"unknown cov step {step.kind!r}")
+    return _decompose_cubic(residual)
 
 
 # --------------------------------------------------------------------------
@@ -229,6 +227,15 @@ def _compare_expected(spec: CaseSpec, cubic: CubicSurface) -> ExpectedComparison
                               not mismatches, tuple(mismatches))
 
 
+@contextmanager
+def _stage(label: str):
+    """Re-raise a PolyError from the stage as a DerivationError "[label] ..."."""
+    try:
+        yield
+    except PolyError as exc:
+        raise DerivationError(f"[{label}] {exc}") from exc
+
+
 def derive_case(name: str, trials: int = DEFAULT_TRIALS,
                 seed: int = DEFAULT_SEED, run_oracle: bool = True) -> CaseReport:
     """Run the full mechanical derivation for one case."""
@@ -237,32 +244,25 @@ def derive_case(name: str, trials: int = DEFAULT_TRIALS,
     if violations:
         raise DerivationError(f"[spec] invalid case data: {violations}")
 
-    try:
+    with _stage("stokes"):
         matrices = tuple(stokes_matrix(l) for l in spec.schedule)
         H = formal_monodromy(spec.twist.ramification_index)
-        M = topological_monodromy(spec)
-    except PolyError as exc:
-        raise DerivationError(f"[stokes] {exc}") from exc
+        factors = monodromy_factors(spec, matrices, H)
+        M = topological_monodromy(factors)
 
     det_is_one = _normalize(M.det(), spec) == LaurentPoly.constant(1)
 
-    try:
-        closure = closure_equations(spec, M)
-    except PolyError as exc:
-        raise DerivationError(f"[closure] {exc}") from exc
+    with _stage("closure"):
+        closure = closure_equations(spec, M, factors)
 
     normalized = tuple(_normalize(e, spec) for e in closure.equations)
 
-    try:
+    with _stage("eliminate"):
         residual, eliminated = _eliminate_with_solutions(
             normalized, spec.elimination_plan, _normalize(spec.residual_scale, spec))
-    except PolyError as exc:
-        raise DerivationError(f"[eliminate] {exc}") from exc
 
-    try:
+    with _stage("normal-form"):
         cubic = to_cubic_normal_form(residual, _normalize_steps(spec.cov_steps, spec))
-    except PolyError as exc:
-        raise DerivationError(f"[normal-form] {exc}") from exc
 
     expected = _compare_expected(spec, cubic)
 

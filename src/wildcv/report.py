@@ -92,7 +92,8 @@ def spec_to_dict(spec: CaseSpec) -> dict:
                     "trace_symbols": list(spec.closure.trace_symbols)},
         "eigenvalue_pairs": [
             {"pair": list(p.label), "level": p.level_l,
-             "ramification": p.ramification_N, "arg_offset": str(p.arg_offset)}
+             "ramification": spec.twist.ramification_index,
+             "arg_offset": str(p.arg_offset)}
             for p in spec.pair_specs
         ],
         "schedule": [

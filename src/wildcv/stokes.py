@@ -55,13 +55,14 @@ class RationalAngle:
         return f"pi/{n}" if k == 1 else f"{k}*pi/{n}"
 
 
-def singular_directions(pair) -> tuple:
-    """Sorted directions in [0, 2*pi) supported by one eigenvalue pair.
+def singular_directions(pair, ramification: int) -> tuple:
+    """Sorted directions in [0, 2*pi) supported by one eigenvalue pair on a
+    ``ramification``-sheeted cover (the twist's ``ramification_index``).
 
     ``pair`` is a model.EigenvaluePairSpec (duck-typed here to avoid an
-    import cycle): it provides level_l, ramification_N and arg_offset.
+    import cycle): it provides level_l and arg_offset.
     """
-    period = Fraction(pair.ramification_N, pair.level_l)
+    period = Fraction(ramification, pair.level_l)
     base = period * (pair.arg_offset.turns - Fraction(1, 2))
     t = base % period
     out = []

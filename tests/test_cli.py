@@ -89,6 +89,15 @@ def test_verify_all_passes(capsys):
         assert name in out
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known false FAIL: JKTII's float residual is 1.37e-9 against the 1e-9 "
+    "tolerance; the exact oracle of ROADMAP item 1 must flip this"))
+def test_verify_seed_246776331_passes(capsys):
+    code, out = _run(capsys, "verify", "--seed", "246776331")
+    assert code == 0
+    assert "all cases PASS" in out
+
+
 def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     real = cli.derive_case
 

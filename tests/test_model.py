@@ -127,14 +127,6 @@ def test_unknown_divisor_rejected():
 _OTHER_DIVISOR = {"3{inf}": "{0}+2{inf}", "{0}+2{inf}": "3{inf}"}
 
 
-def _with_twist(spec, twist):
-    """The case as built with another twist class: the pairs' ramification
-    follows the twist, as in the case tables."""
-    pairs = tuple(dataclasses.replace(p, ramification_N=twist.ramification_index)
-                  for p in spec.pair_specs)
-    return dataclasses.replace(spec, twist=twist, pair_specs=pairs)
-
-
 @pytest.mark.parametrize("name,mutant", [
     (name, "divisor") for name in CASE_NAMES] + [
     (name, twist) for name in CASE_NAMES for twist in TwistClass
@@ -144,12 +136,14 @@ def test_wrong_divisor_or_twist_fails_derivation(name, mutant, monkeypatch):
     if mutant == "divisor":
         mutated = dataclasses.replace(spec, divisor=_OTHER_DIVISOR[spec.divisor])
     else:
-        mutated = _with_twist(spec, mutant)
+        mutated = dataclasses.replace(spec, twist=mutant)
     monkeypatch.setattr(pipeline, "case_spec", lambda _: mutated)
     with pytest.raises(DerivationError) as exc:
         pipeline.derive_case(name, run_oracle=False)
     if mutant != "divisor":
+        # the pairs' ramification follows the twist, so the directions move
         assert str(exc.value).startswith("[spec]")
+        assert "direction_mismatch" in str(exc.value)
 
 
 def test_first_half_variables():

@@ -5,13 +5,20 @@ import pytest
 
 from wildcv.model import CASE_NAMES, case_spec
 from wildcv.monodromy import (back_substitutions, closure_equations,
-                              split_products, topological_monodromy)
+                              monodromy_factors, split_products,
+                              topological_monodromy)
 from wildcv.polyring import parse, var_id
-from wildcv.stokes import SymMat3
+from wildcv.stokes import SymMat3, formal_monodromy, stokes_matrix
 
 P = parse
 
 GAMMA_UNIT = {var_id("gamma"): P("alpha^-1*beta^-1")}
+
+
+def _factors(spec):
+    """(L, R) of the case's monodromy, built from its schedule and twist."""
+    return monodromy_factors(spec, [stokes_matrix(l) for l in spec.schedule],
+                             formal_monodromy(spec.twist.ramification_index))
 
 
 def _assert_matrix(mat: SymMat3, rows):
@@ -28,21 +35,21 @@ def _assert_matrix(mat: SymMat3, rows):
 def test_every_monodromy_has_determinant_one():
     for name in CASE_NAMES:
         spec = case_spec(name)
-        det = topological_monodromy(spec).det()
+        det = topological_monodromy(_factors(spec)).det()
         if spec.parameter_normalization:
             det = det.substitute(GAMMA_UNIT)
         assert det == P("1"), name
 
 
 def test_jktiva_trace_formulas():
-    M = topological_monodromy(case_spec("JKTIVa"))
+    M = topological_monodromy(_factors(case_spec("JKTIVa")))
     assert M.trace() == P("x1 + x3 + x2*x4")
     assert (M * M).trace() == P(
         "2*x4 + x1^2 + 2*x2 + 2*x1*x2*x4 + x3^2 + x2^2*x4^2 + 2*x2*x3*x4")
 
 
 def test_jktvi_monodromy_rows():
-    M = topological_monodromy(case_spec("JKTVI"))
+    M = topological_monodromy(_factors(case_spec("JKTVI")))
     _assert_matrix(M, [
         ["alpha", "alpha*x1", "alpha*x2"],
         ["beta*x4", "beta*x1*x4 + beta", "beta*x3 + beta*x2*x4"],
@@ -58,7 +65,7 @@ def test_jktvi_monodromy_rows():
 
 
 def test_jktivb_split_display():
-    left, right = split_products(case_spec("JKTIVb"))
+    left, right = split_products(_factors(case_spec("JKTIVb")))
     _assert_matrix(left, [
         ["1", "x1", "x2"],
         ["x4", "x1*x4 + 1", "x3 + x2*x4"],
@@ -76,7 +83,7 @@ def test_jktivb_split_display():
 
 
 def test_jktii_split_display():
-    left, right = split_products(case_spec("JKTII"))
+    left, right = split_products(_factors(case_spec("JKTII")))
     _assert_matrix(left, [
         ["1", "x1", "x2 + x1*x3"],
         ["0", "1", "x3"],
@@ -91,7 +98,7 @@ def test_jktii_split_display():
 
 
 def test_jkti_split_display():
-    left, right = split_products(case_spec("JKTI"))
+    left, right = split_products(_factors(case_spec("JKTI")))
     _assert_matrix(left, [
         ["1", "x1", "x2"],
         ["x4", "x1*x4 + 1", "x3 + x2*x4"],
@@ -112,7 +119,7 @@ def test_jkti_split_display():
 
 def test_jktivb_back_substitutions():
     spec = case_spec("JKTIVb")
-    subs = dict(back_substitutions(spec, split_products(spec)))
+    subs = dict(back_substitutions(spec, split_products(_factors(spec))))
     assert subs["x9"] == P("-gamma*x3 - gamma*x2*x4")
     assert subs["x12"] == P("-beta*x1*x4*x6 - beta*x6 - beta*x1*x5")
     assert subs["x11"] == P("-alpha*x4*x6 - alpha*x5")
@@ -123,7 +130,7 @@ def test_jktivb_back_substitutions():
 
 def test_jktii_back_substitutions():
     spec = case_spec("JKTII")
-    subs = dict(back_substitutions(spec, split_products(spec)))
+    subs = dict(back_substitutions(spec, split_products(_factors(spec))))
     assert subs["x11"] == P("-x1*x5 - x6")
     assert subs["x8"] == P("-alpha*x2 - alpha*x1*x3")
     assert subs["x4"] == P("-1") - P("alpha*x3") * subs["x11"]
@@ -133,7 +140,7 @@ def test_jktii_back_substitutions():
 
 def test_jkti_back_substitutions():
     spec = case_spec("JKTI")
-    subs = dict(back_substitutions(spec, split_products(spec)))
+    subs = dict(back_substitutions(spec, split_products(_factors(spec))))
     assert subs["x9"] == P("-x4")
     assert subs["x10"] == P("-x1*x4 - 1")
     assert subs["x7"] == P("-x2")
@@ -146,7 +153,7 @@ def test_back_substitutions_resolve_to_surviving_variables():
     for name in ("JKTIVb", "JKTII", "JKTI"):
         spec = case_spec(name)
         first_half = set(spec.first_half_variables())
-        for nm, expr in back_substitutions(spec, split_products(spec)):
+        for nm, expr in back_substitutions(spec, split_products(_factors(spec))):
             used = {v.name for v in expr.variables() if v.name.startswith("x")}
             assert used <= first_half, (name, nm)
 
@@ -158,7 +165,8 @@ def test_back_substitutions_resolve_to_surviving_variables():
 
 def _system(name):
     spec = case_spec(name)
-    return spec, closure_equations(spec, topological_monodromy(spec))
+    factors = _factors(spec)
+    return spec, closure_equations(spec, topological_monodromy(factors), factors)
 
 
 def test_jktvi_closure_system_equations():
@@ -225,7 +233,7 @@ def test_dropped_entries_recorded():
 def test_consumed_entries_vanish_after_back_substitution():
     for name in ("JKTIVb", "JKTII", "JKTI"):
         spec = case_spec(name)
-        left, right = split_products(spec)
+        left, right = split_products(_factors(spec))
         bind = {var_id(nm): poly
                 for nm, poly in back_substitutions(spec, (left, right))}
         for (i, j), _ in spec.back_sub_plan:
@@ -239,4 +247,4 @@ def test_inconsistent_plan_raises():
     bad = dataclasses.replace(
         spec, back_sub_plan=(((2, 2), "x9"),) + spec.back_sub_plan[1:])
     with pytest.raises(Exception):
-        back_substitutions(bad, split_products(bad))
+        back_substitutions(bad, split_products(_factors(bad)))

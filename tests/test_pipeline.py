@@ -6,12 +6,14 @@ import pathlib
 import pytest
 
 from wildcv.model import CASE_NAMES, case_spec
-from wildcv.monodromy import closure_equations, topological_monodromy
+from wildcv.monodromy import (closure_equations, monodromy_factors,
+                              topological_monodromy)
 from wildcv.pipeline import (CubicSurface, ShapeError, derive_case,
                              eliminate, oracle_sampling, oracle_verify,
                              specialize_unit_cube_root, to_cubic_normal_form)
 from wildcv.polyring import LaurentPoly, parse, var_id
 from wildcv.report import report_to_dict
+from wildcv.stokes import formal_monodromy, stokes_matrix
 
 P = parse
 
@@ -24,6 +26,17 @@ def _derived(name):
     return derive_case(name, run_oracle=False)
 
 
+def _factors(spec):
+    """(L, R) of the case's monodromy, built from its schedule and twist."""
+    return monodromy_factors(spec, [stokes_matrix(l) for l in spec.schedule],
+                             formal_monodromy(spec.twist.ramification_index))
+
+
+def _closure(spec):
+    factors = _factors(spec)
+    return closure_equations(spec, topological_monodromy(factors), factors)
+
+
 # --------------------------------------------------------------------------
 # elimination down to the frozen reference residuals
 # --------------------------------------------------------------------------
@@ -31,14 +44,14 @@ def _derived(name):
 
 def test_eliminate_jktiva():
     spec = case_spec("JKTIVa")
-    system = closure_equations(spec, topological_monodromy(spec))
+    system = _closure(spec)
     got = eliminate(system, spec.elimination_plan, spec.residual_scale)
     assert got == P("x2*x3*x4 + x3^2 + x4 - p*x3 + x2 + 1/2*p^2 - 1/2*q")
 
 
 def test_eliminate_jktii():
     spec = case_spec("JKTII")
-    system = closure_equations(spec, topological_monodromy(spec))
+    system = _closure(spec)
     got = eliminate(system, spec.elimination_plan, spec.residual_scale)
     assert got == P("U*V*W + U*W + V*W - alpha^-1*U - alpha^-1*V + W"
                     " - alpha^-1*W + alpha^-2 - alpha^-1")
@@ -46,7 +59,7 @@ def test_eliminate_jktii():
 
 def test_eliminate_jktv():
     spec = case_spec("JKTV")
-    system = closure_equations(spec, topological_monodromy(spec))
+    system = _closure(spec)
     got = eliminate(system, spec.elimination_plan, spec.residual_scale)
     assert got == P("alpha*T*V*W + alpha*V^2 + T^2 + V*W + alpha*T*W"
                     " + alpha*V - p*V + 1/2*q*T - 1/2*p^2*T + alpha^-1*T")
@@ -86,7 +99,7 @@ def test_eliminated_solutions_recorded():
 
 def test_cubic_normal_form_jkti():
     spec = case_spec("JKTI")
-    system = closure_equations(spec, topological_monodromy(spec))
+    system = _closure(spec)
     residual = eliminate(system, spec.elimination_plan, spec.residual_scale)
     cubic = to_cubic_normal_form(residual, spec.cov_steps)
     assert cubic.reconstruct() == P("X*Y*Z + X + Y + 1")
@@ -209,7 +222,7 @@ def test_oracle_constraints_are_affine_in_solve_targets():
     equations to be jointly affine in the solve targets."""
     for name in ("JKTIVb", "JKTII", "JKTI"):
         spec = case_spec(name)
-        system = closure_equations(spec, topological_monodromy(spec))
+        system = _closure(spec)
         targets = [var_id(nm) for nm in spec.oracle.solve_targets]
         for eq in system.raw_equations:
             for t in targets:
@@ -282,8 +295,7 @@ def test_golden_derivation(name):
 def test_report_replays_stage_by_stage():
     """Each stage of a report is recomputable from the previous one."""
     from wildcv.monodromy import closure_equations as close
-    from wildcv.pipeline import apply_cov, _eliminate_with_solutions
-    from wildcv.stokes import formal_monodromy
+    from wildcv.pipeline import _eliminate_with_solutions
 
     for name in CASE_NAMES:
         rep = _derived(name)
@@ -295,7 +307,8 @@ def test_report_replays_stage_by_stage():
         M = formal_monodromy(spec.twist.ramification_index) * prod
         assert M == rep.topological_monodromy
         # closure from the monodromy
-        system = close(spec, M)
+        system = close(spec, M, monodromy_factors(
+            spec, rep.stokes_matrices, rep.formal_monodromy))
         assert system.equations == rep.closure.equations
         # residual from the normalized closure system
         norm = {var_id(nm): val for nm, val in spec.parameter_normalization}
@@ -315,10 +328,39 @@ def test_report_replays_stage_by_stage():
         assert to_cubic_normal_form(residual, steps) == rep.cubic
 
 
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_derivation_builds_each_factor_once(name, monkeypatch):
+    """One Stokes matrix per layout, one H, and one fold: a product per
+    Stokes factor, then H times the rest and one of R*L or M*M."""
+    import sys
+    from wildcv import stokes
+    from wildcv.stokes import SymMat3
+
+    counts = dict.fromkeys(("stokes_matrix", "formal_monodromy", "product"), 0)
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for fn in (stokes.stokes_matrix, stokes.formal_monodromy):
+        for modname, mod in list(sys.modules.items()):
+            if modname == "wildcv" or modname.startswith("wildcv."):
+                for attr, val in list(vars(mod).items()):
+                    if val is fn:
+                        monkeypatch.setattr(mod, attr, counting(fn.__name__, fn))
+    monkeypatch.setattr(SymMat3, "__mul__", counting("product", SymMat3.__mul__))
+    derive_case(name, run_oracle=False)
+    steps = len(case_spec(name).schedule)
+    assert counts == {"stokes_matrix": steps, "formal_monodromy": 1,
+                      "product": steps + 2}
+
+
 def test_eliminate_propagates_solver_errors():
     from wildcv.polyring import NotLinearError
     spec = case_spec("JKTVI")
-    system = closure_equations(spec, topological_monodromy(spec))
+    system = _closure(spec)
     with pytest.raises(NotLinearError):
         eliminate(system, ((0, "R"), (1, "U")), spec.residual_scale)
 

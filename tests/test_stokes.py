@@ -19,7 +19,7 @@ def _angles(*fracs):
 def _union(spec):
     out = set()
     for pair in spec.pair_specs:
-        out.update(singular_directions(pair))
+        out.update(singular_directions(pair, spec.twist.ramification_index))
     return out
 
 
@@ -51,7 +51,7 @@ def test_shipped_angle_denominators_stay_small():
 
 def test_jktvi_pair_and_union():
     spec = case_spec("JKTVI")
-    first = singular_directions(spec.pair_specs[0])
+    first = singular_directions(spec.pair_specs[0], 1)
     assert set(first) == _angles((1, 3), (4, 3))
     assert _union(spec) == _angles((0, 1), (1, 3), (2, 3), (1, 1), (4, 3), (5, 3))
 
@@ -59,9 +59,9 @@ def test_jktvi_pair_and_union():
 def test_jktv_pairs():
     spec = case_spec("JKTV")
     by_label = {p.label: p for p in spec.pair_specs}
-    assert set(singular_directions(by_label[(0, 1)])) == _angles((1, 1))
-    assert set(singular_directions(by_label[(2, 0)])) == _angles((1, 2), (3, 2))
-    assert set(singular_directions(by_label[(0, 2)])) == _angles((1, 2), (3, 2))
+    assert set(singular_directions(by_label[(0, 1)], 2)) == _angles((1, 1))
+    assert set(singular_directions(by_label[(2, 0)], 2)) == _angles((1, 2), (3, 2))
+    assert set(singular_directions(by_label[(0, 2)], 2)) == _angles((1, 2), (3, 2))
     assert _union(spec) == _angles((1, 2), (1, 1), (3, 2))
 
 
@@ -86,12 +86,12 @@ def test_opposite_pairing_untwisted_holds_twisted_fails():
     # every pair of the untwisted cases supports phi and phi+pi together
     for name in ("JKTVI", "JKTIVb"):
         for pair in case_spec(name).pair_specs:
-            dirs = set(singular_directions(pair))
+            dirs = set(singular_directions(pair, 1))
             assert {RationalAngle.from_fraction(d.turns + 1) for d in dirs} == dirs
     # the maximally twisted JKTIVa breaks it: {q0-q1} and {q1-q0} coincide
     by_label = {p.label: p for p in case_spec("JKTIVa").pair_specs}
-    d01 = set(singular_directions(by_label[(0, 1)]))
-    d10 = set(singular_directions(by_label[(1, 0)]))
+    d01 = set(singular_directions(by_label[(0, 1)], 3))
+    d10 = set(singular_directions(by_label[(1, 0)], 3))
     assert d01 == d10 == _angles((1, 2))
     assert {RationalAngle.from_fraction(d.turns + 1) for d in d01} != d01
 

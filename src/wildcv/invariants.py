@@ -20,9 +20,6 @@ class NotInvariantError(PolyError):
     """A monomial admits no factorization into invariant generators."""
 
 
-WeightVector = tuple
-
-
 def _weight_of(mono: Monomial, weights: dict, dim: int) -> tuple:
     total = [0] * dim
     for v, k in mono.exps:

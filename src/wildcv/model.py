@@ -17,6 +17,10 @@ The twist class and the divisor fix four more facts, derived, not stored:
 * gamma normalization: ``gamma = alpha^-1 * beta^-1`` (imposing
   alpha*beta*gamma = 1) exactly for the untwisted cases (JKTVI, JKTIVb).
 
+The plan of the identity closure M = I fixes two more, both ``None`` without
+a plan: the split (the first layout holding a back-substituted coefficient)
+and the dropped entry (the one entry of M = I that the plan leaves unread).
+
 Conventions used throughout (all polynomials exact over the rationals):
 
 * ``r`` is a formal square root of ``alpha`` (JKTV runs in ``r``);
@@ -114,6 +118,7 @@ _CLOSURE_BY_DIVISOR = {
 }
 
 _GAMMA_NORMALIZATION = (("gamma", parse("alpha^-1*beta^-1")),)
+_ENTRIES = frozenset((i, j) for i in (1, 2, 3) for j in (1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -165,16 +170,13 @@ class CaseSpec:
     schedule: tuple
     generator_defs: tuple          # ((name, Monomial), ...) over U,V,W,R,T
     tautological: LaurentPoly
-    split_index: Optional[int]
-    back_sub_plan: tuple           # (((i, j), varname), ...)
-    drop_entry: Optional[tuple]
-    residual_entries: tuple        # (((i, j), scale LaurentPoly), ...)
     elimination_plan: tuple        # ((equation index, varname), ...)
-    residual_scale: LaurentPoly
     cov_steps: tuple
     expected: ExpectedCubic
-    inverse_parameter_form: Optional[LaurentPoly]
     oracle: OraclePlan
+    back_sub_plan: tuple = ()      # (((i, j), varname), ...)
+    residual_entries: tuple = ()   # (((i, j), scale LaurentPoly), ...)
+    residual_scale: LaurentPoly = LaurentPoly.constant(1)
 
     @property
     def closure(self) -> ClosureCondition:
@@ -192,12 +194,23 @@ class CaseSpec:
         """((varname, LaurentPoly), ...) applied before elimination."""
         return _GAMMA_NORMALIZATION if self.twist is TwistClass.UNTWISTED else ()
 
+    @property
+    def split_index(self) -> Optional[int]:
+        """Index of the first layout holding a back-substituted coefficient."""
+        solved = {name for _, name in self.back_sub_plan}
+        return next((k for k, layout in enumerate(self.schedule)
+                     if any(nm in solved for _, _, nm in layout.entries)), None)
+
+    @property
+    def drop_entry(self) -> Optional[tuple]:
+        """The entry of M = I that neither the plan nor the residual system reads."""
+        if not self.back_sub_plan:
+            return None
+        (entry,) = _ENTRIES - {e for e, _ in self.back_sub_plan + self.residual_entries}
+        return entry
+
     def schedule_variables(self) -> tuple:
-        out = []
-        for layout in self.schedule:
-            for _, _, name in layout.entries:
-                out.append(name)
-        return tuple(out)
+        return tuple(name for layout in self.schedule for _, _, name in layout.entries)
 
     def first_half_variables(self) -> tuple:
         """Variables that survive the identity-condition back substitution
@@ -277,10 +290,6 @@ def _build_jktvi() -> CaseSpec:
         generator_defs=_defs(U="x1*x4", V="x2*x5", W="x3*x6",
                              R="x1*x3*x5", T="x2*x4*x6"),
         tautological=parse("U*V*W - R*T"),
-        split_index=None,
-        back_sub_plan=(),
-        drop_entry=None,
-        residual_entries=(),
         elimination_plan=((0, "U"), (1, "R")),
         residual_scale=parse("-beta"),
         cov_steps=(
@@ -293,7 +302,6 @@ def _build_jktvi() -> CaseSpec:
         ),
         expected=ExpectedCubic(xyz=parse("gamma"), x2=parse("alpha"),
                                y2=parse("beta"), z2=parse("gamma")),
-        inverse_parameter_form=None,
         oracle=OraclePlan(
             solve_targets=(),
             xyz_map=(("X", parse("-x3*x6 - beta*gamma^-1 - 1")),
@@ -320,10 +328,6 @@ def _build_jktv() -> CaseSpec:
         ]),
         generator_defs=_defs(U="x2*x5", V="x3*x6", W="x1", R="x2*x6", T="x3*x5"),
         tautological=parse("U*V - R*T"),
-        split_index=None,
-        back_sub_plan=(),
-        drop_entry=None,
-        residual_entries=(),
         elimination_plan=((0, "U"), (1, "R")),
         residual_scale=parse("-alpha"),
         cov_steps=(
@@ -332,7 +336,6 @@ def _build_jktv() -> CaseSpec:
         ),
         expected=ExpectedCubic(xyz=parse("1"), x2=parse("1"),
                                y2=parse("1"), z2=parse("0")),
-        inverse_parameter_form=None,
         oracle=OraclePlan(
             solve_targets=(),
             xyz_map=(("X", parse("x3*x5 + r^-2")),
@@ -361,10 +364,6 @@ def _build_jktiva() -> CaseSpec:
         ]),
         generator_defs=_defs(U="x1*x4", V="x2", W="x3", R="x1*x3", T="x2*x4"),
         tautological=parse("U*V*W - R*T"),
-        split_index=None,
-        back_sub_plan=(),
-        drop_entry=None,
-        residual_entries=(),
         elimination_plan=((0, "x1"),),
         residual_scale=LaurentPoly.constant(Fraction(1, 2)),
         cov_steps=(_subst(x3="X", x2="Y", x4="Z"),),
@@ -372,7 +371,6 @@ def _build_jktiva() -> CaseSpec:
                                y2=parse("0"), z2=parse("0"),
                                c1=parse("-p"), c2=parse("1"), c3=parse("1"),
                                c4=parse("1/2*p^2 - 1/2*q")),
-        inverse_parameter_form=None,
         oracle=OraclePlan(
             solve_targets=(),
             xyz_map=(("X", parse("x3")), ("Y", parse("x2")), ("Z", parse("x4"))),
@@ -402,13 +400,10 @@ def _build_jktivb() -> CaseSpec:
         generator_defs=_defs(U="x1*x4", V="x2*x5", W="x3*x6",
                              R="x1*x3*x5", T="x2*x4*x6"),
         tautological=parse("U*V*W - R*T"),
-        split_index=6,
         back_sub_plan=(((2, 3), "x9"), ((3, 2), "x12"), ((3, 1), "x11"),
                        ((2, 1), "x10"), ((1, 3), "x8"), ((1, 2), "x7")),
-        drop_entry=(1, 1),
         residual_entries=(((3, 3), parse("gamma")), ((2, 2), parse("1"))),
         elimination_plan=((0, "T"), (1, "R")),
-        residual_scale=parse("1"),
         cov_steps=(_subst(U="X - 1", V="Y - 1", W="Z - 1"),),
         expected=ExpectedCubic(xyz=parse("1"), x2=parse("0"),
                                y2=parse("1"), z2=parse("0"),
@@ -416,7 +411,6 @@ def _build_jktivb() -> CaseSpec:
                                c2=parse("-alpha - gamma^-1 - 1"),
                                c3=parse("-alpha"),
                                c4=parse("alpha*gamma^-1 + alpha + gamma^-1")),
-        inverse_parameter_form=None,
         oracle=OraclePlan(
             solve_targets=("x5", "x6"),
             xyz_map=(("X", parse("x1*x4 + 1")),
@@ -449,13 +443,10 @@ def _build_jktii() -> CaseSpec:
         generator_defs=_defs(U="x2*x5", V="x3*x6", W="x1",
                              R="x2*x6", T="x1*x3*x5"),
         tautological=parse("U*V*W - R*T"),
-        split_index=3,
         back_sub_plan=(((3, 1), "x12"), ((3, 2), "x11"), ((1, 3), "x8"),
                        ((1, 1), "x7"), ((2, 3), "x9"), ((2, 2), "x4")),
-        drop_entry=(2, 1),
         residual_entries=(((3, 3), parse("-1")), ((1, 2), parse("1"))),
         elimination_plan=((0, "T"), (1, "R")),
-        residual_scale=parse("1"),
         cov_steps=(
             _subst(U="X - 1", V="Yp - 1", W="Z"),
             _subst(Yp="alpha^-1*Y"),
@@ -465,7 +456,6 @@ def _build_jktii() -> CaseSpec:
                                y2=parse("0"), z2=parse("0"),
                                c1=parse("-1"), c2=parse("-alpha^-1"),
                                c3=parse("-1"), c4=parse("1 + alpha^-1")),
-        inverse_parameter_form=parse("X*Y*Z - X - alpha*Y - Z + 1 + alpha"),
         oracle=OraclePlan(
             solve_targets=("x5", "x6"),
             xyz_map=(("X", parse("x2*x5 + 1")),
@@ -496,19 +486,15 @@ def _build_jkti() -> CaseSpec:
         schedule=schedule,
         generator_defs=_defs(U="x1*x4", V="x2", W="x3", R="x1*x3", T="x2*x4"),
         tautological=parse("U*V*W - R*T"),
-        split_index=4,
         back_sub_plan=(((2, 1), "x9"), ((2, 2), "x10"), ((1, 3), "x7"),
                        ((1, 1), "x8"), ((3, 3), "x6"), ((3, 2), "x5")),
-        drop_entry=(3, 1),
         residual_entries=(((2, 3), parse("1")), ((1, 2), parse("-1"))),
         elimination_plan=((0, "x3"),),
-        residual_scale=parse("1"),
         cov_steps=(_subst(x1="-X", x2="Y", x4="-Z"),),
         expected=ExpectedCubic(xyz=parse("1"), x2=parse("0"),
                                y2=parse("0"), z2=parse("0"),
                                c1=parse("1"), c2=parse("1"),
                                c3=parse("0"), c4=parse("1")),
-        inverse_parameter_form=None,
         oracle=OraclePlan(
             solve_targets=("x1", "x3"),
             xyz_map=(("X", parse("-x1")), ("Y", parse("x2")), ("Z", parse("-x4"))),
@@ -604,6 +590,21 @@ def validate_spec(spec: CaseSpec) -> list:
     if sched_dirs != pair_dirs:
         out.append(Violation("direction_mismatch",
                              f"schedule {sorted(sched_dirs)} vs pairs {sorted(pair_dirs)}"))
+
+    # M = I: the plan and the residual system read eight distinct entries, and
+    # the plan solves exactly the coefficients from the split on
+    read = [entry for entry, _ in spec.back_sub_plan + spec.residual_entries]
+    if spec.closure.kind == "identity":
+        solved = sorted(nm for _, nm in spec.back_sub_plan)
+        tail = sorted(nm for layout in spec.schedule[spec.split_index:]
+                      for _, _, nm in layout.entries)
+        sound = (solved and solved == tail
+                 and len(set(read)) == len(read) == 8 and set(read) <= _ENTRIES)
+    else:
+        sound = not read
+    if not sound:
+        out.append(Violation("closure_plan", f"{spec.closure.kind} closure with plan "
+                             f"{spec.back_sub_plan} and residuals {spec.residual_entries}"))
 
     n_equations = ((2 if spec.closure.kind == "fixed_class" else len(spec.residual_entries))
                    + (1 if spec.use_invariant_rewrite else 0))

@@ -3,10 +3,10 @@
 M = H * S_m * ... * S_1 is composed once, as R * L at the case's split:
 L = S_k * ... * S_1 and R = H * S_m * ... * S_{k+1}; without a split, R = H.
 For the two-point cases the closure condition fixes the conjugacy class of
-M: Tr(M) = p and Tr(M^2) = q.  For the one-point cases M = I, read as
-L = R^-1: the dependent second-half coefficients are solved off the entry
-equations (back substitutions), one redundant entry is dropped, and the two
-surviving entry equations form the residual system.
+M: Tr(M) = p and Tr(M^2) = q.  For the one-point cases M = I, read as the
+nine entry equations of L = R^-1: the dependent second-half coefficients are
+solved off six of them (back substitutions), two form the residual system,
+and the redundant ninth is dropped.
 """
 
 from __future__ import annotations
@@ -61,16 +61,14 @@ def split_products(factors: tuple) -> tuple:
     return left, right.inverse()
 
 
-def back_substitutions(spec: CaseSpec, m_split: tuple) -> tuple:
-    """Solve the planned entry equations for the dependent coefficients, in
-    order, then compose so every value is in the surviving coefficients."""
-    left, right = m_split
+def back_substitutions(spec: CaseSpec, entries: dict) -> tuple:
+    """Solve the planned entry equations ((i, j) -> L - R^-1 there) for the
+    dependent coefficients, in order, then compose them into the survivors."""
     solved: dict = {}
     order = []
-    for (i, j), name in spec.back_sub_plan:
+    for entry, name in spec.back_sub_plan:
         target = var_id(name)
-        eq = (left.entry(i, j) - right.entry(i, j)).substitute(solved)
-        solved[target] = solve_linear(eq, target)
+        solved[target] = solve_linear(entries[entry].substitute(solved), target)
         order.append(target)
     # compose: later solutions may appear inside earlier ones
     for _ in range(len(order)):
@@ -88,8 +86,8 @@ def back_substitutions(spec: CaseSpec, m_split: tuple) -> tuple:
         if set(solved[t].variables()) & set(order):
             raise InconsistentSystemError(f"{t.name} not resolved by composition")
     # every consumed entry equation must now vanish identically
-    for (i, j), name in spec.back_sub_plan:
-        if not (left.entry(i, j) - right.entry(i, j)).substitute(solved).is_zero():
+    for (i, j), _ in spec.back_sub_plan:
+        if not entries[i, j].substitute(solved).is_zero():
             raise InconsistentSystemError(f"entry ({i},{j}) inconsistent after solving")
     return tuple((t.name, solved[t]) for t in order)
 
@@ -107,15 +105,13 @@ def closure_equations(spec: CaseSpec, monodromy: SymMat3,
         trace_polys = (tr, tr2)
     else:
         left, right = split_products(factors)
-        subs = back_substitutions(spec, (left, right))
+        entries = {(i, j): left.entry(i, j) - right.entry(i, j)
+                   for i in (1, 2, 3) for j in (1, 2, 3)}
+        subs = back_substitutions(spec, entries)
         bind = {var_id(nm): poly for nm, poly in subs}
-        raw = []
-        provenance = []
-        for (i, j), scale in spec.residual_entries:
-            raw.append((left.entry(i, j) - right.entry(i, j)).substitute(bind) * scale)
-            provenance.append(f"entry({i},{j})")
-        di, dj = spec.drop_entry
-        dropped = (left.entry(di, dj) - right.entry(di, dj)).substitute(bind)
+        raw = [entries[e].substitute(bind) * scale for e, scale in spec.residual_entries]
+        provenance = [f"entry({i},{j})" for (i, j), _ in spec.residual_entries]
+        dropped = entries[spec.drop_entry].substitute(bind)
     eqs = list(raw)
     if spec.use_invariant_rewrite:
         eqs = [rewrite_in_invariants(e, spec.generator_defs) for e in eqs]

@@ -167,7 +167,6 @@ class CaseReport:
 
     name: str
     spec: CaseSpec
-    directions: tuple                  # per-layout exact angle strings
     stokes_matrices: tuple             # one SymMat3 per layout
     formal_monodromy: SymMat3
     topological_monodromy: SymMat3
@@ -269,7 +268,6 @@ def derive_case(name: str, trials: int = DEFAULT_TRIALS,
     report = CaseReport(
         name=name,
         spec=spec,
-        directions=tuple(str(l.direction) for l in spec.schedule),
         stokes_matrices=matrices,
         formal_monodromy=H,
         topological_monodromy=M,

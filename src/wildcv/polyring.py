@@ -321,7 +321,7 @@ class LaurentPoly:
         out = {}
         for m, c in self.terms.items():
             if m.exponent(v) == k:
-                out[m.divide(Monomial(((v, k),))) if k >= 0 else m * Monomial(((v, -k),))] = c
+                out[m.divide(Monomial(((v, k),)))] = c
         return LaurentPoly(out)
 
     def single_term(self) -> tuple[Fraction, Monomial]:

@@ -10,6 +10,7 @@ import pytest
 
 from wildcv import cli
 from wildcv.model import CASE_NAMES
+from wildcv.pipeline import DegenerateSampleError, DerivationError
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -211,3 +212,36 @@ def test_output_into_missing_directory_is_usage_error(tmp_path, capsys, monkeypa
             err = capsys.readouterr().err
             assert err == f"error: cannot write {target}: {os.strerror(code)}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [("derive", "--case", "JKTI"), ("verify",)],
+                         ids=["derive", "verify"])
+@pytest.mark.parametrize("error,line", [
+    (DerivationError("[closure] entry (2,1) inconsistent after solving"),
+     "error: [closure] entry (2,1) inconsistent after solving"),
+    (DegenerateSampleError("trial 0: resample budget exhausted"),
+     "error: [oracle] trial 0: resample budget exhausted"),
+], ids=["derivation", "degenerate-sample"])
+def test_derivation_error_exits_three(argv, error, line, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "derive_case", failing)
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("fmt,golden", [("latex", "derive_all.tex"),
+                                        ("text", "derive_all.txt")])
+def test_derive_all_matches_golden(fmt, golden, capsys):
+    """The text golden omits the Verification lines, which carry oracle numbers."""
+    code, out = _run(capsys, "derive", "--case", "all", "--format", fmt,
+                     "--trials", "1")
+    assert code == 0
+    kept = "".join(ln for ln in out.splitlines(keepends=True)
+                   if not ln.startswith("Verification:"))
+    assert kept == (GOLDEN / golden).read_text(encoding="utf-8")

@@ -146,6 +146,38 @@ def test_wrong_divisor_or_twist_fails_derivation(name, mutant, monkeypatch):
         assert "direction_mismatch" in str(exc.value)
 
 
+def _closure_plan_mutants():
+    """Identity-closure plans that break the partition of M = I's nine entries,
+    and a plan given to a fixed-class case."""
+    out = []
+    for name in ("JKTIVb", "JKTII", "JKTI"):
+        spec = case_spec(name)
+        plan, residuals = spec.back_sub_plan, spec.residual_entries
+        moved = ((plan[0][0], residuals[0][1]),) + residuals[1:]
+        first_half = ((plan[0][0], spec.first_half_variables()[0]),) + plan[1:]
+        out += [pytest.param(name, {"back_sub_plan": plan[1:]},
+                             id=f"{name}-plan-entry-removed"),
+                pytest.param(name, {"residual_entries": moved},
+                             id=f"{name}-residual-on-planned-entry"),
+                pytest.param(name, {"back_sub_plan": first_half},
+                             id=f"{name}-first-half-variable-planned")]
+    ivb = case_spec("JKTIVb")
+    out.append(pytest.param("JKTVI", {"back_sub_plan": ivb.back_sub_plan,
+                                      "residual_entries": ivb.residual_entries},
+                            id="JKTVI-plan-on-fixed-class"))
+    return out
+
+
+@pytest.mark.parametrize("name,changes", _closure_plan_mutants())
+def test_closure_plan_mutants_fail_at_spec(name, changes, monkeypatch):
+    mutated = dataclasses.replace(case_spec(name), **changes)
+    monkeypatch.setattr(pipeline, "case_spec", lambda _: mutated)
+    with pytest.raises(DerivationError) as exc:
+        pipeline.derive_case(name, run_oracle=False)
+    assert str(exc.value).startswith("[spec]")
+    assert "closure_plan" in str(exc.value)
+
+
 def test_first_half_variables():
     assert case_spec("JKTIVb").first_half_variables() == tuple(
         f"x{i}" for i in range(1, 7))

@@ -21,6 +21,13 @@ def _factors(spec):
                              formal_monodromy(spec.twist.ramification_index))
 
 
+def _entries(spec):
+    """The nine entry equations L - R^-1 of M = I, keyed by (i, j)."""
+    left, right = split_products(_factors(spec))
+    return {(i, j): left.entry(i, j) - right.entry(i, j)
+            for i in (1, 2, 3) for j in (1, 2, 3)}
+
+
 def _assert_matrix(mat: SymMat3, rows):
     for i in range(3):
         for j in range(3):
@@ -119,7 +126,7 @@ def test_jkti_split_display():
 
 def test_jktivb_back_substitutions():
     spec = case_spec("JKTIVb")
-    subs = dict(back_substitutions(spec, split_products(_factors(spec))))
+    subs = dict(back_substitutions(spec, _entries(spec)))
     assert subs["x9"] == P("-gamma*x3 - gamma*x2*x4")
     assert subs["x12"] == P("-beta*x1*x4*x6 - beta*x6 - beta*x1*x5")
     assert subs["x11"] == P("-alpha*x4*x6 - alpha*x5")
@@ -130,7 +137,7 @@ def test_jktivb_back_substitutions():
 
 def test_jktii_back_substitutions():
     spec = case_spec("JKTII")
-    subs = dict(back_substitutions(spec, split_products(_factors(spec))))
+    subs = dict(back_substitutions(spec, _entries(spec)))
     assert subs["x11"] == P("-x1*x5 - x6")
     assert subs["x8"] == P("-alpha*x2 - alpha*x1*x3")
     assert subs["x4"] == P("-1") - P("alpha*x3") * subs["x11"]
@@ -140,7 +147,7 @@ def test_jktii_back_substitutions():
 
 def test_jkti_back_substitutions():
     spec = case_spec("JKTI")
-    subs = dict(back_substitutions(spec, split_products(_factors(spec))))
+    subs = dict(back_substitutions(spec, _entries(spec)))
     assert subs["x9"] == P("-x4")
     assert subs["x10"] == P("-x1*x4 - 1")
     assert subs["x7"] == P("-x2")
@@ -153,7 +160,7 @@ def test_back_substitutions_resolve_to_surviving_variables():
     for name in ("JKTIVb", "JKTII", "JKTI"):
         spec = case_spec(name)
         first_half = set(spec.first_half_variables())
-        for nm, expr in back_substitutions(spec, split_products(_factors(spec))):
+        for nm, expr in back_substitutions(spec, _entries(spec)):
             used = {v.name for v in expr.variables() if v.name.startswith("x")}
             assert used <= first_half, (name, nm)
 
@@ -221,23 +228,28 @@ def test_jkti_residual_system_equations():
 
 
 def test_dropped_entries_recorded():
-    for name, entry in (("JKTIVb", (1, 1)), ("JKTII", (2, 1)), ("JKTI", (3, 1))):
+    for name, split, entry in (("JKTIVb", 6, (1, 1)), ("JKTII", 3, (2, 1)),
+                               ("JKTI", 4, (3, 1))):
         spec, cs = _system(name)
+        assert spec.split_index == split
         assert spec.drop_entry == entry
         assert cs.dropped is not None
         # the dropped equation is not identically zero: it only vanishes on
         # the constraint locus (checked numerically by the oracle)
         assert not cs.dropped.is_zero()
+    for name in ("JKTVI", "JKTV", "JKTIVa"):
+        spec = case_spec(name)
+        assert spec.split_index is None
+        assert spec.drop_entry is None
 
 
 def test_consumed_entries_vanish_after_back_substitution():
     for name in ("JKTIVb", "JKTII", "JKTI"):
         spec = case_spec(name)
-        left, right = split_products(_factors(spec))
-        bind = {var_id(nm): poly
-                for nm, poly in back_substitutions(spec, (left, right))}
-        for (i, j), _ in spec.back_sub_plan:
-            assert (left.entry(i, j) - right.entry(i, j)).substitute(bind).is_zero()
+        entries = _entries(spec)
+        bind = {var_id(nm): poly for nm, poly in back_substitutions(spec, entries)}
+        for entry, _ in spec.back_sub_plan:
+            assert entries[entry].substitute(bind).is_zero()
 
 
 def test_inconsistent_plan_raises():
@@ -247,4 +259,4 @@ def test_inconsistent_plan_raises():
     bad = dataclasses.replace(
         spec, back_sub_plan=(((2, 2), "x9"),) + spec.back_sub_plan[1:])
     with pytest.raises(Exception):
-        back_substitutions(bad, split_products(_factors(bad)))
+        back_substitutions(bad, _entries(bad))

@@ -6,13 +6,11 @@ from .polyring import (LaurentPoly, Monomial, parse, format_poly, solve_linear,
 from .stokes import RationalAngle, SymMat3, formal_monodromy, stokes_matrix, \
     singular_directions
 from .model import (CASE_NAMES, CaseSpec, TwistClass, case_spec, validate_spec,
-                    UnknownCaseError)
+                    UnknownCaseError, tautological_check, torus_weights)
 from .monodromy import (back_substitutions, closure_equations, monodromy_factors,
                         topological_monodromy)
-from .invariants import (invariant_monomials, rewrite_in_invariants,
-                         tautological_check, torus_weights)
-from .pipeline import (CaseReport, CubicSurface, derive_case, eliminate,
-                       oracle_verify, to_cubic_normal_form,
-                       specialize_unit_cube_root)
+from .invariants import invariant_monomials, rewrite_in_invariants
+from .pipeline import (CaseReport, CubicSurface, derive_case, oracle_verify,
+                       to_cubic_normal_form, specialize_unit_cube_root)
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .polyring import LaurentPoly, Monomial, PolyError, var_id
-from .model import tautological_check, torus_weights  # re-exported
 
 
 class NotInvariantError(PolyError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .polyring import LaurentPoly, PolyError, solve_linear, var_id
+from .polyring import LaurentPoly, PolyError, solve_in_order, var_id
 from .stokes import SymMat3
 from .model import CaseSpec
 from .invariants import rewrite_in_invariants
@@ -64,12 +64,8 @@ def split_products(factors: tuple) -> tuple:
 def back_substitutions(spec: CaseSpec, entries: dict) -> tuple:
     """Solve the planned entry equations ((i, j) -> L - R^-1 there) for the
     dependent coefficients, in order, then compose them into the survivors."""
-    solved: dict = {}
-    order = []
-    for entry, name in spec.back_sub_plan:
-        target = var_id(name)
-        solved[target] = solve_linear(entries[entry].substitute(solved), target)
-        order.append(target)
+    solved = solve_in_order(entries, spec.back_sub_plan)
+    order = list(solved)
     # compose: later solutions may appear inside earlier ones
     for _ in range(len(order)):
         changed = False

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-from .polyring import LaurentPoly, Monomial, PolyError, solve_linear, var_id
+from .polyring import LaurentPoly, Monomial, PolyError, solve_in_order, var_id
 from .stokes import SymMat3, formal_monodromy, stokes_matrix
 from .model import CaseSpec, CovStep, case_spec, validate_spec
 from .monodromy import (ClosureSystem, closure_equations, monodromy_factors,
@@ -97,28 +97,14 @@ def _decompose_cubic(poly: LaurentPoly) -> CubicSurface:
 
 
 def _eliminate_with_solutions(equations, plan, scale):
-    eqs = list(equations)
-    planned = [idx for idx, _ in plan]
-    solutions = []
-    solved: dict = {}
-    for idx, name in plan:
-        target = var_id(name)
-        eq = eqs[idx].substitute(solved)
-        expr = solve_linear(eq, target)
-        solved[target] = expr
-        solutions.append((name, expr))
-    (rest_idx,) = [i for i in range(len(eqs)) if i not in planned]
-    residual = eqs[rest_idx].substitute(solved) * scale
-    return residual, tuple(solutions)
-
-
-def eliminate(system, plan, scale=None) -> LaurentPoly:
-    """Solve each planned (equation, variable) in order and substitute into
-    the one remaining equation; scale by the declared unit factor."""
-    equations = system.equations if isinstance(system, ClosureSystem) else system
-    residual, _ = _eliminate_with_solutions(
-        equations, plan, LaurentPoly.constant(1) if scale is None else scale)
-    return residual
+    """Solve each planned (equation index, variable) in order and substitute
+    into the one remaining equation, scaled by the declared unit factor;
+    returns (residual, ((varname, expression), ...))."""
+    solved = solve_in_order(equations, plan)
+    planned = {idx for idx, _ in plan}
+    (rest_idx,) = [i for i in range(len(equations)) if i not in planned]
+    residual = equations[rest_idx].substitute(solved) * scale
+    return residual, tuple((v.name, expr) for v, expr in solved.items())
 
 
 def to_cubic_normal_form(residual: LaurentPoly, cov_steps) -> CubicSurface:
@@ -439,9 +425,17 @@ def oracle_verify(report: CaseReport, trials: int = DEFAULT_TRIALS,
 
 
 def specialize_unit_cube_root(cubic: CubicSurface) -> CubicSurface:
-    """Specialize (alpha, beta, gamma) = (e^2, e, 1) with e a formal primitive
-    cube root of unity (exponents of e reduce modulo 3)."""
+    """Specialize (alpha, beta, gamma) = (e^2, e, 1) with e a primitive cube
+    root of unity: substitute, then reduce each exponent of e modulo 3 (a ring
+    map, so reducing once at the end is exact)."""
+    e = var_id("e")
     bind = {var_id("alpha"): LaurentPoly.variable("e", 2),
             var_id("beta"): LaurentPoly.variable("e")}
-    vals = {k: p.substitute(bind) for k, p in cubic.coefficients().items()}
+    vals = {}
+    for key, poly in cubic.coefficients().items():
+        reduced = LaurentPoly.zero()
+        for mono, coef in poly.substitute(bind).terms.items():
+            exps = ((v, k % 3 if v is e else k) for v, k in mono.exps)
+            reduced = reduced + LaurentPoly.term(coef, Monomial(exps))
+        vals[key] = reduced
     return CubicSurface(**vals)

@@ -6,15 +6,10 @@ from a closed registry.  A handful of variables (``alpha``, ``beta``,
 ``gamma``, ``r``, and the torus/root-of-unity scalars ``lam``, ``mu``, ``e``)
 are *units*: they may carry negative exponents and may be inverted.  All other
 variables admit only nonnegative exponents, so ordinary polynomial identities
-are preserved.
-
-Two registry-level conventions are baked in:
-
-* ``r`` is a formal square root of ``alpha`` (``alpha = r**2`` is applied by
-  explicit substitution where needed);
-* ``e`` is a formal primitive cube root of unity: its exponents are reduced
-  modulo 3 at construction, so ``e**3 == 1`` and ``e**-1 == e**2`` hold
-  canonically.
+are preserved.  The ring knows no relation between its variables: ``r``
+stands for a square root of ``alpha`` and ``e`` for a cube root of unity only
+where a caller substitutes ``alpha = r**2`` or reduces the exponents of ``e``
+explicitly.
 
 Polynomials print deterministically (terms sorted by exponent vector in
 registry order) in a small text grammar, and ``parse`` round-trips it::
@@ -71,26 +66,22 @@ _UNIT_NAMES = ("alpha", "beta", "gamma", "r", "lam", "mu", "e")
 
 _REGISTRY_NAMES = tuple(
     [f"x{i}" for i in range(1, 13)]
-    + ["U", "V", "W", "R", "T", "S", "X", "Y", "Z", "Xp", "Yp", "Zp"]
+    + ["U", "V", "W", "R", "T", "S", "X", "Y", "Z", "Yp"]
     + ["alpha", "beta", "gamma", "r", "p", "q", "lam", "mu", "e"]
 )
-
-# exponent reduction moduli (formal roots of unity)
-_EXP_MOD = {"e": 3}
 
 
 class VarId:
     """Interned identifier for a registry variable."""
 
-    __slots__ = ("name", "index", "unit", "exp_mod")
+    __slots__ = ("name", "index", "unit")
 
     _by_name: dict = {}
 
-    def __init__(self, name: str, index: int, unit: bool, exp_mod: int | None):
+    def __init__(self, name: str, index: int, unit: bool):
         self.name = name
         self.index = index
         self.unit = unit
-        self.exp_mod = exp_mod
 
     def __repr__(self):
         return f"VarId({self.name})"
@@ -100,7 +91,7 @@ class VarId:
 
 
 for _i, _name in enumerate(_REGISTRY_NAMES):
-    VarId._by_name[_name] = VarId(_name, _i, _name in _UNIT_NAMES, _EXP_MOD.get(_name))
+    VarId._by_name[_name] = VarId(_name, _i, _name in _UNIT_NAMES)
 
 _N_VARS = len(_REGISTRY_NAMES)
 
@@ -129,8 +120,6 @@ class Monomial:
             norm[v] = norm.get(v, 0) + k
         cleaned = []
         for v, k in norm.items():
-            if v.exp_mod is not None:
-                k %= v.exp_mod
             if k == 0:
                 continue
             if k < 0 and not v.unit:
@@ -362,7 +351,7 @@ class LaurentPoly:
                     if v not in inv_cache:
                         try:
                             inv_cache[v] = b.inverse_term()
-                        except (NotInvertibleError, PolyError) as exc:
+                        except PolyError as exc:
                             raise SubstitutionDomainError(
                                 f"cannot invert binding of {v.name}: {b}") from exc
                     acc = acc * inv_cache[v] ** (-k)
@@ -419,6 +408,16 @@ def solve_linear(eq: LaurentPoly, target: VarId) -> LaurentPoly:
         raise NotInvertibleError(
             f"coefficient of {target.name} is not an invertible term: {coeff}") from None
     return -rest * inv
+
+
+def solve_in_order(equations, plan) -> dict:
+    """Solve equations[key] for each planned (key, varname) in turn, after
+    substituting the earlier solutions; {VarId: expr} in plan order."""
+    solved: dict = {}
+    for key, name in plan:
+        target = var_id(name)
+        solved[target] = solve_linear(equations[key].substitute(solved), target)
+    return solved
 
 
 # --------------------------------------------------------------------------

@@ -187,7 +187,7 @@ def report_to_text(report: CaseReport) -> str:
 
 _LATEX_NAMES = {"alpha": r"\alpha", "beta": r"\beta", "gamma": r"\gamma",
                 "lam": r"\lambda", "mu": r"\mu", "e": r"\varepsilon",
-                "Xp": "X'", "Yp": "Y'", "Zp": "Z'"}
+                "Yp": "Y'"}
 
 
 def _latex_var(name: str, exp: int) -> str:

@@ -9,9 +9,8 @@ import random
 import time
 from fractions import Fraction
 
-from wildcv.invariants import (invariant_monomials, tautological_check,
-                               torus_weights)
-from wildcv.model import CASE_NAMES, case_spec
+from wildcv.invariants import invariant_monomials
+from wildcv.model import CASE_NAMES, case_spec, tautological_check, torus_weights
 from wildcv.monodromy import (closure_equations, monodromy_factors,
                               split_products, topological_monodromy)
 from wildcv.pipeline import derive_case

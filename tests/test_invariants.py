@@ -5,9 +5,9 @@ from itertools import product
 import pytest
 
 from wildcv.invariants import (NotInvariantError, invariant_monomials,
-                               rewrite_in_invariants, tautological_check,
-                               torus_weights)
-from wildcv.model import CASE_NAMES, case_spec, torus_weight_of_position, TwistClass
+                               rewrite_in_invariants)
+from wildcv.model import (CASE_NAMES, case_spec, tautological_check,
+                          torus_weight_of_position, torus_weights, TwistClass)
 from wildcv.monodromy import (closure_equations, monodromy_factors,
                               topological_monodromy)
 from wildcv.polyring import LaurentPoly, Monomial, parse, var_id

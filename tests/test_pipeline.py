@@ -8,8 +8,9 @@ import pytest
 from wildcv.model import CASE_NAMES, case_spec
 from wildcv.monodromy import (closure_equations, monodromy_factors,
                               topological_monodromy)
-from wildcv.pipeline import (CubicSurface, ShapeError, derive_case,
-                             eliminate, oracle_sampling, oracle_verify,
+from wildcv.pipeline import (CubicSurface, ShapeError,
+                             _eliminate_with_solutions, derive_case,
+                             oracle_sampling, oracle_verify,
                              specialize_unit_cube_root, to_cubic_normal_form)
 from wildcv.polyring import LaurentPoly, parse, var_id
 from wildcv.report import report_to_dict
@@ -45,14 +46,16 @@ def _closure(spec):
 def test_eliminate_jktiva():
     spec = case_spec("JKTIVa")
     system = _closure(spec)
-    got = eliminate(system, spec.elimination_plan, spec.residual_scale)
+    got = _eliminate_with_solutions(
+        system.equations, spec.elimination_plan, spec.residual_scale)[0]
     assert got == P("x2*x3*x4 + x3^2 + x4 - p*x3 + x2 + 1/2*p^2 - 1/2*q")
 
 
 def test_eliminate_jktii():
     spec = case_spec("JKTII")
     system = _closure(spec)
-    got = eliminate(system, spec.elimination_plan, spec.residual_scale)
+    got = _eliminate_with_solutions(
+        system.equations, spec.elimination_plan, spec.residual_scale)[0]
     assert got == P("U*V*W + U*W + V*W - alpha^-1*U - alpha^-1*V + W"
                     " - alpha^-1*W + alpha^-2 - alpha^-1")
 
@@ -60,7 +63,8 @@ def test_eliminate_jktii():
 def test_eliminate_jktv():
     spec = case_spec("JKTV")
     system = _closure(spec)
-    got = eliminate(system, spec.elimination_plan, spec.residual_scale)
+    got = _eliminate_with_solutions(
+        system.equations, spec.elimination_plan, spec.residual_scale)[0]
     assert got == P("alpha*T*V*W + alpha*V^2 + T^2 + V*W + alpha*T*W"
                     " + alpha*V - p*V + 1/2*q*T - 1/2*p^2*T + alpha^-1*T")
 
@@ -100,7 +104,8 @@ def test_eliminated_solutions_recorded():
 def test_cubic_normal_form_jkti():
     spec = case_spec("JKTI")
     system = _closure(spec)
-    residual = eliminate(system, spec.elimination_plan, spec.residual_scale)
+    residual = _eliminate_with_solutions(
+        system.equations, spec.elimination_plan, spec.residual_scale)[0]
     cubic = to_cubic_normal_form(residual, spec.cov_steps)
     assert cubic.reconstruct() == P("X*Y*Z + X + Y + 1")
 
@@ -178,6 +183,14 @@ def test_unit_cube_root_preset():
     assert cubic.x2 == P("e^2")
     assert cubic.y2 == P("e")
     assert cubic.z2 == P("1")
+    assert cubic.c1 == P("1/2*p^2 + p*e^2 - 1/2*q + e^2 + 1")
+    assert cubic.c2 == P("1/2*p^2 + p*e - 1/2*q + e + 1")
+    assert cubic.c3 == P("-1/2*p^2 - p + 1/2*q - e^2 - e")
+    assert cubic.c4 == P("1/2*p^3 + 1/2*p^2*e^2 + 1/2*p^2*e + 1/2*p^2 - 1/2*p*q"
+                         " + p*e^2 + p*e + p - 1/2*q*e^2 - 1/2*q*e - 1/2*q + 1")
+    e = var_id("e")
+    assert {m.exponent(e) for coef in cubic.coefficients().values()
+            for m in coef.terms if e in m.variables()} <= {1, 2}
 
 
 # --------------------------------------------------------------------------
@@ -295,7 +308,6 @@ def test_golden_derivation(name):
 def test_report_replays_stage_by_stage():
     """Each stage of a report is recomputable from the previous one."""
     from wildcv.monodromy import closure_equations as close
-    from wildcv.pipeline import _eliminate_with_solutions
 
     for name in CASE_NAMES:
         rep = _derived(name)
@@ -362,7 +374,8 @@ def test_eliminate_propagates_solver_errors():
     spec = case_spec("JKTVI")
     system = _closure(spec)
     with pytest.raises(NotLinearError):
-        eliminate(system, ((0, "R"), (1, "U")), spec.residual_scale)
+        _eliminate_with_solutions(system.equations, ((0, "R"), (1, "U")),
+                                  spec.residual_scale)
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from wildcv.polyring import (LaurentPoly, Monomial, NotInvertibleError,
                              NotLinearError, ParseError,
                              SubstitutionDomainError, UnboundVariableError,
                              UnknownVariableError, format_poly, parse,
-                             solve_linear, var_id)
+                             solve_in_order, solve_linear, var_id)
 
 P = parse
 
@@ -25,6 +25,9 @@ def test_registry_rejects_unknown_names():
         var_id("x13")
     with pytest.raises(UnknownVariableError):
         var_id("delta")
+    for name in ("Xp", "Zp"):
+        with pytest.raises(UnknownVariableError):
+            var_id(name)
 
 
 def test_unit_flags():
@@ -40,10 +43,10 @@ def test_negative_exponent_only_on_units():
         Monomial(((var_id("x1"), -1),))
 
 
-def test_cube_root_exponent_reduction():
-    assert P("e^3") == P("1")
-    assert P("e^-1") == P("e^2")
-    assert P("e^2") * P("e^2") == P("e")
+def test_cube_root_symbol_is_an_ordinary_unit():
+    assert P("e^3") != P("1")
+    assert P("e^-1") * P("e") == P("1")
+    assert P("e^2") * P("e^2") == P("e^4")
 
 
 def test_zero_coefficients_not_stored():
@@ -205,6 +208,12 @@ def test_solve_linear_trace_equation():
 
 def test_solve_linear_unit_coefficient_one():
     assert solve_linear(P("x3 + x2*x4 - 1"), var_id("x3")) == P("1 - x2*x4")
+    # solve_in_order: the later equation is solved after x3 is substituted
+    got = solve_in_order({"a": P("alpha*x4 + x1*x3"), "b": P("x3 + x2 - 1")},
+                         (("b", "x3"), ("a", "x4")))
+    assert list(got) == [var_id("x3"), var_id("x4")]
+    assert got[var_id("x3")] == P("1 - x2")
+    assert got[var_id("x4")] == P("alpha^-1*x1*x2 - alpha^-1*x1")
 
 
 def test_solve_linear_rejects_non_unit_coefficient():

@@ -128,18 +128,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_derive(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
+    render = {"json": report_to_dict, "text": report_to_text,
+              "latex": report_to_latex}[args.format]
     chunks = []
     status = 0
     for name in _case_list(args.case):
         report = derive_case(name, trials=args.trials, seed=seed)
         if not report.passed:
             status = 1
-        if args.format == "json":
-            chunks.append(report_to_dict(report))
-        elif args.format == "latex":
-            chunks.append(report_to_latex(report))
-        else:
-            chunks.append(report_to_text(report))
+        chunks.append(render(report))
     if args.format == "json":
         payload = chunks[0] if len(chunks) == 1 else chunks
         _emit(json.dumps(payload, indent=2) + "\n", args.output)

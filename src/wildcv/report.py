@@ -1,10 +1,16 @@
 """Serialization of case reports and case specs: JSON, text and LaTeX.
 
-The JSON layout is stable and documented in the README; the symbolic part of
-a report is byte-deterministic, which is what the golden files pin down.
+``report_to_dict`` is the one walk of a ``CaseReport``; its layout is stable
+and documented in the README.  Text and LaTeX are two renderings of that
+dict: they read only its keys.  LaTeX maps the canonical polynomial grammar
+token by token, so term order and signs are those of ``format_poly``.  The
+symbolic part of a report is byte-deterministic, which is what the golden
+files pin down.
 """
 
 from __future__ import annotations
+
+import re
 
 from .model import CaseSpec
 from .pipeline import CaseReport
@@ -30,6 +36,12 @@ def _cov_steps(steps) -> list:
     return out
 
 
+def _schedule(spec: CaseSpec) -> list:
+    return [{"phi": str(layout.direction),
+             "entries": [[r, c, nm] for r, c, nm in layout.entries]}
+            for layout in spec.schedule]
+
+
 def report_to_dict(report: CaseReport) -> dict:
     spec = report.spec
     conventions = [f"{nm} = {poly}" for nm, poly in spec.parameter_normalization]
@@ -38,11 +50,7 @@ def report_to_dict(report: CaseReport) -> dict:
     out = {
         "case": report.name,
         "parameter_conventions": conventions,
-        "directions": [
-            {"phi": str(layout.direction),
-             "entries": [[r, c, nm] for r, c, nm in layout.entries]}
-            for layout in spec.schedule
-        ],
+        "directions": _schedule(spec),
         "stokes_matrices": [_mat(m) for m in report.stokes_matrices],
         "formal_monodromy": _mat(report.formal_monodromy),
         "topological_monodromy": _mat(report.topological_monodromy),
@@ -96,11 +104,7 @@ def spec_to_dict(spec: CaseSpec) -> dict:
              "arg_offset": str(p.arg_offset)}
             for p in spec.pair_specs
         ],
-        "schedule": [
-            {"phi": str(layout.direction),
-             "entries": [[r, c, nm] for r, c, nm in layout.entries]}
-            for layout in spec.schedule
-        ],
+        "schedule": _schedule(spec),
         "generators": {nm: str(LaurentPoly.term(1, mono))
                        for nm, mono in spec.generator_defs},
         "tautological_relation": str(spec.tautological),
@@ -127,57 +131,62 @@ def spec_to_dict(spec: CaseSpec) -> dict:
 
 
 def report_to_text(report: CaseReport) -> str:
-    spec = report.spec
-    lines = [f"== {report.name} =="]
-    for nm, poly in spec.parameter_normalization:
-        lines.append(f"convention: {nm} = {poly}")
+    d = report_to_dict(report)
+    lines = [f"== {d['case']} =="]
+    for convention in d["parameter_conventions"]:
+        lines.append(f"convention: {convention}")
     lines.append("")
     lines.append("Stokes directions and entries:")
-    for k, layout in enumerate(spec.schedule, start=1):
-        entries = ", ".join(f"({r},{c})={nm}" for r, c, nm in layout.entries)
-        lines.append(f"  S{k} at phi = {layout.direction}: {entries}")
+    for k, layout in enumerate(d["directions"], start=1):
+        entries = ", ".join(f"({r},{c})={nm}" for r, c, nm in layout["entries"])
+        lines.append(f"  S{k} at phi = {layout['phi']}: {entries}")
     lines.append("")
     lines.append("Topological monodromy M = H * S_m...S_1:")
-    lines.extend("  " + row for row in str(report.topological_monodromy).splitlines())
+    width = max(len(c) for row in d["topological_monodromy"] for c in row)
+    for row in d["topological_monodromy"]:
+        lines.append("  [ " + "  ".join(c.ljust(width) for c in row) + " ]")
     lines.append("")
     lines.append("Closure system (each = 0):")
-    for eq, tag in zip(report.closure.equations, report.closure.provenance):
-        lines.append(f"  [{tag}] {eq}")
-    if report.closure.back_subs is not None:
+    for eq in d["closure_system"]:
+        lines.append(f"  [{eq['provenance']}] {eq['equation']}")
+    if d["back_substitutions"] is not None:
         lines.append("")
         lines.append("Back substitutions:")
-        for nm, poly in report.closure.back_subs:
+        for nm, poly in d["back_substitutions"]:
             lines.append(f"  {nm} = {poly}")
-        di, dj = spec.drop_entry
+        di, dj = d["dropped_entry"]["entry"]
         lines.append(f"  dropped redundant entry ({di},{dj})")
     lines.append("")
     lines.append("Eliminated variables:")
-    for nm, poly in report.eliminated:
+    for nm, poly in d["eliminated"]:
         lines.append(f"  {nm} = {poly}")
     lines.append("")
-    lines.append(f"Residual equation: {report.residual} = 0")
+    lines.append(f"Residual equation: {d['residual']} = 0")
     lines.append("")
     lines.append("Change of variables:")
-    for step in spec.cov_steps:
-        if step.kind == "subst":
-            parts = ", ".join(f"{nm} = {poly}" for nm, poly in step.mapping)
+    for step in d["change_of_variables"]:
+        if "substitute" in step:
+            parts = ", ".join(f"{nm} = {poly}" for nm, poly in step["substitute"].items())
             lines.append(f"  substitute {parts}")
         else:
-            lines.append(f"  divide by {step.term}")
+            lines.append(f"  divide by {step['divide_by']}")
     lines.append("")
-    lines.append(f"Cubic surface: {report.cubic.reconstruct()} = 0")
-    for key, val in report.cubic.coefficients().items():
-        lines.append(f"  {key} = {val}")
+    lines.append(f"Cubic surface: {d['cubic']['equation']}")
+    for key, val in d["cubic"].items():
+        if key != "equation":
+            lines.append(f"  {key} = {val}")
     lines.append("")
-    ver = ["determinant=1" if report.det_is_one else "determinant!=1",
-           f"expected[{report.expected.mode}]="
-           + ("match" if report.expected.matched else "MISMATCH")]
-    if report.oracle is not None:
-        ver.append(f"oracle max|res|={report.oracle.max_residual:.3e}"
-                   f" (tol {report.oracle.tolerance:.0e},"
-                   f" seed {report.oracle.seed}, trials {report.oracle.trials})")
-    status = "PASS" if report.passed else "FAIL"
-    lines.append(f"Verification: {'; '.join(ver)} -> {status}")
+    ver = d["verification"]
+    parts = ["determinant=1" if ver["determinant_is_one"] else "determinant!=1",
+             f"expected[{ver['expected']['mode']}]="
+             + ("match" if ver["expected"]["matched"] else "MISMATCH")]
+    oracle = ver["oracle"]
+    if oracle is not None:
+        parts.append(f"oracle max|res|={oracle['max_residual']:.3e}"
+                     f" (tol {oracle['tolerance']:.0e},"
+                     f" seed {oracle['seed']}, trials {oracle['trials']})")
+    status = "PASS" if ver["passed"] else "FAIL"
+    lines.append(f"Verification: {'; '.join(parts)} -> {status}")
     return "\n".join(lines) + "\n"
 
 
@@ -185,70 +194,57 @@ def report_to_text(report: CaseReport) -> str:
 # LaTeX
 # --------------------------------------------------------------------------
 
-_LATEX_NAMES = {"alpha": r"\alpha", "beta": r"\beta", "gamma": r"\gamma",
-                "lam": r"\lambda", "mu": r"\mu", "e": r"\varepsilon",
-                "Yp": "Y'"}
+_LATEX_NAMES = {"alpha": r"\alpha", "beta": r"\beta", "gamma": r"\gamma"}
+
+# one alternative per token of the text grammar that LaTeX spells otherwise
+_LATEX_TOKEN = re.compile(r"\b(" + "|".join(_LATEX_NAMES) + r")\b"
+                          r"|\bx(\d+)|\^(-?\d+)|(\d+)/(\d+)|\*")
 
 
-def _latex_var(name: str, exp: int) -> str:
-    base = _LATEX_NAMES.get(name)
-    if base is None:
-        if name[0] == "x" and name[1:].isdigit():
-            base = f"x_{{{name[1:]}}}"
-        else:
-            base = name
-    return base if exp == 1 else f"{base}^{{{exp}}}"
+def _latex_token(m: re.Match) -> str:
+    name, index, exp, num, den = m.groups()
+    if name:
+        return _LATEX_NAMES[name]
+    if index:
+        return f"x_{{{index}}}"
+    if exp:
+        return f"^{{{exp}}}"
+    if num:
+        return rf"\tfrac{{{num}}}{{{den}}}"
+    return " "
 
 
-def poly_to_latex(poly: LaurentPoly) -> str:
-    items = poly.sorted_terms()
-    if not items:
-        return "0"
-    pieces = []
-    for i, (mono, coef) in enumerate(items):
-        neg = coef < 0
-        mag = -coef if neg else coef
-        body = " ".join(_latex_var(v.name, k) for v, k in mono.exps)
-        if mono.exps and mag == 1:
-            text = body
-        else:
-            c = (str(mag) if mag.denominator == 1
-                 else rf"\tfrac{{{mag.numerator}}}{{{mag.denominator}}}")
-            text = f"{c} {body}".strip()
-        if i == 0:
-            pieces.append(("-" if neg else "") + text)
-        else:
-            pieces.append((" - " if neg else " + ") + text)
-    return "".join(pieces)
+def poly_to_latex(text: str) -> str:
+    """LaTeX for a polynomial (or ``name = poly``) in the canonical text
+    grammar; term order and signs are kept as ``format_poly`` wrote them."""
+    return _LATEX_TOKEN.sub(_latex_token, text)
 
 
-def _matrix_to_latex(m: SymMat3) -> str:
-    rows = [" & ".join(poly_to_latex(e) for e in row) for row in m.rows]
+def _matrix_to_latex(cells: list) -> str:
+    rows = [" & ".join(poly_to_latex(e) for e in row) for row in cells]
     return "\\begin{pmatrix}\n" + " \\\\\n".join(rows) + "\n\\end{pmatrix}"
 
 
 def report_to_latex(report: CaseReport) -> str:
-    spec = report.spec
-    out = [rf"\section*{{{report.name}}}"]
-    if spec.parameter_normalization:
-        conv = ",\\quad ".join(
-            f"{_LATEX_NAMES.get(nm, nm)} = {poly_to_latex(poly)}"
-            for nm, poly in spec.parameter_normalization)
+    d = report_to_dict(report)
+    out = [rf"\section*{{{d['case']}}}"]
+    if d["parameter_conventions"]:
+        conv = ",\\quad ".join(poly_to_latex(c) for c in d["parameter_conventions"])
         out.append(rf"Conventions: ${conv}$.")
     out.append(r"\subsection*{Stokes matrices}")
-    for k, (layout, mat) in enumerate(zip(spec.schedule, report.stokes_matrices), 1):
-        phi = str(layout.direction).replace("pi", r"\pi").replace("*", " ")
+    for k, (layout, mat) in enumerate(zip(d["directions"], d["stokes_matrices"]), 1):
+        phi = layout["phi"].replace("pi", r"\pi").replace("*", " ")
         out.append(rf"\[ S_{{{k}}} \;(\varphi = {phi}) = "
                    + _matrix_to_latex(mat) + r" \]")
     out.append(r"\subsection*{Topological monodromy}")
-    out.append(r"\[ M_\infty = " + _matrix_to_latex(report.topological_monodromy) + r" \]")
+    out.append(r"\[ M_\infty = " + _matrix_to_latex(d["topological_monodromy"]) + r" \]")
     out.append(r"\subsection*{Closure system}")
     out.append(r"\begin{align*}")
-    out.append(" \\\\\n".join(poly_to_latex(eq) + " &= 0"
-                              for eq in report.closure.equations))
+    out.append(" \\\\\n".join(poly_to_latex(eq["equation"]) + " &= 0"
+                              for eq in d["closure_system"]))
     out.append(r"\end{align*}")
     out.append(r"\subsection*{Residual equation}")
-    out.append(r"\[ " + poly_to_latex(report.residual) + r" = 0 \]")
+    out.append(r"\[ " + poly_to_latex(d["residual"]) + r" = 0 \]")
     out.append(r"\subsection*{Cubic surface}")
-    out.append(r"\[ " + poly_to_latex(report.cubic.reconstruct()) + r" = 0 \]")
+    out.append(r"\[ " + poly_to_latex(d["cubic"]["equation"]) + r" \]")
     return "\n".join(out) + "\n"

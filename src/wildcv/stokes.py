@@ -145,13 +145,8 @@ class SymMat3:
     def substitute(self, bindings) -> "SymMat3":
         return SymMat3([[e.substitute(bindings) for e in row] for row in self.rows])
 
-    def __str__(self):
-        cells = [[str(e) for e in row] for row in self.rows]
-        width = max(len(c) for row in cells for c in row)
-        return "\n".join("[ " + "  ".join(c.ljust(width) for c in row) + " ]"
-                         for row in cells)
-
-    __repr__ = __str__
+    def __repr__(self):
+        return f"SymMat3({[[str(e) for e in row] for row in self.rows]})"
 
 
 def _as_poly(x) -> LaurentPoly:

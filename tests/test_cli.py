@@ -245,3 +245,29 @@ def test_derive_all_matches_golden(fmt, golden, capsys):
     kept = "".join(ln for ln in out.splitlines(keepends=True)
                    if not ln.startswith("Verification:"))
     assert kept == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+# the six lines that derive_all.txt leaves out: they carry the oracle's
+# residuals at seed 42 and the default 100 trials
+_VERIFICATION_SEED_42 = [
+    "Verification: determinant=1; expected[support]=match; "
+    "oracle max|res|=3.468e-14 (tol 1e-09, seed 42, trials 100) -> PASS",
+    "Verification: determinant=1; expected[support]=match; "
+    "oracle max|res|=1.271e-13 (tol 1e-09, seed 42, trials 100) -> PASS",
+    "Verification: determinant=1; expected[exact]=match; "
+    "oracle max|res|=8.882e-16 (tol 1e-09, seed 42, trials 100) -> PASS",
+    "Verification: determinant=1; expected[exact]=match; "
+    "oracle max|res|=1.351e-14 (tol 1e-09, seed 42, trials 100) -> PASS",
+    "Verification: determinant=1; expected[exact]=match; "
+    "oracle max|res|=3.353e-13 (tol 1e-09, seed 42, trials 100) -> PASS",
+    "Verification: determinant=1; expected[exact]=match; "
+    "oracle max|res|=8.882e-16 (tol 1e-09, seed 42, trials 100) -> PASS",
+]
+
+
+def test_derive_all_text_verification_lines(capsys):
+    code, out = _run(capsys, "derive", "--case", "all", "--format", "text",
+                     "--seed", "42")
+    assert code == 0
+    got = [ln for ln in out.splitlines() if ln.startswith("Verification:")]
+    assert got == _VERIFICATION_SEED_42

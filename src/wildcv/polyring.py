@@ -15,6 +15,9 @@ Polynomials print deterministically (terms sorted by exponent vector in
 registry order) in a small text grammar, and ``parse`` round-trips it::
 
     2*x1^2*x2 - 1/3*alpha^-1 + 1
+
+Terms are joined by ``+`` or ``-``; juxtaposed terms or factors (``x1 x2``,
+``2x1``) and a zero denominator (``1/0``) are ``ParseError``s.
 """
 
 from __future__ import annotations
@@ -128,10 +131,6 @@ class Monomial:
         self.exps = tuple(sorted(cleaned, key=lambda it: it[0].index))
         self._hash = hash(self.exps)
 
-    @classmethod
-    def one(cls) -> "Monomial":
-        return _MONOMIAL_ONE
-
     def __hash__(self):
         return self._hash
 
@@ -221,7 +220,7 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, c: Scalar) -> "LaurentPoly":
-        return cls({Monomial.one(): _coerce_scalar(c)})
+        return cls({_MONOMIAL_ONE: _coerce_scalar(c)})
 
     @classmethod
     def variable(cls, name: str, exponent: int = 1) -> "LaurentPoly":
@@ -447,91 +446,44 @@ def format_poly(poly: LaurentPoly) -> str:
     return "".join(pieces)
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(\^)|(\*)|(\+)|(-)|(/))")
-
-
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"bad character at {text[pos:]!r}")
-            break
-        pos = m.end()
-        if m.group(1):
-            out.append(("int", int(m.group(1))))
-        elif m.group(2):
-            out.append(("name", m.group(2)))
-        elif m.group(3):
-            out.append(("pow", None))
-        elif m.group(4):
-            out.append(("mul", None))
-        elif m.group(5):
-            out.append(("plus", None))
-        elif m.group(6):
-            out.append(("minus", None))
-        elif m.group(7):
-            out.append(("slash", None))
-    return out
+_SIGNS = re.compile(r"[\s+-]*")
+_FACTOR = re.compile(r"\s*(?:(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?"
+                     r"|(?P<name>[A-Za-z][A-Za-z0-9]*)"
+                     r"(?:\s*\^\s*(?P<neg>-?)\s*(?P<exp>\d+))?)\s*")
 
 
 def parse(text: str) -> LaurentPoly:
-    """Parse the canonical grammar; inverse of format_poly."""
-    toks = _tokenize(text)
-    if not toks:
-        raise ParseError("empty polynomial text")
-    pos = 0
+    """Parse the canonical grammar in one pass; inverse of format_poly.
+
+    Each term is a run of signs and then ``*``-separated factors; a factor is
+    ``a`` or ``a/b``, or a name with an optional ``^k``.  Terms after the first
+    must follow a ``+`` or ``-``.
+    """
     total = LaurentPoly.zero()
-
-    def peek():
-        return toks[pos][0] if pos < len(toks) else None
-
-    while pos < len(toks):
-        sign = 1
-        while peek() in ("plus", "minus"):
-            if peek() == "minus":
-                sign = -sign
-            pos += 1
-        if pos >= len(toks):
-            raise ParseError("dangling sign")
-        coef = Fraction(sign)
-        mono: dict = {}
+    pos = 0
+    while True:
+        signs = _SIGNS.match(text, pos)
+        coef = Fraction(-1 if signs.group().count("-") % 2 else 1)
+        exps = []
+        pos = signs.end()
         while True:
-            kind, val = toks[pos]
-            if kind == "int":
-                pos += 1
-                num = Fraction(val)
-                if peek() == "slash":
-                    pos += 1
-                    if peek() != "int":
-                        raise ParseError("expected denominator")
-                    num /= toks[pos][1]
-                    pos += 1
-                coef *= num
-            elif kind == "name":
-                pos += 1
-                exp = 1
-                if peek() == "pow":
-                    pos += 1
-                    esign = 1
-                    if peek() == "minus":
-                        esign = -1
-                        pos += 1
-                    if peek() != "int":
-                        raise ParseError("expected exponent")
-                    exp = esign * toks[pos][1]
-                    pos += 1
-                vid = var_id(val)
-                mono[vid] = mono.get(vid, 0) + exp
+            factor = _FACTOR.match(text, pos)
+            if factor is None:
+                raise ParseError(f"expected a number or a name at column {pos} of {text!r}")
+            if factor["num"] is not None:
+                den = int(factor["den"] or 1)
+                if den == 0:
+                    raise ParseError(f"zero denominator in {text!r}")
+                coef *= Fraction(int(factor["num"]), den)
             else:
-                raise ParseError(f"unexpected token in term: {kind}")
-            if peek() == "mul":
-                pos += 1
-                if pos >= len(toks):
-                    raise ParseError("dangling *")
-                continue
-            break
-        total = total + LaurentPoly.term(coef, Monomial(mono.items()))
-    return total
+                exp = int(factor["exp"] or 1)
+                exps.append((var_id(factor["name"]), -exp if factor["neg"] else exp))
+            pos = factor.end()
+            if not text.startswith("*", pos):
+                break
+            pos += 1
+        total = total + LaurentPoly.term(coef, Monomial(exps))
+        if pos == len(text):
+            return total
+        if text[pos] not in "+-":
+            raise ParseError(f"unexpected {text[pos]!r} at column {pos} of {text!r}")

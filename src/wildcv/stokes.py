@@ -34,12 +34,8 @@ class RationalAngle:
     turns: Fraction  # multiple of pi
 
     @staticmethod
-    def of(numerator: int, denominator: int = 1) -> "RationalAngle":
+    def of(numerator: int | Fraction, denominator: int = 1) -> "RationalAngle":
         return RationalAngle(Fraction(numerator, denominator) % 2)
-
-    @staticmethod
-    def from_fraction(t: Fraction) -> "RationalAngle":
-        return RationalAngle(t % 2)
 
     def __post_init__(self):
         if not 0 <= self.turns < 2:
@@ -83,7 +79,7 @@ class SymMat3:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[LaurentPoly]]):
-        rr = tuple(tuple(_as_poly(x) for x in row) for row in rows)
+        rr = tuple(tuple(row) for row in rows)
         if len(rr) != 3 or any(len(row) != 3 for row in rr):
             raise ValueError("SymMat3 needs 3x3 entries")
         self.rows = rr
@@ -147,12 +143,6 @@ class SymMat3:
 
     def __repr__(self):
         return f"SymMat3({[[str(e) for e in row] for row in self.rows]})"
-
-
-def _as_poly(x) -> LaurentPoly:
-    if isinstance(x, LaurentPoly):
-        return x
-    return LaurentPoly.constant(x)
 
 
 # --------------------------------------------------------------------------

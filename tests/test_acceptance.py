@@ -119,7 +119,7 @@ def test_criterion_3_intermediate_formulas():
 
 def test_criterion_4_direction_tables():
     def angles(*fr):
-        return {RationalAngle.from_fraction(Fraction(*f)) for f in fr}
+        return {RationalAngle.of(Fraction(*f)) for f in fr}
 
     expected = {
         "JKTVI": angles(*[(k, 3) for k in range(1, 7)]),

@@ -1,7 +1,9 @@
 """Ring substrate: canonical arithmetic, grammar round trips, linear solving."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -141,7 +143,8 @@ def test_print_is_deterministic_registry_order():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "x1 +", "x1 ** 2", "1/", "x1^", "@"):
+    for bad in ("", "x1 +", "x1 ** 2", "1/", "x1^", "@",
+                "x1 x2", "2 3", "2x1", "1/0", "x1 -", "x1*", "   "):
         with pytest.raises(ParseError):
             parse(bad)
 
@@ -158,6 +161,42 @@ def test_parse_examples():
     assert P("3/2*x1^2*alpha^-2") == LaurentPoly.term(
         Fraction(3, 2), Monomial(((var_id("x1"), 2), (var_id("alpha"), -2))))
     assert P("0").is_zero()
+    assert P(" 3 / 2 * x1 ^ 2 ") == P("3/2*x1^2")
+    assert P("--x1") == P("x1")
+    assert P("x1 + -x2") == P("x1 - x2")
+    assert P("x1*x1") == P("x1^2")
+    assert P("2*3*x1") == P("6*x1")
+    assert P("x1*2") == P("2*x1")
+    assert P("alpha^ -2") == P("alpha^-2")
+    assert list(P("x2 + x1").terms) == [Monomial(((var_id("x2"), 1),)),
+                                        Monomial(((var_id("x1"), 1),))]
+
+
+def _golden_polynomials(report):
+    """Every polynomial-valued string of a golden case report."""
+    for key in ("stokes_matrices", "formal_monodromy", "topological_monodromy"):
+        mats = report[key] if key == "stokes_matrices" else [report[key]]
+        yield from (e for mat in mats for row in mat for e in row)
+    yield from (eq["equation"] for eq in report["closure_system"])
+    yield from (expr for _, expr in report["back_substitutions"] or ())
+    if report["dropped_entry"]:
+        yield report["dropped_entry"]["equation"]
+    yield from report["normalized_system"]
+    yield from (expr for _, expr in report["eliminated"])
+    yield report["residual"]
+    yield from (c for name, c in report["cubic"].items() if name != "equation")
+    for step in report["change_of_variables"]:
+        yield from step.get("substitute", {}).values()
+        if "divide_by" in step:
+            yield step["divide_by"]
+
+
+def test_golden_polynomials_round_trip():
+    texts = [text for path in sorted((Path(__file__).parent / "golden").glob("JKT*.json"))
+             for text in _golden_polynomials(json.loads(path.read_text()))]
+    assert len(texts) == 626
+    for text in texts:
+        assert format_poly(parse(text)) == text
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ P = parse
 
 
 def _angles(*fracs):
-    return {RationalAngle.from_fraction(Fraction(*f)) for f in fracs}
+    return {RationalAngle.of(Fraction(*f)) for f in fracs}
 
 
 def _union(spec):
@@ -87,13 +87,13 @@ def test_opposite_pairing_untwisted_holds_twisted_fails():
     for name in ("JKTVI", "JKTIVb"):
         for pair in case_spec(name).pair_specs:
             dirs = set(singular_directions(pair, 1))
-            assert {RationalAngle.from_fraction(d.turns + 1) for d in dirs} == dirs
+            assert {RationalAngle.of(d.turns + 1) for d in dirs} == dirs
     # the maximally twisted JKTIVa breaks it: {q0-q1} and {q1-q0} coincide
     by_label = {p.label: p for p in case_spec("JKTIVa").pair_specs}
     d01 = set(singular_directions(by_label[(0, 1)], 3))
     d10 = set(singular_directions(by_label[(1, 0)], 3))
     assert d01 == d10 == _angles((1, 2))
-    assert {RationalAngle.from_fraction(d.turns + 1) for d in d01} != d01
+    assert {RationalAngle.of(d.turns + 1) for d in d01} != d01
 
 
 # --------------------------------------------------------------------------

@@ -205,9 +205,13 @@ def _coerce_scalar(c) -> Fraction:
 
 
 class LaurentPoly:
-    """Immutable canonical polynomial: map monomial -> nonzero rational."""
+    """Immutable canonical polynomial: map monomial -> nonzero rational.
 
-    __slots__ = ("terms",)
+    ``_floats`` holds the float form that ``evaluate`` builds on its first
+    call, ``((complex coefficient, exponent pairs), ...)`` in term order.
+    """
+
+    __slots__ = ("terms", "_floats")
 
     def __init__(self, terms: Mapping[Monomial, Fraction]):
         self.terms = {m: c for m, c in terms.items() if c != 0}
@@ -358,15 +362,21 @@ class LaurentPoly:
         return out
 
     def evaluate(self, values: Mapping[VarId, complex]) -> complex:
-        """Direct term-by-term numeric evaluation."""
+        """Direct term-by-term numeric evaluation, in term order; the float
+        form of the terms is built on the first call and kept."""
+        try:
+            floats = self._floats
+        except AttributeError:
+            floats = self._floats = tuple(
+                (complex(c), m.exps) for m, c in self.terms.items())
         total = 0j
-        for m, c in self.terms.items():
-            prod = complex(c)
-            for v, k in m.exps:
-                if v not in values:
-                    raise UnboundVariableError(f"unbound variable {v.name}")
-                prod *= values[v] ** k
-            total += prod
+        try:
+            for prod, exps in floats:
+                for v, k in exps:
+                    prod *= values[v] ** k
+                total += prod
+        except KeyError:
+            raise UnboundVariableError(f"unbound variable {v.name}") from None
         return total
 
     def __str__(self):
@@ -452,6 +462,20 @@ _FACTOR = re.compile(r"\s*(?:(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?"
                      r"(?:\s*\^\s*(?P<neg>-?)\s*(?P<exp>\d+))?)\s*")
 
 
+def _int(factor: re.Match, group: str) -> int:
+    """The digits of a _FACTOR group as an int, 1 when the group is absent.
+    CPython caps int() at 4300 digits by default; a longer number is a
+    ParseError."""
+    digits = factor[group]
+    if digits is None:
+        return 1
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"{len(digits)}-digit number at column "
+                         f"{factor.start(group)} is too long") from None
+
+
 def parse(text: str) -> LaurentPoly:
     """Parse the canonical grammar in one pass; inverse of format_poly.
 
@@ -471,12 +495,12 @@ def parse(text: str) -> LaurentPoly:
             if factor is None:
                 raise ParseError(f"expected a number or a name at column {pos} of {text!r}")
             if factor["num"] is not None:
-                den = int(factor["den"] or 1)
+                den = _int(factor, "den")
                 if den == 0:
                     raise ParseError(f"zero denominator in {text!r}")
-                coef *= Fraction(int(factor["num"]), den)
+                coef *= Fraction(_int(factor, "num"), den)
             else:
-                exp = int(factor["exp"] or 1)
+                exp = _int(factor, "exp")
                 exps.append((var_id(factor["name"]), -exp if factor["neg"] else exp))
             pos = factor.end()
             if not text.startswith("*", pos):

@@ -90,10 +90,9 @@ def test_verify_all_passes(capsys):
         assert name in out
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known false FAIL: JKTII's float residual is 1.37e-9 against the 1e-9 "
-    "tolerance; the exact oracle of ROADMAP item 1 must flip this"))
 def test_verify_seed_246776331_passes(capsys):
+    """JKTII's float residual is 1.37e-9 at this seed, over the 1e-9
+    tolerance; the exact identity settles the case as a PASS."""
     code, out = _run(capsys, "verify", "--seed", "246776331")
     assert code == 0
     assert "all cases PASS" in out

@@ -8,9 +8,9 @@ import pytest
 from wildcv.model import CASE_NAMES, case_spec
 from wildcv.monodromy import (closure_equations, monodromy_factors,
                               topological_monodromy)
-from wildcv.pipeline import (CubicSurface, ShapeError,
+from wildcv.pipeline import (ORACLE_TOLERANCE, CubicSurface, ShapeError,
                              _eliminate_with_solutions, derive_case,
-                             oracle_sampling, oracle_verify,
+                             oracle_identity, oracle_sampling, oracle_verify,
                              specialize_unit_cube_root, to_cubic_normal_form)
 from wildcv.polyring import LaurentPoly, parse, var_id
 from wildcv.report import report_to_dict
@@ -272,6 +272,81 @@ def test_oracle_sampling_is_pinned(name):
     assert len(sampling.solve_equations) == len(sampling.solve_targets)
     assert tuple(poly for _, poly in sampling.trace_params) == (
         rep.closure.trace_polys or ())
+
+
+# max_residual, max_dropped_residual and resamples at seeds 42 and 1000, as
+# reprs: the float path must reproduce them bit for bit
+_ORACLE_FLOATS = {
+    "JKTVI": (("3.4684476073050936e-14", "0.0", 0),
+              ("4.028258782699569e-14", "0.0", 0)),
+    "JKTV": (("1.2710574864626038e-13", "0.0", 0),
+             ("9.374856803373542e-13", "0.0", 0)),
+    "JKTIVa": (("8.881784197001252e-16", "0.0", 0),
+               ("8.005932084973442e-16", "0.0", 0)),
+    "JKTIVb": (("1.3508271101030482e-14", "5.5892645243255035e-14", 0),
+               ("1.0541620235889504e-13", "2.023185831320506e-13", 0)),
+    "JKTII": (("3.353370524530467e-13", "1.5845461461053877e-13", 0),
+              ("1.4295603459064553e-13", "6.066492675411654e-14", 0)),
+    "JKTI": (("8.881784197001252e-16", "1.2560739669470201e-15", 0),
+             ("2.5121479338940403e-15", "3.552713678800501e-15", 0)),
+}
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_oracle_floats_are_pinned(name):
+    rep = _derived(name)
+    got = []
+    for seed in (42, 1000):
+        verdict = oracle_verify(rep, seed=seed)
+        assert verdict.exact is None and verdict.passed
+        got.append((repr(verdict.max_residual),
+                    repr(verdict.max_dropped_residual), verdict.resamples))
+    assert tuple(got) == _ORACLE_FLOATS[name]
+
+
+def test_oracle_verify_reconstructs_once(monkeypatch):
+    calls = []
+    real = CubicSurface.reconstruct
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(CubicSurface, "reconstruct", counted)
+    oracle_verify(_derived("JKTV"), trials=100, seed=5)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_oracle_identity_holds(name):
+    rep = _derived(name)
+    assert oracle_identity(rep, oracle_sampling(rep)) is True
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_oracle_identity_rejects_flipped_xyz_map(name):
+    import dataclasses
+    rep = _derived(name)
+    spec = rep.spec
+    (nm, expr), *rest = spec.oracle.xyz_map
+    oracle = dataclasses.replace(spec.oracle, xyz_map=((nm, -expr), *rest))
+    broken = dataclasses.replace(
+        rep, spec=dataclasses.replace(spec, oracle=oracle))
+    assert oracle_identity(broken, oracle_sampling(broken)) is False
+    verdict = oracle_verify(broken, trials=10, seed=3)
+    assert verdict.max_residual >= ORACLE_TOLERANCE
+    assert verdict.exact is False
+    assert not verdict.passed
+
+
+def test_oracle_identity_settles_an_over_tolerance_trial():
+    """JKTII at this seed has one trial over the tolerance in floats; the
+    exact identity holds, and the float numbers stay as they were."""
+    verdict = oracle_verify(_derived("JKTII"), seed=183888082)
+    assert verdict.max_residual == 1.4009083651216406e-09
+    assert verdict.max_residual >= verdict.tolerance
+    assert verdict.exact is True
+    assert verdict.passed
 
 
 def test_sample_points_land_on_the_surface():

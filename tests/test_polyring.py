@@ -144,7 +144,9 @@ def test_print_is_deterministic_registry_order():
 
 def test_parse_rejects_garbage():
     for bad in ("", "x1 +", "x1 ** 2", "1/", "x1^", "@",
-                "x1 x2", "2 3", "2x1", "1/0", "x1 -", "x1*", "   "):
+                "x1 x2", "2 3", "2x1", "1/0", "x1 -", "x1*", "   ",
+                "1" * 5000, "1/" + "1" * 5000, "x1^" + "1" * 5000,
+                "alpha^-" + "1" * 5000):
         with pytest.raises(ParseError):
             parse(bad)
 
@@ -304,6 +306,41 @@ def test_evaluate_examples():
 def test_evaluate_unbound_variable():
     with pytest.raises(UnboundVariableError):
         P("x1 + x2").evaluate({var_id("x1"): 1.0})
+
+
+_EVAL_VARS = ("x1", "x2", "X", "alpha", "gamma")
+_coefs = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+_points = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0,
+                             allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _polys(draw):
+    poly = LaurentPoly.zero()
+    for _ in range(draw(st.integers(0, 6))):
+        exps = [(var_id(nm), draw(st.integers(-3 if var_id(nm).unit else 0, 3)))
+                for nm in _EVAL_VARS]
+        poly = poly + LaurentPoly.term(draw(_coefs), Monomial(exps))
+    return poly
+
+
+@given(_polys(), st.lists(_points, min_size=len(_EVAL_VARS),
+                          max_size=len(_EVAL_VARS)))
+def test_evaluate_keeps_term_order_bit_for_bit(poly, points):
+    """The kept float form gives, on the first and on later calls, what an
+    independent walk over the terms in insertion order gives."""
+    values = {var_id(nm): z for nm, z in zip(_EVAL_VARS, points)}
+    want = 0j
+    for mono, coef in poly.terms.items():
+        prod = complex(coef)
+        for v, k in mono.exps:
+            prod *= values[v] ** k
+        want += prod
+    first, second = poly.evaluate(values), poly.evaluate(values)
+    assert repr(first) == repr(want) and repr(second) == repr(want)
+    for v in poly.variables():
+        with pytest.raises(UnboundVariableError):
+            poly.evaluate({w: z for w, z in values.items() if w is not v})
 
 
 def test_evaluate_is_ring_homomorphism_numerically():

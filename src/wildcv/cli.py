@@ -6,7 +6,7 @@ full verification suite with the numeric oracle) and ``dump-spec`` (emit the
 static case data as JSON).  Output is byte-deterministic for a fixed seed.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 derivation
-error (a failed stage or oracle); each error is one ``error:`` line of stderr.
+error (a failed stage, the oracle included); each is one ``error:`` line of stderr.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import os
 import sys
 
 from .model import CASE_NAMES, UnknownCaseError, case_spec
-from .pipeline import (DEFAULT_SEED, DEFAULT_TRIALS, DegenerateSampleError,
-                       DerivationError, derive_case)
+from .pipeline import DEFAULT_SEED, DEFAULT_TRIALS, DerivationError, derive_case
 from .report import (report_to_dict, report_to_latex, report_to_text,
                      spec_to_dict)
 
@@ -212,9 +211,8 @@ def main(argv=None) -> int:
     except (UnknownCaseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DerivationError, DegenerateSampleError) as exc:
-        stage = "" if isinstance(exc, DerivationError) else "[oracle] "
-        print(f"error: {stage}{exc}", file=sys.stderr)
+    except DerivationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -614,4 +614,11 @@ def validate_spec(spec: CaseSpec) -> list:
         out.append(Violation("elimination_plan",
                              f"plan {spec.elimination_plan} does not leave one residual"))
 
+    # the oracle solves a 2x2 system for two surviving coefficients, or nothing
+    targets = spec.oracle.solve_targets
+    if targets and not (len(set(targets)) == len(targets) == 2
+                        and set(targets) <= first_half):
+        out.append(Violation("oracle_plan", f"solve targets {targets} are not "
+                             "two distinct surviving coefficients"))
+
     return out

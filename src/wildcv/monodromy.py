@@ -21,7 +21,8 @@ from .invariants import rewrite_in_invariants
 
 
 class InconsistentSystemError(PolyError):
-    """A forced back substitution contradicts an earlier one."""
+    """A consumed entry equation of M = I does not vanish under the back
+    substitutions."""
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class ClosureSystem:
     provenance: tuple           # one tag per equation
     raw_equations: tuple        # same equations before the invariant rewrite
     trace_polys: Optional[tuple] = None      # (Tr M, Tr M^2) for fixed-class cases
-    back_subs: Optional[tuple] = None        # ((varname, LaurentPoly), ...) composed
+    back_subs: Optional[tuple] = None        # ((varname, LaurentPoly), ...) in survivors
     dropped: Optional[LaurentPoly] = None    # the redundant entry equation
 
 
@@ -63,29 +64,13 @@ def split_products(factors: tuple) -> tuple:
 
 def back_substitutions(spec: CaseSpec, entries: dict) -> tuple:
     """Solve the planned entry equations ((i, j) -> L - R^-1 there) for the
-    dependent coefficients, in order, then compose them into the survivors."""
+    dependent coefficients, in terms of the surviving ones."""
     solved = solve_in_order(entries, spec.back_sub_plan)
-    order = list(solved)
-    # compose: later solutions may appear inside earlier ones
-    for _ in range(len(order)):
-        changed = False
-        for t in order:
-            expr = solved[t].substitute(solved)
-            if expr != solved[t]:
-                solved[t] = expr
-                changed = True
-        if not changed:
-            break
-    else:
-        raise InconsistentSystemError("cyclic back substitutions")
-    for t in order:
-        if set(solved[t].variables()) & set(order):
-            raise InconsistentSystemError(f"{t.name} not resolved by composition")
-    # every consumed entry equation must now vanish identically
+    # every consumed entry equation must vanish identically
     for (i, j), _ in spec.back_sub_plan:
         if not entries[i, j].substitute(solved).is_zero():
             raise InconsistentSystemError(f"entry ({i},{j}) inconsistent after solving")
-    return tuple((t.name, solved[t]) for t in order)
+    return tuple((t.name, expr) for t, expr in solved.items())
 
 
 def closure_equations(spec: CaseSpec, monodromy: SymMat3,

@@ -276,7 +276,8 @@ def derive_case(name: str, trials: int = DEFAULT_TRIALS,
         oracle=None,
     )
     if run_oracle:
-        verdict = oracle_verify(report, trials=trials, seed=seed)
+        with _stage("oracle"):
+            verdict = oracle_verify(report, trials=trials, seed=seed)
         report = replace(report, oracle=verdict)
     return report
 
@@ -300,8 +301,6 @@ def _sample_unit(rng: random.Random) -> complex:
 
 def _linear_solve(equations, targets, values) -> dict:
     """Solve two equations that are jointly affine in two targets, numerically."""
-    if len(targets) != 2:
-        raise ValueError(f"unsupported number of solve targets: {len(targets)}")
     base = dict(values)
     for t in targets:
         base[t] = 0j
@@ -348,9 +347,7 @@ def oracle_sampling(report: CaseReport) -> OracleSampling:
         if step.kind == "subst" and all(var_id(nm).unit for nm, _ in step.mapping):
             bindings.extend(step.mapping)
     derived = tuple((var_id(nm), poly) for nm, poly in bindings)
-    H = report.formal_monodromy
-    for v, poly in derived:
-        H = H.substitute({v: poly})
+    H = report.formal_monodromy.substitute(_resolve(derived))
     units = tuple(sorted({v for row in H.rows for e in row for v in e.variables()
                           if v.unit}))
     targets = tuple(var_id(nm) for nm in spec.oracle.solve_targets)
@@ -383,9 +380,7 @@ def _oracle_trial(report: CaseReport, sampling: OracleSampling,
         values[v] = trace.evaluate(values)
 
     dropped_residual = 0.0
-    if report.closure.back_subs is not None:
-        for nm, expr in report.closure.back_subs:
-            values[var_id(nm)] = expr.evaluate(values)
+    if report.closure.dropped is not None:
         dropped_residual = abs(report.closure.dropped.evaluate(values))
 
     for nm, expr in report.spec.oracle.xyz_map:
@@ -433,12 +428,14 @@ def oracle_verify(report: CaseReport, trials: int = DEFAULT_TRIALS,
                          tolerance=ORACLE_TOLERANCE, exact=exact)
 
 
-def _compose(poly: LaurentPoly, bindings) -> LaurentPoly:
-    """Undo ((VarId, expression), ...) bindings made in that order: substitute
-    them one at a time, last first, so each may use the ones before it."""
-    for v, expr in reversed(bindings):
-        poly = poly.substitute({v: expr})
-    return poly
+def _resolve(bindings) -> dict:
+    """{VarId: expression} for ((VarId, expression), ...) bindings made in
+    that order, each in terms of the variables that no binding sets, so that
+    one simultaneous substitution undoes them all."""
+    out: dict = {}
+    for v, expr in bindings:
+        out[v] = expr.substitute(out)
+    return out
 
 
 def _cleared(f: LaurentPoly, t1, t2, n1: LaurentPoly, n2: LaurentPoly,
@@ -460,22 +457,20 @@ def _cleared(f: LaurentPoly, t1, t2, n1: LaurentPoly, n2: LaurentPoly,
 def oracle_identity(report: CaseReport, sampling: OracleSampling) -> bool:
     """The oracle's claim as an exact polynomial identity.
 
-    The bindings of a trial are undone in reverse order of evaluation:
-    ``xyz_map``, the back substitutions, the trace parameters, the derived
-    units; the cubic goes through all four, the dropped entry from the back
-    substitutions on.  With no solve targets both must vanish.  Otherwise the
-    solve equations must be exactly affine in the two targets, with a Cramer
-    determinant D that is not zero, and D^k * f(N1/D, N2/D) must vanish for
-    each f, where N1, N2 are Cramer's numerators and k is f's joint degree in
-    the targets.
+    A trial's bindings, in its order of evaluation (the derived units, the
+    trace parameters, ``xyz_map``), are resolved forward into one map, which
+    is substituted once into the cubic, the dropped entry and the solve
+    equations.  With no solve targets the cubic and the dropped entry must
+    vanish.  Otherwise the solve equations must be exactly affine in the two
+    targets, with a Cramer determinant D that is not zero, and
+    D^k * f(N1/D, N2/D) must vanish for each f, where N1, N2 are Cramer's
+    numerators and k is f's joint degree in the targets.
     """
-    closure = report.closure
-    back = tuple((var_id(nm), e) for nm, e in closure.back_subs or ())
     xyz = tuple((var_id(nm), e) for nm, e in report.spec.oracle.xyz_map)
-    chain = sampling.derived_units + sampling.trace_params + back
-    polys = [_compose(report.cubic.reconstruct(), chain + xyz)]
-    if closure.dropped is not None:
-        polys.append(_compose(closure.dropped, chain))
+    undo = _resolve(sampling.derived_units + sampling.trace_params + xyz)
+    polys = [report.cubic.reconstruct().substitute(undo)]
+    if report.closure.dropped is not None:
+        polys.append(report.closure.dropped.substitute(undo))
     if not sampling.solve_targets:
         return all(f.is_zero() for f in polys)
 
@@ -483,7 +478,7 @@ def oracle_identity(report: CaseReport, sampling: OracleSampling) -> bool:
     T1, T2 = LaurentPoly.variable(t1.name), LaurentPoly.variable(t2.name)
     rows = []
     for eq in sampling.solve_equations:
-        eq = _compose(eq, sampling.derived_units)
+        eq = eq.substitute(undo)
         a1 = eq.coefficient_of(t1, 1).coefficient_of(t2, 0)
         a2 = eq.coefficient_of(t2, 1).coefficient_of(t1, 0)
         b = eq.coefficient_of(t1, 0).coefficient_of(t2, 0)

@@ -421,11 +421,16 @@ def solve_linear(eq: LaurentPoly, target: VarId) -> LaurentPoly:
 
 def solve_in_order(equations, plan) -> dict:
     """Solve equations[key] for each planned (key, varname) in turn, after
-    substituting the earlier solutions; {VarId: expr} in plan order."""
+    substituting the earlier solutions, and substitute each new solution into
+    the earlier ones; {VarId: expr} in plan order, no expr holding a planned
+    variable."""
     solved: dict = {}
     for key, name in plan:
         target = var_id(name)
-        solved[target] = solve_linear(equations[key].substitute(solved), target)
+        expr = solve_linear(equations[key].substitute(solved), target)
+        for v, earlier in solved.items():
+            solved[v] = earlier.substitute({target: expr})
+        solved[target] = expr
     return solved
 
 

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from wildcv import cli
-from wildcv.model import CASE_NAMES
+from wildcv import cli, pipeline
+from wildcv.model import CASE_NAMES, case_spec
 from wildcv.pipeline import DegenerateSampleError, DerivationError
 
 
@@ -213,19 +213,38 @@ def test_output_into_missing_directory_is_usage_error(tmp_path, capsys, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [("derive", "--case", "JKTI"), ("verify",)],
-                         ids=["derive", "verify"])
-@pytest.mark.parametrize("error,line", [
-    (DerivationError("[closure] entry (2,1) inconsistent after solving"),
-     "error: [closure] entry (2,1) inconsistent after solving"),
-    (DegenerateSampleError("trial 0: resample budget exhausted"),
-     "error: [oracle] trial 0: resample budget exhausted"),
-], ids=["derivation", "degenerate-sample"])
-def test_derivation_error_exits_three(argv, error, line, capsys, monkeypatch):
+def _failing_derivation(monkeypatch):
     def failing(*args, **kwargs):
-        raise error
+        raise DerivationError("[closure] entry (2,1) inconsistent after solving")
 
     monkeypatch.setattr(cli, "derive_case", failing)
+
+
+def _degenerate_trials(monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise DegenerateSampleError("singular 2x2 solve")
+
+    monkeypatch.setattr(pipeline, "_oracle_trial", degenerate)
+
+
+def _unsolvable_oracle_plan(monkeypatch):
+    """JKTVI's closure equations hold the trace parameter p, which a trial
+    sets only after solving, so solving them for x1, x2 reads it unbound."""
+    spec = case_spec("JKTVI")
+    oracle = dataclasses.replace(spec.oracle, solve_targets=("x1", "x2"))
+    mutated = dataclasses.replace(spec, oracle=oracle)
+    monkeypatch.setattr(pipeline, "case_spec", lambda _: mutated)
+
+
+@pytest.mark.parametrize("argv", [("derive", "--case", "JKTI"), ("verify",)],
+                         ids=["derive", "verify"])
+@pytest.mark.parametrize("patch,line", [
+    (_failing_derivation, "error: [closure] entry (2,1) inconsistent after solving"),
+    (_degenerate_trials, "error: [oracle] trial 0: resample budget exhausted"),
+    (_unsolvable_oracle_plan, "error: [oracle] unbound variable p"),
+], ids=["derivation", "degenerate-sample", "unbound-variable"])
+def test_derivation_error_exits_three(argv, patch, line, capsys, monkeypatch):
+    patch(monkeypatch)
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     assert code == 3

@@ -178,6 +178,20 @@ def test_closure_plan_mutants_fail_at_spec(name, changes, monkeypatch):
     assert "closure_plan" in str(exc.value)
 
 
+@pytest.mark.parametrize("targets", [("x5",), ("x7", "x8"), ("x5", "x5")],
+                         ids=["one", "back-substituted", "repeated"])
+def test_oracle_plan_mutants_fail_at_spec(targets, monkeypatch):
+    """JKTIVb solve targets that are not two distinct surviving coefficients."""
+    spec = case_spec("JKTIVb")
+    oracle = dataclasses.replace(spec.oracle, solve_targets=targets)
+    mutated = dataclasses.replace(spec, oracle=oracle)
+    monkeypatch.setattr(pipeline, "case_spec", lambda _: mutated)
+    with pytest.raises(DerivationError) as exc:
+        pipeline.derive_case("JKTIVb")
+    assert str(exc.value).startswith("[spec]")
+    assert "oracle_plan" in str(exc.value)
+
+
 def test_first_half_variables():
     assert case_spec("JKTIVb").first_half_variables() == tuple(
         f"x{i}" for i in range(1, 7))

@@ -163,6 +163,11 @@ def test_back_substitutions_resolve_to_surviving_variables():
         for nm, expr in back_substitutions(spec, _entries(spec)):
             used = {v.name for v in expr.variables() if v.name.startswith("x")}
             assert used <= first_half, (name, nm)
+        # so an oracle trial, which reads only these, needs no back substitution
+        solved = {nm for _, nm in spec.back_sub_plan}
+        _, cs = _system(name)
+        read = [cs.dropped] + [expr for _, expr in spec.oracle.xyz_map]
+        assert not {v.name for f in read for v in f.variables()} & solved, name
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Elimination, cubic normal forms, full derivations, the numeric oracle."""
 
+import dataclasses
 import json
 import pathlib
 
@@ -325,7 +326,6 @@ def test_oracle_identity_holds(name):
 
 @pytest.mark.parametrize("name", CASE_NAMES)
 def test_oracle_identity_rejects_flipped_xyz_map(name):
-    import dataclasses
     rep = _derived(name)
     spec = rep.spec
     (nm, expr), *rest = spec.oracle.xyz_map
@@ -337,6 +337,15 @@ def test_oracle_identity_rejects_flipped_xyz_map(name):
     assert verdict.max_residual >= ORACLE_TOLERANCE
     assert verdict.exact is False
     assert not verdict.passed
+
+
+@pytest.mark.parametrize("name", ["JKTIVb", "JKTII", "JKTI"])
+def test_oracle_identity_rejects_shifted_dropped_entry(name):
+    rep = _derived(name)
+    closure = dataclasses.replace(rep.closure, dropped=rep.closure.dropped + 1)
+    broken = dataclasses.replace(rep, closure=closure)
+    assert oracle_identity(broken, oracle_sampling(broken)) is False
+    assert not oracle_verify(broken, trials=10, seed=3).passed
 
 
 def test_oracle_identity_settles_an_over_tolerance_trial():

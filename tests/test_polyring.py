@@ -255,6 +255,12 @@ def test_solve_linear_unit_coefficient_one():
     assert list(got) == [var_id("x3"), var_id("x4")]
     assert got[var_id("x3")] == P("1 - x2")
     assert got[var_id("x4")] == P("alpha^-1*x1*x2 - alpha^-1*x1")
+    # the first solution holds the second target until x4 is substituted in
+    got = solve_in_order({"a": P("x3 + x4 - 1"), "b": P("x4 - x2")},
+                         (("a", "x3"), ("b", "x4")))
+    assert list(got) == [var_id("x3"), var_id("x4")]
+    assert got[var_id("x3")] == P("1 - x2")
+    assert got[var_id("x4")] == P("x2")
 
 
 def test_solve_linear_rejects_non_unit_coefficient():

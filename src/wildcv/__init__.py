@@ -7,8 +7,7 @@ from .stokes import RationalAngle, SymMat3, formal_monodromy, stokes_matrix, \
     singular_directions
 from .model import (CASE_NAMES, CaseSpec, TwistClass, case_spec, validate_spec,
                     UnknownCaseError, tautological_check, torus_weights)
-from .monodromy import (back_substitutions, closure_equations, monodromy_factors,
-                        topological_monodromy)
+from .monodromy import closure_equations, monodromy_factors, topological_monodromy
 from .invariants import invariant_monomials, rewrite_in_invariants
 from .pipeline import (CaseReport, CubicSurface, derive_case, oracle_verify,
                        to_cubic_normal_form, specialize_unit_cube_root)

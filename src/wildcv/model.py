@@ -614,11 +614,16 @@ def validate_spec(spec: CaseSpec) -> list:
         out.append(Violation("elimination_plan",
                              f"plan {spec.elimination_plan} does not leave one residual"))
 
-    # the oracle solves a 2x2 system for two surviving coefficients, or nothing
+    # the oracle solves M = I for two surviving coefficients; a fixed-class
+    # closure holds the trace parameters, which a trial sets only after solving
     targets = spec.oracle.solve_targets
-    if targets and not (len(set(targets)) == len(targets) == 2
-                        and set(targets) <= first_half):
-        out.append(Violation("oracle_plan", f"solve targets {targets} are not "
-                             "two distinct surviving coefficients"))
+    if spec.closure.kind == "identity":
+        sound = len(set(targets)) == len(targets) == 2 and set(targets) <= first_half
+    else:
+        sound = not targets
+    if not sound:
+        out.append(Violation("oracle_plan", f"{spec.closure.kind} closure with solve "
+                             f"targets {targets}; an identity closure needs two distinct "
+                             "surviving coefficients, a fixed-class closure none"))
 
     return out

@@ -4,9 +4,11 @@ M = H * S_m * ... * S_1 is composed once, as R * L at the case's split:
 L = S_k * ... * S_1 and R = H * S_m * ... * S_{k+1}; without a split, R = H.
 For the two-point cases the closure condition fixes the conjugacy class of
 M: Tr(M) = p and Tr(M^2) = q.  For the one-point cases M = I, read as the
-nine entry equations of L = R^-1: the dependent second-half coefficients are
-solved off six of them (back substitutions), two form the residual system,
-and the redundant ninth is dropped.
+nine entry equations of L = R^-1: ``solve_in_order`` solves six of them for
+the dependent second-half coefficients (the back substitutions), two form the
+residual system, and the redundant ninth is dropped.  The six consumed
+entries vanish identically under the back substitutions by construction, so
+they are not checked again.
 """
 
 from __future__ import annotations
@@ -14,15 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .polyring import LaurentPoly, PolyError, solve_in_order, var_id
+from .polyring import LaurentPoly, solve_in_order
 from .stokes import SymMat3
 from .model import CaseSpec
 from .invariants import rewrite_in_invariants
-
-
-class InconsistentSystemError(PolyError):
-    """A consumed entry equation of M = I does not vanish under the back
-    substitutions."""
 
 
 @dataclass(frozen=True)
@@ -56,23 +53,6 @@ def topological_monodromy(factors: tuple) -> SymMat3:
     return right * left
 
 
-def split_products(factors: tuple) -> tuple:
-    """(L, R^-1) from ``monodromy_factors``: M = I reads L = R^-1."""
-    left, right = factors
-    return left, right.inverse()
-
-
-def back_substitutions(spec: CaseSpec, entries: dict) -> tuple:
-    """Solve the planned entry equations ((i, j) -> L - R^-1 there) for the
-    dependent coefficients, in terms of the surviving ones."""
-    solved = solve_in_order(entries, spec.back_sub_plan)
-    # every consumed entry equation must vanish identically
-    for (i, j), _ in spec.back_sub_plan:
-        if not entries[i, j].substitute(solved).is_zero():
-            raise InconsistentSystemError(f"entry ({i},{j}) inconsistent after solving")
-    return tuple((t.name, expr) for t, expr in solved.items())
-
-
 def closure_equations(spec: CaseSpec, monodromy: SymMat3,
                       factors: tuple) -> ClosureSystem:
     """The closure system from M and its factors (L, R) at the split."""
@@ -85,14 +65,15 @@ def closure_equations(spec: CaseSpec, monodromy: SymMat3,
         provenance = ["trace", "trace_square"]
         trace_polys = (tr, tr2)
     else:
-        left, right = split_products(factors)
-        entries = {(i, j): left.entry(i, j) - right.entry(i, j)
+        left, right = factors
+        inverse = right.inverse()
+        entries = {(i, j): left.entry(i, j) - inverse.entry(i, j)
                    for i in (1, 2, 3) for j in (1, 2, 3)}
-        subs = back_substitutions(spec, entries)
-        bind = {var_id(nm): poly for nm, poly in subs}
-        raw = [entries[e].substitute(bind) * scale for e, scale in spec.residual_entries]
+        solved = solve_in_order(entries, spec.back_sub_plan)
+        subs = tuple((v.name, expr) for v, expr in solved.items())
+        raw = [entries[e].substitute(solved) * scale for e, scale in spec.residual_entries]
         provenance = [f"entry({i},{j})" for (i, j), _ in spec.residual_entries]
-        dropped = entries[spec.drop_entry].substitute(bind)
+        dropped = entries[spec.drop_entry].substitute(solved)
     eqs = list(raw)
     if spec.use_invariant_rewrite:
         eqs = [rewrite_in_invariants(e, spec.generator_defs) for e in eqs]

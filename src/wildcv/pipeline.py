@@ -4,13 +4,17 @@ A derivation runs: closure system -> parameter normalization -> linear
 elimination down to a single residual -> affine change of variables -> cubic
 normal form, then verifies the result against the expected surface and a
 seeded numeric oracle that samples points on the constraint locus and checks
-that the cubic vanishes there.
+that the cubic vanishes there.  The cubic's shape is one table, ``_SLOTS``,
+which both the normal form (reading the residual with ``LaurentPoly.split``
+in X, Y, Z) and ``CubicSurface.reconstruct`` read.
 
 The oracle builds the cubic polynomial once per run, and each polynomial
 keeps the float form of its terms after its first evaluation.  A run whose
 largest residual reaches the tolerance is settled by ``oracle_identity``, the
 same claim checked as an exact polynomial identity; so a PASS with a residual
-at or above ``ORACLE_TOLERANCE`` means that the identity held.
+at or above ``ORACLE_TOLERANCE`` means that the identity held.  Solve
+equations that are not affine in the solve targets make the identity raise
+``NotLinearError``, so the run ends as an ``[oracle]`` error naming them.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-from .polyring import LaurentPoly, Monomial, PolyError, solve_in_order, var_id
+from .polyring import (LaurentPoly, Monomial, NotLinearError, PolyError, solve_in_order,
+                       var_id)
 from .stokes import SymMat3, formal_monodromy, stokes_matrix
 from .model import CaseSpec, CovStep, case_spec, validate_spec
 from .monodromy import (ClosureSystem, closure_equations, monodromy_factors,
@@ -50,7 +55,12 @@ class DerivationError(PolyError):
 # cubic surfaces
 # --------------------------------------------------------------------------
 
-_XYZ_NAMES = ("X", "Y", "Z")
+# the cubic's shape: each coefficient's name and the XYZ exponents it multiplies
+_SLOTS = {"xyz": (1, 1, 1), "x2": (2, 0, 0), "y2": (0, 2, 0), "z2": (0, 0, 2),
+          "c1": (1, 0, 0), "c2": (0, 1, 0), "c3": (0, 0, 1), "c4": (0, 0, 0)}
+_XYZ_IDS = tuple(var_id(n) for n in ("X", "Y", "Z"))
+_SLOT_MONOMIALS = {name: LaurentPoly.term(1, Monomial(zip(_XYZ_IDS, exps)))
+                   for name, exps in _SLOTS.items()}
 
 
 @dataclass(frozen=True)
@@ -68,33 +78,23 @@ class CubicSurface:
     c4: LaurentPoly
 
     def reconstruct(self) -> LaurentPoly:
-        X, Y, Z = (LaurentPoly.variable(n) for n in _XYZ_NAMES)
-        return (self.xyz * X * Y * Z + self.x2 * X * X + self.y2 * Y * Y
-                + self.z2 * Z * Z + self.c1 * X + self.c2 * Y + self.c3 * Z
-                + self.c4)
+        return sum((getattr(self, name) * mono for name, mono in _SLOT_MONOMIALS.items()),
+                   LaurentPoly.zero())
 
     def coefficients(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _decompose_cubic(poly: LaurentPoly) -> CubicSurface:
-    xyz_ids = tuple(var_id(n) for n in _XYZ_NAMES)
-    slots = {(1, 1, 1): "xyz", (2, 0, 0): "x2", (0, 2, 0): "y2", (0, 0, 2): "z2",
-             (1, 0, 0): "c1", (0, 1, 0): "c2", (0, 0, 1): "c3", (0, 0, 0): "c4"}
-    acc = {k: LaurentPoly.zero() for k in slots.values()}
-    stray = []
-    for mono, coef in poly.terms.items():
-        pattern = tuple(mono.exponent(v) for v in xyz_ids)
-        rest = [(v, k) for v, k in mono.exps if v not in xyz_ids]
-        slot = slots.get(pattern)
-        if slot is None:
-            stray.append(str(LaurentPoly.term(coef, mono)))
-            continue
-        acc[slot] = acc[slot] + LaurentPoly.term(coef, Monomial(rest))
+    parts = poly.split(_XYZ_IDS)
+    stray = [str(LaurentPoly.term(c, m * Monomial(zip(_XYZ_IDS, exps))))
+             for exps, coef in parts.items() if exps not in _SLOTS.values()
+             for m, c in coef.terms.items()]
     if stray:
         raise ShapeError("stray monomials after change of variables: "
                          + ", ".join(sorted(stray)))
-    return CubicSurface(**acc)
+    return CubicSurface(**{name: parts.get(exps, LaurentPoly.zero())
+                           for name, exps in _SLOTS.items()})
 
 
 # --------------------------------------------------------------------------
@@ -441,12 +441,7 @@ def _resolve(bindings) -> dict:
 def _cleared(f: LaurentPoly, t1, t2, n1: LaurentPoly, n2: LaurentPoly,
              d: LaurentPoly) -> LaurentPoly:
     """D^k * f(N1/D, N2/D), where k is f's joint degree in t1 and t2."""
-    parts: dict = {}
-    for m, c in f.terms.items():
-        key = (m.exponent(t1), m.exponent(t2))
-        rest = LaurentPoly.term(c, Monomial((v, e) for v, e in m.exps
-                                            if v is not t1 and v is not t2))
-        parts[key] = parts.get(key, LaurentPoly.zero()) + rest
+    parts = f.split((t1, t2))
     k = max((a + b for a, b in parts), default=0)
     total = LaurentPoly.zero()
     for (a, b), g in parts.items():
@@ -461,9 +456,9 @@ def oracle_identity(report: CaseReport, sampling: OracleSampling) -> bool:
     trace parameters, ``xyz_map``), are resolved forward into one map, which
     is substituted once into the cubic, the dropped entry and the solve
     equations.  With no solve targets the cubic and the dropped entry must
-    vanish.  Otherwise the solve equations must be exactly affine in the two
-    targets, with a Cramer determinant D that is not zero, and
-    D^k * f(N1/D, N2/D) must vanish for each f, where N1, N2 are Cramer's
+    vanish.  Otherwise the solve equations must be affine in the two targets
+    (``NotLinearError`` if not), with a Cramer determinant D that is not zero,
+    and D^k * f(N1/D, N2/D) must vanish for each f, where N1, N2 are Cramer's
     numerators and k is f's joint degree in the targets.
     """
     xyz = tuple((var_id(nm), e) for nm, e in report.spec.oracle.xyz_map)
@@ -475,16 +470,13 @@ def oracle_identity(report: CaseReport, sampling: OracleSampling) -> bool:
         return all(f.is_zero() for f in polys)
 
     t1, t2 = sampling.solve_targets
-    T1, T2 = LaurentPoly.variable(t1.name), LaurentPoly.variable(t2.name)
+    zero = LaurentPoly.zero()
     rows = []
     for eq in sampling.solve_equations:
-        eq = eq.substitute(undo)
-        a1 = eq.coefficient_of(t1, 1).coefficient_of(t2, 0)
-        a2 = eq.coefficient_of(t2, 1).coefficient_of(t1, 0)
-        b = eq.coefficient_of(t1, 0).coefficient_of(t2, 0)
-        if a1 * T1 + a2 * T2 + b != eq:
-            return False
-        rows.append((a1, a2, b))
+        parts = eq.substitute(undo).split((t1, t2))
+        if not parts.keys() <= {(1, 0), (0, 1), (0, 0)}:
+            raise NotLinearError(f"solve equations are not affine in {t1.name}, {t2.name}")
+        rows.append([parts.get(key, zero) for key in ((1, 0), (0, 1), (0, 0))])
     (a11, a12, b1), (a21, a22, b2) = rows
     d = a11 * a22 - a12 * a21
     if d.is_zero():
@@ -509,8 +501,7 @@ def specialize_unit_cube_root(cubic: CubicSurface) -> CubicSurface:
     vals = {}
     for key, poly in cubic.coefficients().items():
         reduced = LaurentPoly.zero()
-        for mono, coef in poly.substitute(bind).terms.items():
-            exps = ((v, k % 3 if v is e else k) for v, k in mono.exps)
-            reduced = reduced + LaurentPoly.term(coef, Monomial(exps))
+        for (k,), rest in poly.substitute(bind).split((e,)).items():
+            reduced = reduced + rest * LaurentPoly.variable("e", k % 3)
         vals[key] = reduced
     return CubicSurface(**vals)

@@ -46,7 +46,7 @@ class SubstitutionDomainError(PolyError):
 
 
 class NotLinearError(PolyError):
-    """solve_linear was applied to an equation of degree != 1 in the target."""
+    """An equation is not affine in the variables it is solved for."""
 
 
 class NotInvertibleError(PolyError):
@@ -304,17 +304,17 @@ class LaurentPoly:
             out.update(m.variables())
         return out
 
-    def degree_in(self, v: VarId) -> int:
-        """Largest exponent of v (0 when absent)."""
-        return max((m.exponent(v) for m in self.terms), default=0)
-
-    def coefficient_of(self, v: VarId, k: int) -> "LaurentPoly":
-        """Polynomial coefficient of v**k (v removed from the result)."""
-        out = {}
+    def split(self, variables) -> dict:
+        """self read as a polynomial in ``variables`` (a sequence of VarIds):
+        {exponent tuple: coefficient}, each coefficient free of ``variables``.
+        Keys, and the terms of each coefficient, come in self's term order."""
+        variables = tuple(variables)
+        parts: dict = {}
         for m, c in self.terms.items():
-            if m.exponent(v) == k:
-                out[m.divide(Monomial(((v, k),)))] = c
-        return LaurentPoly(out)
+            key = tuple(m.exponent(v) for v in variables)
+            rest = Monomial((v, k) for v, k in m.exps if v not in variables)
+            parts.setdefault(key, {})[rest] = c
+        return {key: LaurentPoly(terms) for key, terms in parts.items()}
 
     def single_term(self) -> tuple[Fraction, Monomial]:
         if len(self.terms) != 1:
@@ -406,11 +406,12 @@ def solve_linear(eq: LaurentPoly, target: VarId) -> LaurentPoly:
     that is a single term in unit variables (hence invertible).  The result
     expr satisfies eq|_{target -> expr} == 0 identically.
     """
-    deg = eq.degree_in(target)
-    if deg != 1 or any(m.exponent(target) < 0 for m in eq.terms):
+    parts = eq.split((target,))
+    if not parts.keys() <= {(0,), (1,)} or (1,) not in parts:
+        deg = max((k for (k,) in parts), default=0)
         raise NotLinearError(f"degree in {target.name} is {deg}, need exactly 1")
-    coeff = eq.coefficient_of(target, 1)
-    rest = eq.coefficient_of(target, 0)
+    coeff = parts[(1,)]
+    rest = parts.get((0,), LaurentPoly.zero())
     try:
         inv = coeff.inverse_term()
     except NotInvertibleError:

@@ -6,9 +6,10 @@ Each line is ``<exit code> <sha256 of stdout> <argv>``.  The commands are
 ``verify --seed S`` and ``derive --case all --format F --seed S`` for
 F in json, text, latex and S in 42, 1000..1049, then ``dump-spec --case all``
 and ``directions``.  Run it in two checkouts and ``diff`` the outputs to show
-that a change leaves every output byte-identical.  It imports ``wildcv`` from
-the ``src/`` next to this file, runs ``cli.main`` in-process, and ignores
-``WCV_SEED``.
+that a change leaves every output byte-identical; CI compares the listing
+with ``tests/golden/output_digests.txt`` on Python 3.11.  It imports
+``wildcv`` from the ``src/`` next to this file, runs ``cli.main``
+in-process, and ignores ``WCV_SEED``.
 """
 
 import contextlib

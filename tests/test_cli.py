@@ -11,6 +11,7 @@ import pytest
 from wildcv import cli, pipeline
 from wildcv.model import CASE_NAMES, case_spec
 from wildcv.pipeline import DegenerateSampleError, DerivationError
+from wildcv.polyring import parse
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -215,7 +216,7 @@ def test_output_into_missing_directory_is_usage_error(tmp_path, capsys, monkeypa
 
 def _failing_derivation(monkeypatch):
     def failing(*args, **kwargs):
-        raise DerivationError("[closure] entry (2,1) inconsistent after solving")
+        raise DerivationError("[eliminate] degree in x5 is 2, need exactly 1")
 
     monkeypatch.setattr(cli, "derive_case", failing)
 
@@ -227,22 +228,32 @@ def _degenerate_trials(monkeypatch):
     monkeypatch.setattr(pipeline, "_oracle_trial", degenerate)
 
 
-def _unsolvable_oracle_plan(monkeypatch):
-    """JKTVI's closure equations hold the trace parameter p, which a trial
-    sets only after solving, so solving them for x1, x2 reads it unbound."""
-    spec = case_spec("JKTVI")
-    oracle = dataclasses.replace(spec.oracle, solve_targets=("x1", "x2"))
-    mutated = dataclasses.replace(spec, oracle=oracle)
+def _mutated_oracle_plan(monkeypatch, name, **changes):
+    spec = case_spec(name)
+    mutated = dataclasses.replace(spec, oracle=dataclasses.replace(spec.oracle, **changes))
     monkeypatch.setattr(pipeline, "case_spec", lambda _: mutated)
+
+
+def _unbound_xyz_map(monkeypatch):
+    """An xyz_map entry that reads lam, which no trial sets."""
+    (name, expr), *rest = case_spec("JKTVI").oracle.xyz_map
+    _mutated_oracle_plan(monkeypatch, "JKTVI",
+                         xyz_map=((name, expr + parse("lam")), *rest))
+
+
+def _non_affine_targets(monkeypatch):
+    """JKTIVb's closure equations are not affine in x1, x2."""
+    _mutated_oracle_plan(monkeypatch, "JKTIVb", solve_targets=("x1", "x2"))
 
 
 @pytest.mark.parametrize("argv", [("derive", "--case", "JKTI"), ("verify",)],
                          ids=["derive", "verify"])
 @pytest.mark.parametrize("patch,line", [
-    (_failing_derivation, "error: [closure] entry (2,1) inconsistent after solving"),
+    (_failing_derivation, "error: [eliminate] degree in x5 is 2, need exactly 1"),
     (_degenerate_trials, "error: [oracle] trial 0: resample budget exhausted"),
-    (_unsolvable_oracle_plan, "error: [oracle] unbound variable p"),
-], ids=["derivation", "degenerate-sample", "unbound-variable"])
+    (_unbound_xyz_map, "error: [oracle] unbound variable lam"),
+    (_non_affine_targets, "error: [oracle] solve equations are not affine in x1, x2"),
+], ids=["derivation", "degenerate-sample", "unbound-variable", "non-affine"])
 def test_derivation_error_exits_three(argv, patch, line, capsys, monkeypatch):
     patch(monkeypatch)
     code = cli.main(list(argv))

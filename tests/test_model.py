@@ -178,16 +178,19 @@ def test_closure_plan_mutants_fail_at_spec(name, changes, monkeypatch):
     assert "closure_plan" in str(exc.value)
 
 
-@pytest.mark.parametrize("targets", [("x5",), ("x7", "x8"), ("x5", "x5")],
-                         ids=["one", "back-substituted", "repeated"])
-def test_oracle_plan_mutants_fail_at_spec(targets, monkeypatch):
-    """JKTIVb solve targets that are not two distinct surviving coefficients."""
-    spec = case_spec("JKTIVb")
+@pytest.mark.parametrize("name,targets", [
+    ("JKTIVb", ("x5",)), ("JKTIVb", ("x7", "x8")), ("JKTIVb", ("x5", "x5")),
+    ("JKTIVb", ()), ("JKTVI", ("x1", "x2")),
+], ids=["one", "back-substituted", "repeated", "none", "fixed-class"])
+def test_oracle_plan_mutants_fail_at_spec(name, targets, monkeypatch):
+    """Solve targets other than two distinct surviving coefficients of an
+    identity closure, or any solve targets on a fixed-class closure."""
+    spec = case_spec(name)
     oracle = dataclasses.replace(spec.oracle, solve_targets=targets)
     mutated = dataclasses.replace(spec, oracle=oracle)
     monkeypatch.setattr(pipeline, "case_spec", lambda _: mutated)
     with pytest.raises(DerivationError) as exc:
-        pipeline.derive_case("JKTIVb")
+        pipeline.derive_case(name)
     assert str(exc.value).startswith("[spec]")
     assert "oracle_plan" in str(exc.value)
 

@@ -4,10 +4,9 @@ written matrix displays and equation systems."""
 import pytest
 
 from wildcv.model import CASE_NAMES, case_spec
-from wildcv.monodromy import (back_substitutions, closure_equations,
-                              monodromy_factors, split_products,
+from wildcv.monodromy import (closure_equations, monodromy_factors,
                               topological_monodromy)
-from wildcv.polyring import parse, var_id
+from wildcv.polyring import parse, solve_in_order, var_id
 from wildcv.stokes import SymMat3, formal_monodromy, stokes_matrix
 
 P = parse
@@ -21,11 +20,23 @@ def _factors(spec):
                              formal_monodromy(spec.twist.ramification_index))
 
 
+def _split(spec):
+    """(L, R^-1) of the case's monodromy: M = I reads L = R^-1."""
+    left, right = _factors(spec)
+    return left, right.inverse()
+
+
 def _entries(spec):
     """The nine entry equations L - R^-1 of M = I, keyed by (i, j)."""
-    left, right = split_products(_factors(spec))
-    return {(i, j): left.entry(i, j) - right.entry(i, j)
+    left, inverse = _split(spec)
+    return {(i, j): left.entry(i, j) - inverse.entry(i, j)
             for i in (1, 2, 3) for j in (1, 2, 3)}
+
+
+def _back_substitutions(spec):
+    """{varname: expression} solved off the planned entry equations."""
+    solved = solve_in_order(_entries(spec), spec.back_sub_plan)
+    return {v.name: expr for v, expr in solved.items()}
 
 
 def _assert_matrix(mat: SymMat3, rows):
@@ -72,7 +83,7 @@ def test_jktvi_monodromy_rows():
 
 
 def test_jktivb_split_display():
-    left, right = split_products(_factors(case_spec("JKTIVb")))
+    left, right = _split(case_spec("JKTIVb"))
     _assert_matrix(left, [
         ["1", "x1", "x2"],
         ["x4", "x1*x4 + 1", "x3 + x2*x4"],
@@ -90,7 +101,7 @@ def test_jktivb_split_display():
 
 
 def test_jktii_split_display():
-    left, right = split_products(_factors(case_spec("JKTII")))
+    left, right = _split(case_spec("JKTII"))
     _assert_matrix(left, [
         ["1", "x1", "x2 + x1*x3"],
         ["0", "1", "x3"],
@@ -105,7 +116,7 @@ def test_jktii_split_display():
 
 
 def test_jkti_split_display():
-    left, right = split_products(_factors(case_spec("JKTI")))
+    left, right = _split(case_spec("JKTI"))
     _assert_matrix(left, [
         ["1", "x1", "x2"],
         ["x4", "x1*x4 + 1", "x3 + x2*x4"],
@@ -126,7 +137,7 @@ def test_jkti_split_display():
 
 def test_jktivb_back_substitutions():
     spec = case_spec("JKTIVb")
-    subs = dict(back_substitutions(spec, _entries(spec)))
+    subs = _back_substitutions(spec)
     assert subs["x9"] == P("-gamma*x3 - gamma*x2*x4")
     assert subs["x12"] == P("-beta*x1*x4*x6 - beta*x6 - beta*x1*x5")
     assert subs["x11"] == P("-alpha*x4*x6 - alpha*x5")
@@ -137,7 +148,7 @@ def test_jktivb_back_substitutions():
 
 def test_jktii_back_substitutions():
     spec = case_spec("JKTII")
-    subs = dict(back_substitutions(spec, _entries(spec)))
+    subs = _back_substitutions(spec)
     assert subs["x11"] == P("-x1*x5 - x6")
     assert subs["x8"] == P("-alpha*x2 - alpha*x1*x3")
     assert subs["x4"] == P("-1") - P("alpha*x3") * subs["x11"]
@@ -147,7 +158,7 @@ def test_jktii_back_substitutions():
 
 def test_jkti_back_substitutions():
     spec = case_spec("JKTI")
-    subs = dict(back_substitutions(spec, _entries(spec)))
+    subs = _back_substitutions(spec)
     assert subs["x9"] == P("-x4")
     assert subs["x10"] == P("-x1*x4 - 1")
     assert subs["x7"] == P("-x2")
@@ -160,7 +171,7 @@ def test_back_substitutions_resolve_to_surviving_variables():
     for name in ("JKTIVb", "JKTII", "JKTI"):
         spec = case_spec(name)
         first_half = set(spec.first_half_variables())
-        for nm, expr in back_substitutions(spec, _entries(spec)):
+        for nm, expr in _back_substitutions(spec).items():
             used = {v.name for v in expr.variables() if v.name.startswith("x")}
             assert used <= first_half, (name, nm)
         # so an oracle trial, which reads only these, needs no back substitution
@@ -249,12 +260,14 @@ def test_dropped_entries_recorded():
 
 
 def test_consumed_entries_vanish_after_back_substitution():
+    """What closure_equations relies on without checking: every entry the
+    plan consumes vanishes identically under solve_in_order's solutions."""
     for name in ("JKTIVb", "JKTII", "JKTI"):
         spec = case_spec(name)
         entries = _entries(spec)
-        bind = {var_id(nm): poly for nm, poly in back_substitutions(spec, entries)}
+        solved = solve_in_order(entries, spec.back_sub_plan)
         for entry, _ in spec.back_sub_plan:
-            assert entries[entry].substitute(bind).is_zero()
+            assert entries[entry].substitute(solved).is_zero(), (name, entry)
 
 
 def test_inconsistent_plan_raises():
@@ -264,4 +277,4 @@ def test_inconsistent_plan_raises():
     bad = dataclasses.replace(
         spec, back_sub_plan=(((2, 2), "x9"),) + spec.back_sub_plan[1:])
     with pytest.raises(Exception):
-        back_substitutions(bad, _entries(bad))
+        solve_in_order(_entries(bad), bad.back_sub_plan)

@@ -284,7 +284,7 @@ def test_solve_linear_roundtrip_200_random_equations():
         coef = LaurentPoly.term(Fraction(rng.choice([-3, -1, 1, 2, 5])),
                                 Monomial(coef_mono.items()))
         rest = _random_poly(rng)
-        if rest.degree_in(target) != 0:
+        if target in rest.variables():
             continue
         eq = coef * LaurentPoly.variable(target.name) + rest
         expr = solve_linear(eq, target)
@@ -347,6 +347,28 @@ def test_evaluate_keeps_term_order_bit_for_bit(poly, points):
     for v in poly.variables():
         with pytest.raises(UnboundVariableError):
             poly.evaluate({w: z for w, z in values.items() if w is not v})
+
+
+@given(_polys(), st.lists(st.sampled_from(_EVAL_VARS), unique=True, max_size=3))
+def test_split_reassembles_in_term_order(poly, names):
+    """The parts reassemble to poly, hold no split variable, and keys and
+    terms come in poly's term order."""
+    variables = tuple(var_id(nm) for nm in names)
+    parts = poly.split(variables)
+    whole = LaurentPoly.zero()
+    for exps, coef in parts.items():
+        assert not coef.is_zero() and not coef.variables() & set(variables)
+        whole = whole + coef * LaurentPoly.term(1, Monomial(zip(variables, exps)))
+    assert whole == poly
+
+    def key(mono):
+        return tuple(mono.exponent(v) for v in variables)
+
+    assert list(parts) == list(dict.fromkeys(key(m) for m in poly.terms))
+    for exps, coef in parts.items():
+        power = Monomial(zip(variables, exps))
+        assert [(m * power, c) for m, c in coef.terms.items()] == [
+            (m, c) for m, c in poly.terms.items() if key(m) == exps]
 
 
 def test_evaluate_is_ring_homomorphism_numerically():

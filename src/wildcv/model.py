@@ -15,7 +15,8 @@ The twist class and the divisor fix four more facts, derived, not stored:
   fixed trace class ``Tr M = p``, ``Tr M^2 = q``;
 * invariant rewrite: exactly when the twist's torus is nontrivial;
 * gamma normalization: ``gamma = alpha^-1 * beta^-1`` (imposing
-  alpha*beta*gamma = 1) exactly for the untwisted cases (JKTVI, JKTIVb).
+  alpha*beta*gamma = 1) exactly for the untwisted cases (JKTVI, JKTIVb), as
+  one read-only ``{VarId: LaurentPoly}`` map that every consumer substitutes.
 
 The plan of the identity closure M = I fixes two more, both ``None`` without
 a plan: the split (the first layout holding a back-substituted coefficient)
@@ -34,7 +35,8 @@ import enum
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .polyring import LaurentPoly, PolyError, parse, var_id
 from .stokes import RationalAngle, singular_directions
@@ -117,7 +119,8 @@ _CLOSURE_BY_DIVISOR = {
     "3{inf}": ClosureCondition("identity"),
 }
 
-_GAMMA_NORMALIZATION = (("gamma", parse("alpha^-1*beta^-1")),)
+_GAMMA_NORMALIZATION = MappingProxyType({var_id("gamma"): parse("alpha^-1*beta^-1")})
+_NO_NORMALIZATION = MappingProxyType({})
 _ENTRIES = frozenset((i, j) for i in (1, 2, 3) for j in (1, 2, 3))
 
 
@@ -190,9 +193,10 @@ class CaseSpec:
         return self.twist.torus_dim > 0
 
     @property
-    def parameter_normalization(self) -> tuple:
-        """((varname, LaurentPoly), ...) applied before elimination."""
-        return _GAMMA_NORMALIZATION if self.twist is TwistClass.UNTWISTED else ()
+    def parameter_normalization(self) -> Mapping:
+        """Read-only {VarId: LaurentPoly}; empty unless the twist is untwisted."""
+        return (_GAMMA_NORMALIZATION if self.twist is TwistClass.UNTWISTED
+                else _NO_NORMALIZATION)
 
     @property
     def split_index(self) -> Optional[int]:

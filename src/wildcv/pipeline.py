@@ -13,8 +13,9 @@ keeps the float form of its terms after its first evaluation.  A run whose
 largest residual reaches the tolerance is settled by ``oracle_identity``, the
 same claim checked as an exact polynomial identity; so a PASS with a residual
 at or above ``ORACLE_TOLERANCE`` means that the identity held.  Solve
-equations that are not affine in the solve targets make the identity raise
-``NotLinearError``, so the run ends as an ``[oracle]`` error naming them.
+equations that are not affine in the solve targets (a bilinear x*y term, say)
+make ``oracle_sampling`` raise ``NotLinearError`` before the first trial, so
+the run ends as an ``[oracle]`` error naming the targets.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional
 from .polyring import (LaurentPoly, Monomial, NotLinearError, PolyError, solve_in_order,
                        var_id)
 from .stokes import SymMat3, formal_monodromy, stokes_matrix
-from .model import CaseSpec, CovStep, case_spec, validate_spec
+from .model import CaseSpec, case_spec, validate_spec
 from .monodromy import (ClosureSystem, closure_equations, monodromy_factors,
                         topological_monodromy)
 
@@ -37,6 +38,7 @@ ORACLE_TOLERANCE = 1e-9
 _UNIT_MIN_MODULUS = 0.1
 _PIVOT_FLOOR = 1e-8
 _MAX_RESAMPLES = 60
+_AFFINE_KEYS = ((1, 0), (0, 1), (0, 0))   # a solve row's t1, t2 and constant keys
 
 
 class ShapeError(PolyError):
@@ -113,14 +115,15 @@ def _eliminate_with_solutions(equations, plan, scale):
     return residual, tuple((v.name, expr) for v, expr in solved.items())
 
 
-def to_cubic_normal_form(residual: LaurentPoly, cov_steps) -> CubicSurface:
-    """Apply the change of variables and decompose into the cubic shape."""
+def to_cubic_normal_form(residual: LaurentPoly, cov_steps, normalization) -> CubicSurface:
+    """Apply the change of variables, each step's mapping and divisor taken
+    under the parameter normalization, and decompose into the cubic shape."""
     for step in cov_steps:
         if step.kind == "subst":
             residual = residual.substitute(
-                {var_id(nm): poly for nm, poly in step.mapping})
+                {var_id(nm): poly.substitute(normalization) for nm, poly in step.mapping})
         elif step.kind == "divide":
-            residual = residual * step.term.inverse_term()
+            residual = residual * step.term.substitute(normalization).inverse_term()
         else:
             raise ValueError(f"unknown cov step {step.kind!r}")
     return _decompose_cubic(residual)
@@ -185,26 +188,6 @@ class CaseReport:
 # --------------------------------------------------------------------------
 
 
-def _normalize(poly: LaurentPoly, spec: CaseSpec) -> LaurentPoly:
-    if not spec.parameter_normalization:
-        return poly
-    bind = {var_id(nm): val for nm, val in spec.parameter_normalization}
-    return poly.substitute(bind)
-
-
-def _normalize_steps(steps, spec: CaseSpec):
-    if not spec.parameter_normalization:
-        return steps
-    out = []
-    for step in steps:
-        if step.kind == "subst":
-            out.append(CovStep("subst", tuple(
-                (nm, _normalize(p, spec)) for nm, p in step.mapping)))
-        else:
-            out.append(CovStep("divide", (), _normalize(step.term, spec)))
-    return tuple(out)
-
-
 def _compare_expected(spec: CaseSpec, cubic: CubicSurface) -> ExpectedComparison:
     mismatches = []
     fixed = spec.expected.coefficients()
@@ -213,7 +196,7 @@ def _compare_expected(spec: CaseSpec, cubic: CubicSurface) -> ExpectedComparison
     for key, want in fixed.items():
         if want is None:
             continue
-        want = _normalize(want, spec)
+        want = want.substitute(spec.parameter_normalization)
         if got[key] != want:
             mismatches.append(f"{key}: expected {want}, derived {got[key]}")
     # the top/quadratic support is always pinned, so only c1..c4 may be free
@@ -244,19 +227,20 @@ def derive_case(name: str, trials: int = DEFAULT_TRIALS,
         factors = monodromy_factors(spec, matrices, H)
         M = topological_monodromy(factors)
 
-    det_is_one = _normalize(M.det(), spec) == LaurentPoly.constant(1)
+    norm = spec.parameter_normalization
+    det_is_one = M.det().substitute(norm) == LaurentPoly.constant(1)
 
     with _stage("closure"):
         closure = closure_equations(spec, M, factors)
 
-    normalized = tuple(_normalize(e, spec) for e in closure.equations)
+    normalized = tuple(e.substitute(norm) for e in closure.equations)
 
     with _stage("eliminate"):
         residual, eliminated = _eliminate_with_solutions(
-            normalized, spec.elimination_plan, _normalize(spec.residual_scale, spec))
+            normalized, spec.elimination_plan, spec.residual_scale.substitute(norm))
 
     with _stage("normal-form"):
-        cubic = to_cubic_normal_form(residual, _normalize_steps(spec.cov_steps, spec))
+        cubic = to_cubic_normal_form(residual, spec.cov_steps, norm)
 
     expected = _compare_expected(spec, cubic)
 
@@ -329,7 +313,9 @@ class OracleSampling:
     free_xvars: tuple        # Stokes-coefficient VarIds drawn at random
     solve_targets: tuple     # VarIds solved from solve_equations
     solve_equations: tuple   # the raw closure equations the targets occur in
+    solve_rows: tuple        # ((a1, a2, b), ...): each equation as a1*t1 + a2*t2 + b
     trace_params: tuple      # ((VarId, trace polynomial), ...), e.g. p = Tr M
+    xyz_map: tuple           # ((VarId, LaurentPoly), ...) pushforward to X, Y, Z
 
 
 def oracle_sampling(report: CaseReport) -> OracleSampling:
@@ -339,14 +325,15 @@ def oracle_sampling(report: CaseReport) -> OracleSampling:
     substitution step of the change of variables that binds only units
     (JKTV's alpha = r^2); the units left in the formal monodromy after them
     are sampled.  The surviving Stokes coefficients that are not solved for
-    are sampled freely.  Both are drawn in registry order.
+    are sampled freely.  Both are drawn in registry order.  Solve equations
+    that are not affine in the targets raise ``NotLinearError`` here, before
+    any trial.
     """
     spec = report.spec
-    bindings = list(spec.parameter_normalization)
+    derived = list(spec.parameter_normalization.items())
     for step in spec.cov_steps:
         if step.kind == "subst" and all(var_id(nm).unit for nm, _ in step.mapping):
-            bindings.extend(step.mapping)
-    derived = tuple((var_id(nm), poly) for nm, poly in bindings)
+            derived.extend((var_id(nm), poly) for nm, poly in step.mapping)
     H = report.formal_monodromy.substitute(_resolve(derived))
     units = tuple(sorted({v for row in H.rows for e in row for v in e.variables()
                           if v.unit}))
@@ -355,11 +342,19 @@ def oracle_sampling(report: CaseReport) -> OracleSampling:
                         - set(targets)))
     equations = tuple(eq for eq in report.closure.raw_equations
                       if eq.variables() & set(targets))[:len(targets)]
+    rows = []
+    for eq in equations:
+        parts = eq.split(targets)
+        if not parts.keys() <= set(_AFFINE_KEYS):
+            raise NotLinearError("solve equations are not affine in "
+                                 + ", ".join(t.name for t in targets))
+        rows.append(tuple(parts.get(key, LaurentPoly.zero()) for key in _AFFINE_KEYS))
     traces = report.closure.trace_polys or ()
     return OracleSampling(
-        sample_units=units, derived_units=derived, free_xvars=free,
-        solve_targets=targets, solve_equations=equations,
-        trace_params=tuple(zip(map(var_id, spec.closure.trace_symbols), traces)))
+        sample_units=units, derived_units=tuple(derived), free_xvars=free,
+        solve_targets=targets, solve_equations=equations, solve_rows=tuple(rows),
+        trace_params=tuple(zip(map(var_id, spec.closure.trace_symbols), traces)),
+        xyz_map=tuple((var_id(nm), expr) for nm, expr in spec.oracle.xyz_map))
 
 
 def _oracle_trial(report: CaseReport, sampling: OracleSampling,
@@ -383,8 +378,8 @@ def _oracle_trial(report: CaseReport, sampling: OracleSampling,
     if report.closure.dropped is not None:
         dropped_residual = abs(report.closure.dropped.evaluate(values))
 
-    for nm, expr in report.spec.oracle.xyz_map:
-        values[var_id(nm)] = expr.evaluate(values)
+    for v, expr in sampling.xyz_map:
+        values[v] = expr.evaluate(values)
 
     residual = abs(cubic.evaluate(values))
     return residual, dropped_residual
@@ -454,15 +449,13 @@ def oracle_identity(report: CaseReport, sampling: OracleSampling) -> bool:
 
     A trial's bindings, in its order of evaluation (the derived units, the
     trace parameters, ``xyz_map``), are resolved forward into one map, which
-    is substituted once into the cubic, the dropped entry and the solve
-    equations.  With no solve targets the cubic and the dropped entry must
-    vanish.  Otherwise the solve equations must be affine in the two targets
-    (``NotLinearError`` if not), with a Cramer determinant D that is not zero,
-    and D^k * f(N1/D, N2/D) must vanish for each f, where N1, N2 are Cramer's
-    numerators and k is f's joint degree in the targets.
+    is substituted once into the cubic, the dropped entry and the six
+    coefficients of the solve rows.  With no solve targets the cubic and the
+    dropped entry must vanish.  Otherwise the rows' Cramer determinant D must
+    not be zero, and D^k * f(N1/D, N2/D) must vanish for each f, where N1, N2
+    are Cramer's numerators and k is f's joint degree in the targets.
     """
-    xyz = tuple((var_id(nm), e) for nm, e in report.spec.oracle.xyz_map)
-    undo = _resolve(sampling.derived_units + sampling.trace_params + xyz)
+    undo = _resolve(sampling.derived_units + sampling.trace_params + sampling.xyz_map)
     polys = [report.cubic.reconstruct().substitute(undo)]
     if report.closure.dropped is not None:
         polys.append(report.closure.dropped.substitute(undo))
@@ -470,14 +463,8 @@ def oracle_identity(report: CaseReport, sampling: OracleSampling) -> bool:
         return all(f.is_zero() for f in polys)
 
     t1, t2 = sampling.solve_targets
-    zero = LaurentPoly.zero()
-    rows = []
-    for eq in sampling.solve_equations:
-        parts = eq.substitute(undo).split((t1, t2))
-        if not parts.keys() <= {(1, 0), (0, 1), (0, 0)}:
-            raise NotLinearError(f"solve equations are not affine in {t1.name}, {t2.name}")
-        rows.append([parts.get(key, zero) for key in ((1, 0), (0, 1), (0, 0))])
-    (a11, a12, b1), (a21, a22, b2) = rows
+    (a11, a12, b1), (a21, a22, b2) = ([c.substitute(undo) for c in row]
+                                      for row in sampling.solve_rows)
     d = a11 * a22 - a12 * a21
     if d.is_zero():
         return False

@@ -44,7 +44,7 @@ def _schedule(spec: CaseSpec) -> list:
 
 def report_to_dict(report: CaseReport) -> dict:
     spec = report.spec
-    conventions = [f"{nm} = {poly}" for nm, poly in spec.parameter_normalization]
+    conventions = [f"{v.name} = {p}" for v, p in spec.parameter_normalization.items()]
     cubic = {k: str(v) for k, v in report.cubic.coefficients().items()}
     cubic["equation"] = f"{report.cubic.reconstruct()} = 0"
     out = {
@@ -109,8 +109,8 @@ def spec_to_dict(spec: CaseSpec) -> dict:
                        for nm, mono in spec.generator_defs},
         "tautological_relation": str(spec.tautological),
         "uses_invariant_rewrite": spec.use_invariant_rewrite,
-        "parameter_normalization": {nm: str(p)
-                                    for nm, p in spec.parameter_normalization},
+        "parameter_normalization": {v.name: str(p)
+                                    for v, p in spec.parameter_normalization.items()},
         "split_index": spec.split_index,
         "back_substitution_plan": [[list(entry), nm]
                                    for entry, nm in spec.back_sub_plan],

@@ -74,7 +74,7 @@ def test_criterion_2_shape_reproduction():
         ok = ok and elapsed < 5.0
         # the decomposition itself guarantees no extraneous monomials
         from wildcv.pipeline import to_cubic_normal_form
-        ok = ok and to_cubic_normal_form(rep.cubic.reconstruct(), ()) == rep.cubic
+        ok = ok and to_cubic_normal_form(rep.cubic.reconstruct(), (), {}) == rep.cubic
     _line(2, "cubic-shape support for JKTVI, JKTV, JKTIVa (< 5 s each)", ok)
 
 

@@ -246,6 +246,11 @@ def _non_affine_targets(monkeypatch):
     _mutated_oracle_plan(monkeypatch, "JKTIVb", solve_targets=("x1", "x2"))
 
 
+def _bilinear_targets(monkeypatch):
+    """JKTII's solve equations in x2, x6 hold an x2*x6 term."""
+    _mutated_oracle_plan(monkeypatch, "JKTII", solve_targets=("x2", "x6"))
+
+
 @pytest.mark.parametrize("argv", [("derive", "--case", "JKTI"), ("verify",)],
                          ids=["derive", "verify"])
 @pytest.mark.parametrize("patch,line", [
@@ -253,7 +258,8 @@ def _non_affine_targets(monkeypatch):
     (_degenerate_trials, "error: [oracle] trial 0: resample budget exhausted"),
     (_unbound_xyz_map, "error: [oracle] unbound variable lam"),
     (_non_affine_targets, "error: [oracle] solve equations are not affine in x1, x2"),
-], ids=["derivation", "degenerate-sample", "unbound-variable", "non-affine"])
+    (_bilinear_targets, "error: [oracle] solve equations are not affine in x2, x6"),
+], ids=["derivation", "degenerate-sample", "unbound-variable", "non-affine", "bilinear"])
 def test_derivation_error_exits_three(argv, patch, line, capsys, monkeypatch):
     patch(monkeypatch)
     code = cli.main(list(argv))

@@ -107,19 +107,19 @@ def test_cubic_normal_form_jkti():
     system = _closure(spec)
     residual = _eliminate_with_solutions(
         system.equations, spec.elimination_plan, spec.residual_scale)[0]
-    cubic = to_cubic_normal_form(residual, spec.cov_steps)
+    cubic = to_cubic_normal_form(residual, spec.cov_steps, spec.parameter_normalization)
     assert cubic.reconstruct() == P("X*Y*Z + X + Y + 1")
 
 
 def test_cubic_normal_form_detects_stray_monomials():
     with pytest.raises(ShapeError):
-        to_cubic_normal_form(P("X^2*Y + 1"), ())
+        to_cubic_normal_form(P("X^2*Y + 1"), (), {})
 
 
 def test_stray_monomial_error_names_each_term():
     """Two terms of one stray XYZ pattern give two sorted entries."""
     with pytest.raises(ShapeError) as exc:
-        to_cubic_normal_form(P("X^2*Y*alpha + X^2*Y + 1"), ())
+        to_cubic_normal_form(P("X^2*Y*alpha + X^2*Y + 1"), (), {})
     assert str(exc.value) == ("stray monomials after change of variables: "
                               "X^2*Y, X^2*Y*alpha")
 
@@ -129,7 +129,7 @@ def test_cubic_reconstruction_shape_is_closed():
         cubic = _derived(name).cubic
         rebuilt = cubic.reconstruct()
         # decomposing the reconstruction is the identity
-        again = to_cubic_normal_form(rebuilt, ())
+        again = to_cubic_normal_form(rebuilt, (), {})
         assert again == cubic
 
 
@@ -278,6 +278,12 @@ def test_oracle_sampling_is_pinned(name):
     assert len(sampling.solve_equations) == len(sampling.solve_targets)
     assert tuple(poly for _, poly in sampling.trace_params) == (
         rep.closure.trace_polys or ())
+    assert tuple((v.name, e) for v, e in sampling.xyz_map) == rep.spec.oracle.xyz_map
+    # each solve row (a1, a2, b) is its equation as a1*t1 + a2*t2 + b
+    targets = [LaurentPoly.variable(v.name) for v in sampling.solve_targets]
+    assert len(sampling.solve_rows) == len(sampling.solve_equations)
+    for eq, (a1, a2, b) in zip(sampling.solve_equations, sampling.solve_rows):
+        assert a1 * targets[0] + a2 * targets[1] + b == eq
 
 
 # max_residual, max_dropped_residual and resamples at seeds 42 and 1000, as
@@ -412,7 +418,7 @@ def test_report_replays_stage_by_stage():
             spec, rep.stokes_matrices, rep.formal_monodromy))
         assert system.equations == rep.closure.equations
         # residual from the normalized closure system
-        norm = {var_id(nm): val for nm, val in spec.parameter_normalization}
+        norm = spec.parameter_normalization
         scaled = [eq.substitute(norm) for eq in system.equations]
         assert tuple(scaled) == rep.normalized_equations
         residual, solutions = _eliminate_with_solutions(
@@ -420,13 +426,7 @@ def test_report_replays_stage_by_stage():
             spec.residual_scale.substitute(norm))
         assert residual == rep.residual and solutions == rep.eliminated
         # cubic from the residual
-        steps = [s if s.kind == "divide" else
-                 type(s)("subst", tuple((n, p.substitute(norm))
-                                        for n, p in s.mapping))
-                 for s in spec.cov_steps]
-        steps = [type(s)("divide", (), s.term.substitute(norm))
-                 if s.kind == "divide" else s for s in steps]
-        assert to_cubic_normal_form(residual, steps) == rep.cubic
+        assert to_cubic_normal_form(residual, spec.cov_steps, norm) == rep.cubic
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
@@ -479,7 +479,7 @@ def test_pushforward_inverts_the_change_of_variables():
     for name in CASE_NAMES:
         rep = _derived(name)
         spec = rep.spec
-        norm = {var_id(nm): val for nm, val in spec.parameter_normalization}
+        norm = spec.parameter_normalization
         push = {var_id(nm): poly.substitute(norm)
                 for nm, poly in spec.oracle.xyz_map}
         right = rep.cubic.reconstruct().substitute(push)
@@ -520,8 +520,8 @@ def test_exact_rational_point_lies_on_the_surface(name):
     spec = rep.spec
     bind = {var_id(k): LaurentPoly.constant(Fraction(*v))
             for k, v in _EXACT_SAMPLES[name].items()}
-    for nm, expr in spec.parameter_normalization:
-        bind[var_id(nm)] = expr.substitute(bind)
+    for v, expr in spec.parameter_normalization.items():
+        bind[v] = expr.substitute(bind)
 
     if spec.oracle.solve_targets:
         t1, t2 = (var_id(nm) for nm in spec.oracle.solve_targets)

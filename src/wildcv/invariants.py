@@ -109,7 +109,7 @@ def rewrite_in_invariants(eq: LaurentPoly, defs) -> LaurentPoly:
             raise NotInvariantError(f"{mono} is not a product of the generators")
         return min(options)[1]
 
-    out = LaurentPoly.zero()
+    terms = []
     for mono, coef in eq.terms.items():
         xpart, rest = _x_split(mono, xnames)
         exps = best(xpart)
@@ -117,5 +117,5 @@ def rewrite_in_invariants(eq: LaurentPoly, defs) -> LaurentPoly:
         for (gname, _), e in zip(gens, exps):
             if e:
                 gmono = gmono * Monomial(((var_id(gname), e),))
-        out = out + LaurentPoly.term(coef, gmono)
-    return out
+        terms.append((gmono, coef))
+    return LaurentPoly.from_terms(terms)

@@ -417,7 +417,7 @@ def oracle_verify(report: CaseReport, trials: int = DEFAULT_TRIALS,
         max_drop = max(max_drop, drop)
     exact = None
     if max(max_res, max_drop) >= ORACLE_TOLERANCE:
-        exact = oracle_identity(report, sampling)
+        exact = oracle_identity(report, sampling, cubic)
     return OracleVerdict(seed=seed, trials=trials, max_residual=max_res,
                          max_dropped_residual=max_drop, resamples=resamples,
                          tolerance=ORACLE_TOLERANCE, exact=exact)
@@ -444,8 +444,10 @@ def _cleared(f: LaurentPoly, t1, t2, n1: LaurentPoly, n2: LaurentPoly,
     return total
 
 
-def oracle_identity(report: CaseReport, sampling: OracleSampling) -> bool:
-    """The oracle's claim as an exact polynomial identity.
+def oracle_identity(report: CaseReport, sampling: OracleSampling,
+                    cubic: LaurentPoly) -> bool:
+    """The oracle's claim as an exact polynomial identity; cubic is
+    ``report.cubic.reconstruct()``.
 
     A trial's bindings, in its order of evaluation (the derived units, the
     trace parameters, ``xyz_map``), are resolved forward into one map, which
@@ -456,7 +458,7 @@ def oracle_identity(report: CaseReport, sampling: OracleSampling) -> bool:
     are Cramer's numerators and k is f's joint degree in the targets.
     """
     undo = _resolve(sampling.derived_units + sampling.trace_params + sampling.xyz_map)
-    polys = [report.cubic.reconstruct().substitute(undo)]
+    polys = [cubic.substitute(undo)]
     if report.closure.dropped is not None:
         polys.append(report.closure.dropped.substitute(undo))
     if not sampling.solve_targets:

@@ -1,7 +1,8 @@
 """Exact multivariate Laurent-polynomial arithmetic over the rationals.
 
 Every symbolic value in this package is a ``LaurentPoly``: a canonical sparse
-sum of monomials with nonzero ``Fraction`` coefficients.  Variable names come
+sum of monomials with nonzero rational coefficients, each an ``int`` when its
+denominator is 1 and a ``Fraction`` otherwise.  Variable names come
 from a closed registry.  A handful of variables (``alpha``, ``beta``,
 ``gamma``, ``r``, and the torus/root-of-unity scalars ``lam``, ``mu``, ``e``)
 are *units*: they may carry negative exponents and may be inverted.  All other
@@ -138,10 +139,43 @@ class Monomial:
         return isinstance(other, Monomial) and self.exps == other.exps
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.exps)
-        for v, k in other.exps:
-            merged[v] = merged.get(v, 0) + k
-        return Monomial(merged.items())
+        """Merge the two sorted exponent tuples; the product of two valid
+        monomials is valid, so it skips ``__init__``'s checks."""
+        a, b = self.exps, other.exps
+        if not b:
+            return self
+        if not a:
+            return other
+        out = []
+        i = j = 0
+        va, ka = a[0]
+        vb, kb = b[0]
+        while True:
+            if va.index < vb.index:
+                out.append(a[i])
+                i += 1
+                if i == len(a):
+                    out.extend(b[j:])
+                    break
+                va, ka = a[i]
+            elif vb.index < va.index:
+                out.append(b[j])
+                j += 1
+                if j == len(b):
+                    out.extend(a[i:])
+                    break
+                vb, kb = b[j]
+            else:
+                if ka + kb:
+                    out.append((va, ka + kb))
+                i += 1
+                j += 1
+                if i == len(a) or j == len(b):
+                    out.extend(a[i:] or b[j:])
+                    break
+                va, ka = a[i]
+                vb, kb = b[j]
+        return _monomial(tuple(out))
 
     def divide(self, other: "Monomial"):
         """Exact quotient self/other, or None when not divisible (non-units only go down)."""
@@ -188,6 +222,14 @@ class Monomial:
     __repr__ = __str__
 
 
+def _monomial(exps: tuple) -> Monomial:
+    """A Monomial of exponent pairs already sorted, nonzero and in domain."""
+    m = object.__new__(Monomial)
+    m.exps = exps
+    m._hash = hash(exps)
+    return m
+
+
 _MONOMIAL_ONE = Monomial(())
 
 
@@ -196,16 +238,42 @@ _MONOMIAL_ONE = Monomial(())
 # --------------------------------------------------------------------------
 
 
-def _coerce_scalar(c) -> Fraction:
+def _coerce_scalar(c) -> Scalar:
+    """c in canonical form: an ``int``, or a ``Fraction`` whose denominator
+    is not 1."""
     if isinstance(c, Fraction):
-        return c
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"not an exact scalar: {c!r}")
 
 
+def _accumulate(out: dict, pairs: Iterable[tuple[Monomial, Scalar]]) -> dict:
+    """Add each (monomial, coefficient) pair into out, in order: a new
+    monomial goes last, a sum is kept canonical, and a zero sum is removed."""
+    for m, c in pairs:
+        s = out.get(m)
+        if s is not None:
+            c = s + c
+        if type(c) is not int and c.denominator == 1:
+            c = c.numerator
+        if c:
+            out[m] = c
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _poly(terms: dict) -> "LaurentPoly":
+    """A LaurentPoly of terms already canonical and without zeros."""
+    p = object.__new__(LaurentPoly)
+    p.terms = terms
+    return p
+
+
 class LaurentPoly:
-    """Immutable canonical polynomial: map monomial -> nonzero rational.
+    """Immutable canonical polynomial: map monomial -> nonzero rational, an
+    ``int`` when its denominator is 1 and a ``Fraction`` otherwise.
 
     ``_floats`` holds the float form that ``evaluate`` builds on its first
     call, ``((complex coefficient, exponent pairs), ...)`` in term order.
@@ -213,8 +281,9 @@ class LaurentPoly:
 
     __slots__ = ("terms", "_floats")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction]):
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+    def __init__(self, terms: Mapping[Monomial, Scalar]):
+        coerced = ((m, _coerce_scalar(c)) for m, c in terms.items())
+        self.terms = {m: c for m, c in coerced if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -224,33 +293,33 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, c: Scalar) -> "LaurentPoly":
-        return cls({_MONOMIAL_ONE: _coerce_scalar(c)})
+        return cls({_MONOMIAL_ONE: c})
 
     @classmethod
     def variable(cls, name: str, exponent: int = 1) -> "LaurentPoly":
-        return cls({Monomial(((var_id(name), exponent),)): Fraction(1)})
+        return cls({Monomial(((var_id(name), exponent),)): 1})
 
     @classmethod
     def term(cls, coef: Scalar, mono: Monomial) -> "LaurentPoly":
-        return cls({mono: _coerce_scalar(coef)})
+        return cls({mono: coef})
+
+    @classmethod
+    def from_terms(cls, pairs: Iterable[tuple[Monomial, Scalar]]) -> "LaurentPoly":
+        """The sum of (monomial, coefficient) pairs, added in order into one
+        dict: the terms and their order are those of adding each pair as a
+        ``term`` to zero in turn."""
+        return _poly(_accumulate({}, ((m, _coerce_scalar(c)) for m, c in pairs)))
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
         other = _lift(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return LaurentPoly(out)
+        return _poly(_accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({m: -c for m, c in self.terms.items()})
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-_lift(other))
@@ -259,17 +328,9 @@ class LaurentPoly:
         return _lift(other) + (-self)
 
     def __mul__(self, other):
-        other = _lift(other)
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return LaurentPoly(out)
+        b = _lift(other).terms.items()
+        return _poly(_accumulate({}, ((m1 * m2, c1 * c2)
+                                      for m1, c1 in self.terms.items() for m2, c2 in b)))
 
     __rmul__ = __mul__
 
@@ -314,9 +375,9 @@ class LaurentPoly:
             key = tuple(m.exponent(v) for v in variables)
             rest = Monomial((v, k) for v, k in m.exps if v not in variables)
             parts.setdefault(key, {})[rest] = c
-        return {key: LaurentPoly(terms) for key, terms in parts.items()}
+        return {key: _poly(terms) for key, terms in parts.items()}
 
-    def single_term(self) -> tuple[Fraction, Monomial]:
+    def single_term(self) -> tuple[Scalar, Monomial]:
         if len(self.terms) != 1:
             raise NotInvertibleError(f"not a single term: {self}")
         ((m, c),) = self.terms.items()
@@ -325,7 +386,7 @@ class LaurentPoly:
     def inverse_term(self) -> "LaurentPoly":
         """Inverse of a single term whose monomial involves only unit variables."""
         c, m = self.single_term()
-        return LaurentPoly({m.inverse(): Fraction(1) / c})
+        return LaurentPoly({m.inverse(): Fraction(1, c)})
 
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda it: it[0].sort_key(), reverse=True)
@@ -340,26 +401,17 @@ class LaurentPoly:
         """
         if not bindings:
             return self
-        out = LaurentPoly.zero()
-        inv_cache: dict = {}
+        out: dict = {}
+        powers: dict = {}    # (v, k) -> the image of v^k
         for m, c in self.terms.items():
-            acc = LaurentPoly.constant(c)
-            for v, k in m.exps:
-                b = bindings.get(v)
-                if b is None:
-                    acc = acc * LaurentPoly({Monomial(((v, k),)): Fraction(1)})
-                elif k >= 0:
-                    acc = acc * b ** k
-                else:
-                    if v not in inv_cache:
-                        try:
-                            inv_cache[v] = b.inverse_term()
-                        except PolyError as exc:
-                            raise SubstitutionDomainError(
-                                f"cannot invert binding of {v.name}: {b}") from exc
-                    acc = acc * inv_cache[v] ** (-k)
-            out = out + acc
-        return out
+            acc = _poly({_MONOMIAL_ONE: c})
+            for vk in m.exps:
+                f = powers.get(vk)
+                if f is None:
+                    f = powers[vk] = _power_image(vk, bindings)
+                acc = acc * f
+            _accumulate(out, acc.terms.items())
+        return _poly(out)
 
     def evaluate(self, values: Mapping[VarId, complex]) -> complex:
         """Direct term-by-term numeric evaluation, in term order; the float
@@ -384,6 +436,21 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"<{format_poly(self)}>"
+
+
+def _power_image(vk: tuple, bindings: Mapping[VarId, LaurentPoly]) -> LaurentPoly:
+    """v^k under bindings; an unbound v passes through."""
+    v, k = vk
+    b = bindings.get(v)
+    if b is None:
+        return _poly({_monomial((vk,)): 1})
+    if k >= 0:
+        return b ** k
+    try:
+        inverse = b.inverse_term()
+    except PolyError as exc:
+        raise SubstitutionDomainError(f"cannot invert binding of {v.name}: {b}") from exc
+    return inverse ** -k
 
 
 def _lift(x) -> LaurentPoly:
@@ -489,7 +556,7 @@ def parse(text: str) -> LaurentPoly:
     ``a`` or ``a/b``, or a name with an optional ``^k``.  Terms after the first
     must follow a ``+`` or ``-``.
     """
-    total = LaurentPoly.zero()
+    terms = []
     pos = 0
     while True:
         signs = _SIGNS.match(text, pos)
@@ -512,8 +579,8 @@ def parse(text: str) -> LaurentPoly:
             if not text.startswith("*", pos):
                 break
             pos += 1
-        total = total + LaurentPoly.term(coef, Monomial(exps))
+        terms.append((Monomial(exps), coef))
         if pos == len(text):
-            return total
+            return LaurentPoly.from_terms(terms)
         if text[pos] not in "+-":
             raise ParseError(f"unexpected {text[pos]!r} at column {pos} of {text!r}")

@@ -332,7 +332,7 @@ def test_oracle_verify_reconstructs_once(monkeypatch):
 @pytest.mark.parametrize("name", CASE_NAMES)
 def test_oracle_identity_holds(name):
     rep = _derived(name)
-    assert oracle_identity(rep, oracle_sampling(rep)) is True
+    assert oracle_identity(rep, oracle_sampling(rep), rep.cubic.reconstruct()) is True
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
@@ -343,7 +343,8 @@ def test_oracle_identity_rejects_flipped_xyz_map(name):
     oracle = dataclasses.replace(spec.oracle, xyz_map=((nm, -expr), *rest))
     broken = dataclasses.replace(
         rep, spec=dataclasses.replace(spec, oracle=oracle))
-    assert oracle_identity(broken, oracle_sampling(broken)) is False
+    assert oracle_identity(broken, oracle_sampling(broken),
+                           broken.cubic.reconstruct()) is False
     verdict = oracle_verify(broken, trials=10, seed=3)
     assert verdict.max_residual >= ORACLE_TOLERANCE
     assert verdict.exact is False
@@ -355,7 +356,8 @@ def test_oracle_identity_rejects_shifted_dropped_entry(name):
     rep = _derived(name)
     closure = dataclasses.replace(rep.closure, dropped=rep.closure.dropped + 1)
     broken = dataclasses.replace(rep, closure=closure)
-    assert oracle_identity(broken, oracle_sampling(broken)) is False
+    assert oracle_identity(broken, oracle_sampling(broken),
+                           broken.cubic.reconstruct()) is False
     assert not oracle_verify(broken, trials=10, seed=3).passed
 
 
@@ -367,6 +369,23 @@ def test_oracle_identity_settles_an_over_tolerance_trial():
     assert verdict.max_residual >= verdict.tolerance
     assert verdict.exact is True
     assert verdict.passed
+
+
+def test_oracle_identity_reuses_the_oracle_cubic(monkeypatch):
+    """A run that reaches the exact identity still builds the cubic once."""
+    calls = []
+    real = CubicSurface.reconstruct
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    rep = _derived("JKTII")
+    monkeypatch.setattr(CubicSurface, "reconstruct", counted)
+    verdict = oracle_verify(rep, seed=183888082)
+    assert verdict.max_residual == 1.4009083651216406e-09
+    assert verdict.exact is True
+    assert len(calls) == 1
 
 
 def test_sample_points_land_on_the_surface():

@@ -321,9 +321,9 @@ _points = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0,
 
 
 @st.composite
-def _polys(draw):
+def _polys(draw, max_terms=6):
     poly = LaurentPoly.zero()
-    for _ in range(draw(st.integers(0, 6))):
+    for _ in range(draw(st.integers(0, max_terms))):
         exps = [(var_id(nm), draw(st.integers(-3 if var_id(nm).unit else 0, 3)))
                 for nm in _EVAL_VARS]
         poly = poly + LaurentPoly.term(draw(_coefs), Monomial(exps))
@@ -392,3 +392,111 @@ def test_evaluate_is_ring_homomorphism_numerically():
 def test_addition_agrees_with_fractions(x, y):
     assert LaurentPoly.constant(x) + LaurentPoly.constant(y) \
         == LaurentPoly.constant(x + y)
+
+
+# --------------------------------------------------------------------------
+# ring invariants: coefficient form, monomial products, substitution order
+# --------------------------------------------------------------------------
+
+
+def _unit_terms():
+    """Single nonzero terms in unit variables: invertible values."""
+    return st.builds(lambda c, i, j: LaurentPoly.term(c, Monomial(
+        ((var_id("alpha"), i), (var_id("gamma"), j)))),
+        _coefs.filter(bool), st.integers(-2, 2), st.integers(-2, 2))
+
+
+def _assert_canonical(poly):
+    for c in poly.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+
+
+def test_coefficients_are_int_when_whole():
+    half = P("1/2*x1")
+    assert type((half + half).terms[Monomial(((var_id("x1"), 1),))]) is int
+    assert (half * P("2")).terms == {Monomial(((var_id("x1"), 1),)): 1}
+    for c in (Fraction(4, 2), 2, True):
+        (coef,) = LaurentPoly.constant(c).terms.values()
+        assert type(coef) is int
+    assert type(LaurentPoly({Monomial(()): Fraction(3)}).single_term()[0]) is int
+    assert P("-2*alpha").inverse_term() == P("-1/2*alpha^-1")
+    _assert_canonical(P("-1/2*alpha").inverse_term())
+    _assert_canonical(P("3*x1 + 3/2*x2"))
+
+
+@given(_polys(), _polys(), st.integers(0, 3), _unit_terms())
+def test_ring_operations_keep_coefficients_canonical(a, b, k, unit):
+    """Every coefficient is an int when its denominator is 1, and a Fraction
+    with a larger denominator otherwise, whatever produced it."""
+    x2 = var_id("x2")
+    rest = a.substitute({x2: LaurentPoly.zero()})
+    eq = unit * LaurentPoly.variable("x2") + rest
+    results = [a + b, a - b, -a, a * b, a ** k, parse(format_poly(a)),
+               a.substitute({x2: b, var_id("alpha"): unit}),
+               unit.inverse_term(), solve_linear(eq, x2)]
+    for poly in results:
+        _assert_canonical(poly)
+    assert solve_linear(eq, x2) == -rest * unit.inverse_term()
+
+
+_MONO_VARS = ("x1", "x2", "X", "alpha", "gamma", "e")
+
+
+@st.composite
+def _monomials(draw):
+    names = draw(st.lists(st.sampled_from(_MONO_VARS), unique=True))
+    return Monomial((var_id(nm), draw(st.integers(-3 if var_id(nm).unit else 0, 3)))
+                    for nm in names)
+
+
+@given(_monomials(), _monomials(), st.booleans())
+def test_monomial_product_matches_validating_constructor(a, b, cancel):
+    if cancel:    # b's unit exponents then cancel some of a's to zero
+        b = Monomial(b.exps + tuple((v, -k) for v, k in a.exps if v.unit))
+    got, want = a * b, Monomial(a.exps + b.exps)
+    assert got.exps == want.exps and got == want and hash(got) == hash(want)
+
+
+def _substitute_reference(poly, bindings):
+    """Term-by-term substitution: each term's image is built left to right
+    from its coefficient and added to the running sum."""
+    out = LaurentPoly.zero()
+    for m, c in poly.terms.items():
+        acc = LaurentPoly.constant(c)
+        for v, k in m.exps:
+            b = bindings.get(v)
+            if b is None:
+                acc = acc * LaurentPoly.term(1, Monomial(((v, k),)))
+            elif k >= 0:
+                acc = acc * b ** k
+            else:
+                acc = acc * b.inverse_term() ** -k
+        out = out + acc
+    return out
+
+
+@given(_polys(), st.data())
+def test_substitute_matches_term_by_term_reference(poly, data):
+    """Same terms, same coefficients, same insertion order; negative unit
+    exponents and unbound variables included."""
+    bindings = {}
+    for nm in data.draw(st.lists(st.sampled_from(_EVAL_VARS), unique=True)):
+        v = var_id(nm)
+        bindings[v] = data.draw(_unit_terms() if v.unit else _polys(max_terms=2))
+    got = poly.substitute(bindings)
+    assert list(got.terms.items()) == list(_substitute_reference(poly, bindings).terms.items())
+
+
+@given(st.lists(st.tuples(_monomials(), _coefs), max_size=8), st.data())
+def test_from_terms_adds_in_order(pairs, data):
+    """from_terms gives the terms, and the order, of adding each pair to zero
+    in turn; repeated monomials (some cancelling) included."""
+    if pairs:
+        extra = data.draw(st.lists(st.sampled_from(pairs), max_size=4))
+        pairs += [(m, -c if data.draw(st.booleans()) else c) for m, c in extra]
+    want = LaurentPoly.zero()
+    for m, c in pairs:
+        want = want + LaurentPoly.term(c, m)
+    got = LaurentPoly.from_terms(pairs)
+    assert list(got.terms.items()) == list(want.terms.items())
+    _assert_canonical(got)

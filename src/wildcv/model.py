@@ -5,7 +5,9 @@ the eigenvalue pair data that generates the Stokes directions, the schedule
 of Stokes matrices (which fresh variable sits at which direction and matrix
 position), the invariant-monomial generators, and the plans the pipeline
 executes verbatim: back substitutions, linear eliminations, affine changes of
-variables, and the expected final cubic.
+variables, and the expected cubic.  ``CubicSurface`` is the one cubic type:
+the cubic a derivation builds, and the cubic a case expects, whose free
+linear and constant coefficients are ``None``.
 
 The twist class and the divisor fix four more facts, derived, not stored:
 
@@ -38,7 +40,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .polyring import LaurentPoly, PolyError, parse, var_id
+from .polyring import LaurentPoly, Monomial, PolyError, parse, var_id
 from .stokes import RationalAngle, singular_directions
 
 
@@ -134,11 +136,20 @@ class CovStep:
     term: Optional[LaurentPoly] = None  # for divide
 
 
+# the cubic's shape: each coefficient's name and the XYZ exponents it multiplies
+_SLOTS = {"xyz": (1, 1, 1), "x2": (2, 0, 0), "y2": (0, 2, 0), "z2": (0, 0, 2),
+          "c1": (1, 0, 0), "c2": (0, 1, 0), "c3": (0, 0, 1), "c4": (0, 0, 0)}
+_XYZ_IDS = tuple(var_id(n) for n in ("X", "Y", "Z"))
+_SLOT_MONOMIALS = {name: LaurentPoly.term(1, Monomial(zip(_XYZ_IDS, exps)))
+                   for name, exps in _SLOTS.items()}
+
+
 @dataclass(frozen=True)
-class ExpectedCubic:
-    """Expected cubic for the case.  The top and quadratic coefficients are
-    always pinned; the linear/constant ones only where the case data fixes
-    them in closed form (the rest are pinned by golden files)."""
+class CubicSurface:
+    """xyz*XYZ + x2*X^2 + y2*Y^2 + z2*Z^2 + c1*X + c2*Y + c3*Z + c4 = 0,
+    with coefficients that are exact polynomials in the parameters only.  Only
+    a case's expected cubic leaves some of c1..c4 ``None``: those the case
+    data does not fix in closed form (the golden files pin them)."""
 
     xyz: LaurentPoly
     x2: LaurentPoly
@@ -148,6 +159,10 @@ class ExpectedCubic:
     c2: Optional[LaurentPoly] = None
     c3: Optional[LaurentPoly] = None
     c4: Optional[LaurentPoly] = None
+
+    def reconstruct(self) -> LaurentPoly:
+        return sum((getattr(self, name) * mono for name, mono in _SLOT_MONOMIALS.items()),
+                   LaurentPoly.zero())
 
     def coefficients(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -175,7 +190,7 @@ class CaseSpec:
     tautological: LaurentPoly
     elimination_plan: tuple        # ((equation index, varname), ...)
     cov_steps: tuple
-    expected: ExpectedCubic
+    expected: CubicSurface
     oracle: OraclePlan
     back_sub_plan: tuple = ()      # (((i, j), varname), ...)
     residual_entries: tuple = ()   # (((i, j), scale LaurentPoly), ...)
@@ -228,20 +243,16 @@ class CaseSpec:
 # --------------------------------------------------------------------------
 
 
-def _ang(num: int, den: int = 1) -> RationalAngle:
-    return RationalAngle.of(num, den)
-
-
 def _pairs(data) -> tuple:
     return tuple(
-        EigenvaluePairSpec(label, l, _ang(num, den))
+        EigenvaluePairSpec(label, l, RationalAngle.of(num, den))
         for (label, l, (num, den)) in data
     )
 
 
 def _layouts(data) -> tuple:
     return tuple(
-        StokesEntryLayout(_ang(num, den), tuple(entries))
+        StokesEntryLayout(RationalAngle.of(num, den), tuple(entries))
         for ((num, den), entries) in data
     )
 
@@ -304,8 +315,8 @@ def _build_jktvi() -> CaseSpec:
                    S="-Z - 1 + p*gamma^-1"),
             _divide("-1"),
         ),
-        expected=ExpectedCubic(xyz=parse("gamma"), x2=parse("alpha"),
-                               y2=parse("beta"), z2=parse("gamma")),
+        expected=CubicSurface(xyz=parse("gamma"), x2=parse("alpha"),
+                              y2=parse("beta"), z2=parse("gamma")),
         oracle=OraclePlan(
             solve_targets=(),
             xyz_map=(("X", parse("-x3*x6 - beta*gamma^-1 - 1")),
@@ -338,8 +349,8 @@ def _build_jktv() -> CaseSpec:
             _subst(alpha="r^2"),
             _subst(T="X - r^-2", V="r^-1*Y - 1", W="r^-1*Z"),
         ),
-        expected=ExpectedCubic(xyz=parse("1"), x2=parse("1"),
-                               y2=parse("1"), z2=parse("0")),
+        expected=CubicSurface(xyz=parse("1"), x2=parse("1"),
+                              y2=parse("1"), z2=parse("0")),
         oracle=OraclePlan(
             solve_targets=(),
             xyz_map=(("X", parse("x3*x5 + r^-2")),
@@ -371,10 +382,10 @@ def _build_jktiva() -> CaseSpec:
         elimination_plan=((0, "x1"),),
         residual_scale=LaurentPoly.constant(Fraction(1, 2)),
         cov_steps=(_subst(x3="X", x2="Y", x4="Z"),),
-        expected=ExpectedCubic(xyz=parse("1"), x2=parse("1"),
-                               y2=parse("0"), z2=parse("0"),
-                               c1=parse("-p"), c2=parse("1"), c3=parse("1"),
-                               c4=parse("1/2*p^2 - 1/2*q")),
+        expected=CubicSurface(xyz=parse("1"), x2=parse("1"),
+                              y2=parse("0"), z2=parse("0"),
+                              c1=parse("-p"), c2=parse("1"), c3=parse("1"),
+                              c4=parse("1/2*p^2 - 1/2*q")),
         oracle=OraclePlan(
             solve_targets=(),
             xyz_map=(("X", parse("x3")), ("Y", parse("x2")), ("Z", parse("x4"))),
@@ -409,12 +420,12 @@ def _build_jktivb() -> CaseSpec:
         residual_entries=(((3, 3), parse("gamma")), ((2, 2), parse("1"))),
         elimination_plan=((0, "T"), (1, "R")),
         cov_steps=(_subst(U="X - 1", V="Y - 1", W="Z - 1"),),
-        expected=ExpectedCubic(xyz=parse("1"), x2=parse("0"),
-                               y2=parse("1"), z2=parse("0"),
-                               c1=parse("-gamma^-1"),
-                               c2=parse("-alpha - gamma^-1 - 1"),
-                               c3=parse("-alpha"),
-                               c4=parse("alpha*gamma^-1 + alpha + gamma^-1")),
+        expected=CubicSurface(xyz=parse("1"), x2=parse("0"),
+                              y2=parse("1"), z2=parse("0"),
+                              c1=parse("-gamma^-1"),
+                              c2=parse("-alpha - gamma^-1 - 1"),
+                              c3=parse("-alpha"),
+                              c4=parse("alpha*gamma^-1 + alpha + gamma^-1")),
         oracle=OraclePlan(
             solve_targets=("x5", "x6"),
             xyz_map=(("X", parse("x1*x4 + 1")),
@@ -456,10 +467,10 @@ def _build_jktii() -> CaseSpec:
             _subst(Yp="alpha^-1*Y"),
             _divide("alpha^-1"),
         ),
-        expected=ExpectedCubic(xyz=parse("1"), x2=parse("0"),
-                               y2=parse("0"), z2=parse("0"),
-                               c1=parse("-1"), c2=parse("-alpha^-1"),
-                               c3=parse("-1"), c4=parse("1 + alpha^-1")),
+        expected=CubicSurface(xyz=parse("1"), x2=parse("0"),
+                              y2=parse("0"), z2=parse("0"),
+                              c1=parse("-1"), c2=parse("-alpha^-1"),
+                              c3=parse("-1"), c4=parse("1 + alpha^-1")),
         oracle=OraclePlan(
             solve_targets=("x5", "x6"),
             xyz_map=(("X", parse("x2*x5 + 1")),
@@ -495,10 +506,10 @@ def _build_jkti() -> CaseSpec:
         residual_entries=(((2, 3), parse("1")), ((1, 2), parse("-1"))),
         elimination_plan=((0, "x3"),),
         cov_steps=(_subst(x1="-X", x2="Y", x4="-Z"),),
-        expected=ExpectedCubic(xyz=parse("1"), x2=parse("0"),
-                               y2=parse("0"), z2=parse("0"),
-                               c1=parse("1"), c2=parse("1"),
-                               c3=parse("0"), c4=parse("1")),
+        expected=CubicSurface(xyz=parse("1"), x2=parse("0"),
+                              y2=parse("0"), z2=parse("0"),
+                              c1=parse("1"), c2=parse("1"),
+                              c3=parse("0"), c4=parse("1")),
         oracle=OraclePlan(
             solve_targets=("x1", "x3"),
             xyz_map=(("X", parse("-x1")), ("Y", parse("x2")), ("Z", parse("-x4"))),

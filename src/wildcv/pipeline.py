@@ -4,9 +4,10 @@ A derivation runs: closure system -> parameter normalization -> linear
 elimination down to a single residual -> affine change of variables -> cubic
 normal form, then verifies the result against the expected surface and a
 seeded numeric oracle that samples points on the constraint locus and checks
-that the cubic vanishes there.  The cubic's shape is one table, ``_SLOTS``,
-which both the normal form (reading the residual with ``LaurentPoly.split``
-in X, Y, Z) and ``CubicSurface.reconstruct`` read.
+that the cubic vanishes there.  The cubic's type, ``CubicSurface``, and its
+shape table live in ``model``: the normal form reads the residual with
+``LaurentPoly.split`` in X, Y, Z into the same slots that a case's expected
+cubic and ``CubicSurface.reconstruct`` use.
 
 The oracle builds the cubic polynomial once per run, and each polynomial
 keeps the float form of its terms after its first evaluation.  A run whose
@@ -22,13 +23,13 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .polyring import (LaurentPoly, Monomial, NotLinearError, PolyError, solve_in_order,
                        var_id)
 from .stokes import SymMat3, formal_monodromy, stokes_matrix
-from .model import CaseSpec, case_spec, validate_spec
+from .model import _SLOTS, _XYZ_IDS, CaseSpec, CubicSurface, case_spec, validate_spec
 from .monodromy import (ClosureSystem, closure_equations, monodromy_factors,
                         topological_monodromy)
 
@@ -54,37 +55,8 @@ class DerivationError(PolyError):
 
 
 # --------------------------------------------------------------------------
-# cubic surfaces
+# elimination and normal form
 # --------------------------------------------------------------------------
-
-# the cubic's shape: each coefficient's name and the XYZ exponents it multiplies
-_SLOTS = {"xyz": (1, 1, 1), "x2": (2, 0, 0), "y2": (0, 2, 0), "z2": (0, 0, 2),
-          "c1": (1, 0, 0), "c2": (0, 1, 0), "c3": (0, 0, 1), "c4": (0, 0, 0)}
-_XYZ_IDS = tuple(var_id(n) for n in ("X", "Y", "Z"))
-_SLOT_MONOMIALS = {name: LaurentPoly.term(1, Monomial(zip(_XYZ_IDS, exps)))
-                   for name, exps in _SLOTS.items()}
-
-
-@dataclass(frozen=True)
-class CubicSurface:
-    """xyz*XYZ + x2*X^2 + y2*Y^2 + z2*Z^2 + c1*X + c2*Y + c3*Z + c4 = 0,
-    with coefficients that are exact polynomials in the parameters only."""
-
-    xyz: LaurentPoly
-    x2: LaurentPoly
-    y2: LaurentPoly
-    z2: LaurentPoly
-    c1: LaurentPoly
-    c2: LaurentPoly
-    c3: LaurentPoly
-    c4: LaurentPoly
-
-    def reconstruct(self) -> LaurentPoly:
-        return sum((getattr(self, name) * mono for name, mono in _SLOT_MONOMIALS.items()),
-                   LaurentPoly.zero())
-
-    def coefficients(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _decompose_cubic(poly: LaurentPoly) -> CubicSurface:
@@ -97,11 +69,6 @@ def _decompose_cubic(poly: LaurentPoly) -> CubicSurface:
                          + ", ".join(sorted(stray)))
     return CubicSurface(**{name: parts.get(exps, LaurentPoly.zero())
                            for name, exps in _SLOTS.items()})
-
-
-# --------------------------------------------------------------------------
-# elimination and normal form
-# --------------------------------------------------------------------------
 
 
 def _eliminate_with_solutions(equations, plan, scale):

@@ -187,14 +187,12 @@ class Monomial:
         except ExponentDomainError:
             return None
 
-    def pow(self, k: int) -> "Monomial":
-        return Monomial((v, e * k) for v, e in self.exps)
-
     def inverse(self) -> "Monomial":
         for v, _ in self.exps:
             if not v.unit:
                 raise NotInvertibleError(f"{self} contains non-unit {v.name}")
-        return self.pow(-1)
+        # negated unit exponents stay sorted, nonzero and in domain
+        return _monomial(tuple((v, -k) for v, k in self.exps))
 
     def total_degree(self) -> int:
         return sum(k for _, k in self.exps)

@@ -11,26 +11,16 @@ from fractions import Fraction
 
 from wildcv.invariants import invariant_monomials
 from wildcv.model import CASE_NAMES, case_spec, tautological_check, torus_weights
-from wildcv.monodromy import (closure_equations, monodromy_factors,
-                              topological_monodromy)
+from wildcv.monodromy import topological_monodromy
 from wildcv.pipeline import derive_case
 from wildcv.polyring import (LaurentPoly, Monomial, parse, solve_linear, var_id)
 from wildcv.stokes import (RationalAngle, SymMat3, formal_monodromy,
                            singular_directions, stokes_matrix)
 
+from _support import case_closure, case_factors
+
 P = parse
 GAMMA_UNIT = {var_id("gamma"): P("alpha^-1*beta^-1")}
-
-
-def _factors(spec):
-    """(L, R) of the case's monodromy, built from its schedule and twist."""
-    return monodromy_factors(spec, [stokes_matrix(l) for l in spec.schedule],
-                             formal_monodromy(spec.twist.ramification_index))
-
-
-def _closure(spec):
-    factors = _factors(spec)
-    return closure_equations(spec, topological_monodromy(factors), factors)
 
 
 def _line(number, label, ok):
@@ -81,7 +71,7 @@ def test_criterion_2_shape_reproduction():
 def test_criterion_3_intermediate_formulas():
     ok = True
     # JKTIVa traces and eliminated equation
-    m = topological_monodromy(_factors(case_spec("JKTIVa")))
+    m = topological_monodromy(case_factors(case_spec("JKTIVa")))
     ok = ok and m.trace() == P("x1 + x3 + x2*x4")
     ok = ok and (m * m).trace() == P(
         "2*x4 + x1^2 + 2*x2 + 2*x1*x2*x4 + x3^2 + x2^2*x4^2 + 2*x2*x3*x4")
@@ -89,7 +79,7 @@ def test_criterion_3_intermediate_formulas():
     ok = ok and rep.residual == P(
         "x2*x3*x4 + x3^2 + x4 - p*x3 + x2 + 1/2*p^2 - 1/2*q")
     # JKTIVb partial product display, entrywise
-    left, right = _factors(case_spec("JKTIVb"))
+    left, right = case_factors(case_spec("JKTIVb"))
     right = right.inverse()
     lhs_rows = [
         ["1", "x1", "x2"],
@@ -165,7 +155,7 @@ def test_criterion_5_invariant_theory():
     for name in CASE_NAMES:
         spec = case_spec(name)
         ok = ok and tautological_check(spec.generator_defs, spec.tautological)
-        system = _closure(spec)
+        system = case_closure(spec)
         weights = torus_weights(spec)
         scaling = {}
         for vn, weight in weights.items():
@@ -221,7 +211,7 @@ def test_criterion_7_property_suites():
     ident = SymMat3.identity()
     for name in CASE_NAMES:
         spec = case_spec(name)
-        det = topological_monodromy(_factors(spec)).det()
+        det = topological_monodromy(case_factors(spec)).det()
         if spec.parameter_normalization:
             det = det.substitute(GAMMA_UNIT)
         ok = ok and det == P("1")

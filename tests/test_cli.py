@@ -13,6 +13,8 @@ from wildcv.model import CASE_NAMES, case_spec
 from wildcv.pipeline import DegenerateSampleError, DerivationError
 from wildcv.polyring import parse
 
+from _support import patch_expected
+
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -112,6 +114,14 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     code, out = _run(capsys, "verify", "--case", "JKTI", "--trials", "5")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_prints_a_real_expected_mismatch(capsys, monkeypatch):
+    patch_expected(monkeypatch, "JKTI", c3=parse("1"))
+    code, out = _run(capsys, "verify", "--case", "JKTI", "--trials", "5")
+    assert code == 1
+    assert "    JKTI: c3: expected 1, derived 0" in out.splitlines()
+    assert "exact:MISMATCH" in out and "FAILED: JKTI" in out
 
 
 def test_dump_spec(capsys):

@@ -8,23 +8,13 @@ from wildcv.invariants import (NotInvariantError, invariant_monomials,
                                rewrite_in_invariants)
 from wildcv.model import (CASE_NAMES, case_spec, tautological_check,
                           torus_weight_of_position, torus_weights, TwistClass)
-from wildcv.monodromy import (closure_equations, monodromy_factors,
-                              topological_monodromy)
+from wildcv.monodromy import topological_monodromy
 from wildcv.polyring import LaurentPoly, Monomial, parse, var_id
 from wildcv.stokes import SymMat3, formal_monodromy, stokes_matrix
 
+from _support import case_closure, case_factors
+
 P = parse
-
-
-def _factors(spec):
-    """(L, R) of the case's monodromy, built from its schedule and twist."""
-    return monodromy_factors(spec, [stokes_matrix(l) for l in spec.schedule],
-                             formal_monodromy(spec.twist.ramification_index))
-
-
-def _closure(spec):
-    factors = _factors(spec)
-    return closure_equations(spec, topological_monodromy(factors), factors)
 
 
 def _mono(text):
@@ -173,7 +163,7 @@ def test_rewrite_roundtrip_on_every_closure_equation():
         spec = case_spec(name)
         if not spec.use_invariant_rewrite:
             continue
-        system = _closure(spec)
+        system = case_closure(spec)
         bind = {var_id(nm): LaurentPoly.term(1, mono)
                 for nm, mono in spec.generator_defs}
         for raw, rewritten in zip(system.raw_equations, system.equations):
@@ -220,7 +210,7 @@ def _torus_scaling(spec):
 def test_closure_equations_fixed_by_torus_scaling():
     for name in CASE_NAMES:
         spec = case_spec(name)
-        system = _closure(spec)
+        system = case_closure(spec)
         scaling = _torus_scaling(spec)
         defs = {var_id(nm): LaurentPoly.term(1, mono)
                 for nm, mono in spec.generator_defs}
@@ -247,7 +237,7 @@ def test_traces_fixed_under_matrix_conjugation():
             return SymMat3([[diag[i] * m.rows[i][j] * diag_inv[j]
                              for j in range(3)] for i in range(3)])
 
-        M = topological_monodromy(_factors(spec))
+        M = topological_monodromy(case_factors(spec))
         prod = SymMat3.identity()
         for layout in spec.schedule:
             prod = conj(stokes_matrix(layout)) * prod

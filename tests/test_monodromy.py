@@ -4,25 +4,20 @@ written matrix displays and equation systems."""
 import pytest
 
 from wildcv.model import CASE_NAMES, case_spec
-from wildcv.monodromy import (closure_equations, monodromy_factors,
-                              topological_monodromy)
+from wildcv.monodromy import topological_monodromy
 from wildcv.polyring import parse, solve_in_order, var_id
-from wildcv.stokes import SymMat3, formal_monodromy, stokes_matrix
+from wildcv.stokes import SymMat3
+
+from _support import case_closure, case_factors
 
 P = parse
 
 GAMMA_UNIT = {var_id("gamma"): P("alpha^-1*beta^-1")}
 
 
-def _factors(spec):
-    """(L, R) of the case's monodromy, built from its schedule and twist."""
-    return monodromy_factors(spec, [stokes_matrix(l) for l in spec.schedule],
-                             formal_monodromy(spec.twist.ramification_index))
-
-
 def _split(spec):
     """(L, R^-1) of the case's monodromy: M = I reads L = R^-1."""
-    left, right = _factors(spec)
+    left, right = case_factors(spec)
     return left, right.inverse()
 
 
@@ -53,21 +48,21 @@ def _assert_matrix(mat: SymMat3, rows):
 def test_every_monodromy_has_determinant_one():
     for name in CASE_NAMES:
         spec = case_spec(name)
-        det = topological_monodromy(_factors(spec)).det()
+        det = topological_monodromy(case_factors(spec)).det()
         if spec.parameter_normalization:
             det = det.substitute(GAMMA_UNIT)
         assert det == P("1"), name
 
 
 def test_jktiva_trace_formulas():
-    M = topological_monodromy(_factors(case_spec("JKTIVa")))
+    M = topological_monodromy(case_factors(case_spec("JKTIVa")))
     assert M.trace() == P("x1 + x3 + x2*x4")
     assert (M * M).trace() == P(
         "2*x4 + x1^2 + 2*x2 + 2*x1*x2*x4 + x3^2 + x2^2*x4^2 + 2*x2*x3*x4")
 
 
 def test_jktvi_monodromy_rows():
-    M = topological_monodromy(_factors(case_spec("JKTVI")))
+    M = topological_monodromy(case_factors(case_spec("JKTVI")))
     _assert_matrix(M, [
         ["alpha", "alpha*x1", "alpha*x2"],
         ["beta*x4", "beta*x1*x4 + beta", "beta*x3 + beta*x2*x4"],
@@ -188,8 +183,7 @@ def test_back_substitutions_resolve_to_surviving_variables():
 
 def _system(name):
     spec = case_spec(name)
-    factors = _factors(spec)
-    return spec, closure_equations(spec, topological_monodromy(factors), factors)
+    return spec, case_closure(spec)
 
 
 def test_jktvi_closure_system_equations():

@@ -7,15 +7,16 @@ import pathlib
 import pytest
 
 from wildcv.model import CASE_NAMES, case_spec
-from wildcv.monodromy import (closure_equations, monodromy_factors,
-                              topological_monodromy)
+from wildcv.monodromy import monodromy_factors
 from wildcv.pipeline import (ORACLE_TOLERANCE, CubicSurface, ShapeError,
                              _eliminate_with_solutions, derive_case,
                              oracle_identity, oracle_sampling, oracle_verify,
                              specialize_unit_cube_root, to_cubic_normal_form)
 from wildcv.polyring import LaurentPoly, parse, var_id
 from wildcv.report import report_to_dict
-from wildcv.stokes import formal_monodromy, stokes_matrix
+from wildcv.stokes import formal_monodromy
+
+from _support import case_closure, patch_expected
 
 P = parse
 
@@ -28,17 +29,6 @@ def _derived(name):
     return derive_case(name, run_oracle=False)
 
 
-def _factors(spec):
-    """(L, R) of the case's monodromy, built from its schedule and twist."""
-    return monodromy_factors(spec, [stokes_matrix(l) for l in spec.schedule],
-                             formal_monodromy(spec.twist.ramification_index))
-
-
-def _closure(spec):
-    factors = _factors(spec)
-    return closure_equations(spec, topological_monodromy(factors), factors)
-
-
 # --------------------------------------------------------------------------
 # elimination down to the frozen reference residuals
 # --------------------------------------------------------------------------
@@ -46,7 +36,7 @@ def _closure(spec):
 
 def test_eliminate_jktiva():
     spec = case_spec("JKTIVa")
-    system = _closure(spec)
+    system = case_closure(spec)
     got = _eliminate_with_solutions(
         system.equations, spec.elimination_plan, spec.residual_scale)[0]
     assert got == P("x2*x3*x4 + x3^2 + x4 - p*x3 + x2 + 1/2*p^2 - 1/2*q")
@@ -54,7 +44,7 @@ def test_eliminate_jktiva():
 
 def test_eliminate_jktii():
     spec = case_spec("JKTII")
-    system = _closure(spec)
+    system = case_closure(spec)
     got = _eliminate_with_solutions(
         system.equations, spec.elimination_plan, spec.residual_scale)[0]
     assert got == P("U*V*W + U*W + V*W - alpha^-1*U - alpha^-1*V + W"
@@ -63,7 +53,7 @@ def test_eliminate_jktii():
 
 def test_eliminate_jktv():
     spec = case_spec("JKTV")
-    system = _closure(spec)
+    system = case_closure(spec)
     got = _eliminate_with_solutions(
         system.equations, spec.elimination_plan, spec.residual_scale)[0]
     assert got == P("alpha*T*V*W + alpha*V^2 + T^2 + V*W + alpha*T*W"
@@ -104,7 +94,7 @@ def test_eliminated_solutions_recorded():
 
 def test_cubic_normal_form_jkti():
     spec = case_spec("JKTI")
-    system = _closure(spec)
+    system = case_closure(spec)
     residual = _eliminate_with_solutions(
         system.equations, spec.elimination_plan, spec.residual_scale)[0]
     cubic = to_cubic_normal_form(residual, spec.cov_steps, spec.parameter_normalization)
@@ -143,6 +133,21 @@ def test_derived_cubics_match_expected():
         assert rep.expected.matched, rep.expected.mismatches
         if name in pinned:
             assert rep.cubic.reconstruct() == pinned[name]
+
+
+@pytest.mark.parametrize("name, coefficients, line, mode", [
+    ("JKTI", {"c3": P("1")}, "c3: expected 1, derived 0", "exact"),
+    # support mode compares the pinned top coefficient after the normalization
+    ("JKTVI", {"xyz": P("2*gamma")},
+     "xyz: expected 2*alpha^-1*beta^-1, derived alpha^-1*beta^-1", "support"),
+], ids=["JKTI", "JKTVI"])
+def test_wrong_expected_coefficient_is_a_mismatch(monkeypatch, name, coefficients,
+                                                  line, mode):
+    patch_expected(monkeypatch, name, **coefficients)
+    rep = derive_case(name, run_oracle=False)
+    assert not rep.expected.matched and not rep.passed
+    assert rep.expected.mismatches == (line,)
+    assert rep.expected.mode == mode
 
 
 def test_jktivb_cubic_coefficients():
@@ -244,7 +249,7 @@ def test_oracle_constraints_are_affine_in_solve_targets():
     equations to be jointly affine in the solve targets."""
     for name in ("JKTIVb", "JKTII", "JKTI"):
         spec = case_spec(name)
-        system = _closure(spec)
+        system = case_closure(spec)
         targets = [var_id(nm) for nm in spec.oracle.solve_targets]
         for eq in system.raw_equations:
             assert eq.split(targets).keys() <= {(0, 0), (1, 0), (0, 1)}
@@ -480,7 +485,7 @@ def test_derivation_builds_each_factor_once(name, monkeypatch):
 def test_eliminate_propagates_solver_errors():
     from wildcv.polyring import NotLinearError
     spec = case_spec("JKTVI")
-    system = _closure(spec)
+    system = case_closure(spec)
     with pytest.raises(NotLinearError):
         _eliminate_with_solutions(system.equations, ((0, "R"), (1, "U")),
                                   spec.residual_scale)

@@ -457,6 +457,17 @@ def test_monomial_product_matches_validating_constructor(a, b, cancel):
     assert got.exps == want.exps and got == want and hash(got) == hash(want)
 
 
+@given(_monomials())
+def test_monomial_inverse_matches_validating_constructor(m):
+    if any(not v.unit for v in m.variables()):
+        with pytest.raises(NotInvertibleError):
+            m.inverse()
+        return
+    got, want = m.inverse(), Monomial((v, -k) for v, k in m.exps)
+    assert got.exps == want.exps and got == want and hash(got) == hash(want)
+    assert (m * got).exps == ()
+
+
 def _substitute_reference(poly, bindings):
     """Term-by-term substitution: each term's image is built left to right
     from its coefficient and added to the running sum."""

@@ -161,6 +161,10 @@ class CubicSurface:
     c4: Optional[LaurentPoly] = None
 
     def reconstruct(self) -> LaurentPoly:
+        free = [name for name in _SLOTS if getattr(self, name) is None]
+        if free:
+            raise ValueError("cannot reconstruct a cubic with free coefficients: "
+                             + ", ".join(free))
         return sum((getattr(self, name) * mono for name, mono in _SLOT_MONOMIALS.items()),
                    LaurentPoly.zero())
 

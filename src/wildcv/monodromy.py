@@ -3,12 +3,14 @@
 M = H * S_m * ... * S_1 is composed once, as R * L at the case's split:
 L = S_k * ... * S_1 and R = H * S_m * ... * S_{k+1}; without a split, R = H.
 For the two-point cases the closure condition fixes the conjugacy class of
-M: Tr(M) = p and Tr(M^2) = q.  For the one-point cases M = I, read as the
-nine entry equations of L = R^-1: ``solve_in_order`` solves six of them for
-the dependent second-half coefficients (the back substitutions), two form the
-residual system, and the redundant ninth is dropped.  The six consumed
-entries vanish identically under the back substitutions by construction, so
-they are not checked again.
+M: Tr(M) = p and Tr(M^2) = q, with Tr(M^2) read from the diagonal of M * M
+alone.  For the one-point cases M = I, read as the nine entry equations of
+L = R^-1: ``solve_in_order`` solves six of them for the dependent second-half
+coefficients (the back substitutions), two form the residual system, and the
+redundant ninth is dropped.  The six consumed entries vanish identically
+under the back substitutions by construction, so they are not checked again.
+``pipeline.derive_case`` takes det M as det R * det L of the factors here,
+never from M; the test suite still expands det M in full.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def closure_equations(spec: CaseSpec, monodromy: SymMat3,
     trace_polys = subs = dropped = None
     if spec.closure.kind == "fixed_class":
         tr = monodromy.trace()
-        tr2 = (monodromy * monodromy).trace()
+        tr2 = monodromy.product_trace(monodromy)
         p, q = (LaurentPoly.variable(s) for s in spec.closure.trace_symbols)
         raw = [tr - p, tr2 - q]
         provenance = ["trace", "trace_square"]

@@ -4,10 +4,13 @@ A derivation runs: closure system -> parameter normalization -> linear
 elimination down to a single residual -> affine change of variables -> cubic
 normal form, then verifies the result against the expected surface and a
 seeded numeric oracle that samples points on the constraint locus and checks
-that the cubic vanishes there.  The cubic's type, ``CubicSurface``, and its
-shape table live in ``model``: the normal form reads the residual with
-``LaurentPoly.split`` in X, Y, Z into the same slots that a case's expected
-cubic and ``CubicSurface.reconstruct`` use.
+that the cubic vanishes there.  The report's ``det_is_one`` (JSON
+``determinant_is_one``) is det R * det L of the monodromy's factors M = R * L:
+det M as the same exact polynomial, without expanding the determinant of the
+full product (the test suite still expands det M itself).  The cubic's type,
+``CubicSurface``, and its shape table live in ``model``: the normal form reads
+the residual with ``LaurentPoly.split`` in X, Y, Z into the same slots that a
+case's expected cubic and ``CubicSurface.reconstruct`` use.
 
 The oracle builds the cubic polynomial once per run, and each polynomial
 keeps the float form of its terms after its first evaluation.  A run whose
@@ -195,7 +198,8 @@ def derive_case(name: str, trials: int = DEFAULT_TRIALS,
         M = topological_monodromy(factors)
 
     norm = spec.parameter_normalization
-    det_is_one = M.det().substitute(norm) == LaurentPoly.constant(1)
+    left, right = factors
+    det_is_one = (right.det() * left.det()).substitute(norm) == LaurentPoly.constant(1)
 
     with _stage("closure"):
         closure = closure_equations(spec, M, factors)

@@ -73,6 +73,13 @@ def singular_directions(pair, ramification: int) -> tuple:
 # --------------------------------------------------------------------------
 
 
+def _dot(row, col) -> LaurentPoly:
+    """Sum of row[k] * col[k], skipping the products with a zero factor: adding
+    an empty polynomial leaves the sum's terms and their order unchanged."""
+    return sum((a * b for a, b in zip(row, col) if not (a.is_zero() or b.is_zero())),
+               LaurentPoly.zero())
+
+
 class SymMat3:
     """Immutable 3x3 matrix of LaurentPoly entries."""
 
@@ -94,11 +101,14 @@ class SymMat3:
         return self.rows[i - 1][j - 1]
 
     def __mul__(self, other: "SymMat3") -> "SymMat3":
-        a, b = self.rows, other.rows
-        return SymMat3(
-            [[sum((a[i][k] * b[k][j] for k in range(3)), LaurentPoly.zero())
-              for j in range(3)] for i in range(3)]
-        )
+        cols = tuple(zip(*other.rows))
+        return SymMat3([[_dot(row, col) for col in cols] for row in self.rows])
+
+    def product_trace(self, other: "SymMat3") -> LaurentPoly:
+        """Tr(self * other) from the product's diagonal alone, each entry and
+        the sum formed as ``__mul__`` and ``trace`` form them."""
+        d0, d1, d2 = (_dot(row, col) for row, col in zip(self.rows, zip(*other.rows)))
+        return d0 + d1 + d2
 
     def __eq__(self, other):
         return isinstance(other, SymMat3) and self.rows == other.rows

@@ -92,6 +92,12 @@ def test_expected_cubic_shapes():
     assert ivb.c4 == parse("alpha*gamma^-1 + alpha + gamma^-1")
 
 
+def test_expected_cubic_reconstructs_only_when_pinned():
+    assert case_spec("JKTI").expected.reconstruct() == parse("X*Y*Z + X + Y + 1")
+    with pytest.raises(ValueError, match=r"free coefficients: c1, c2, c3, c4$"):
+        case_spec("JKTVI").expected.reconstruct()
+
+
 def test_shipped_specs_validate_cleanly():
     for name in CASE_NAMES:
         assert validate_spec(case_spec(name)) == []

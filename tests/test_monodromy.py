@@ -54,6 +54,14 @@ def test_every_monodromy_has_determinant_one():
         assert det == P("1"), name
 
 
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_factor_determinants_multiply_to_det_m(name):
+    """det R * det L, which derive_case checks, is det M exactly, before the
+    parameter normalization."""
+    left, right = factors = case_factors(case_spec(name))
+    assert right.det() * left.det() == topological_monodromy(factors).det()
+
+
 def test_jktiva_trace_formulas():
     M = topological_monodromy(case_factors(case_spec("JKTIVa")))
     assert M.trace() == P("x1 + x3 + x2*x4")

@@ -8,8 +8,9 @@ import pytest
 
 from wildcv.model import CASE_NAMES, case_spec
 from wildcv.monodromy import monodromy_factors
-from wildcv.pipeline import (ORACLE_TOLERANCE, CubicSurface, ShapeError,
-                             _eliminate_with_solutions, derive_case,
+from wildcv.pipeline import (ORACLE_TOLERANCE, CubicSurface, DegenerateSampleError,
+                             ShapeError, _eliminate_with_solutions, _linear_solve,
+                             derive_case,
                              oracle_identity, oracle_sampling, oracle_verify,
                              specialize_unit_cube_root, to_cubic_normal_form)
 from wildcv.polyring import LaurentPoly, parse, var_id
@@ -366,6 +367,23 @@ def test_oracle_identity_rejects_shifted_dropped_entry(name):
     assert not oracle_verify(broken, trials=10, seed=3).passed
 
 
+@pytest.mark.parametrize("name", ["JKTIVb", "JKTII", "JKTI"])
+def test_oracle_identity_rejects_proportional_solve_rows(name):
+    """Two equal solve rows leave Cramer's determinant D identically zero, so
+    the targets are not determined and the identity fails."""
+    rep = _derived(name)
+    sampling = oracle_sampling(rep)
+    row = sampling.solve_rows[0]
+    singular = dataclasses.replace(sampling, solve_rows=(row, row))
+    assert oracle_identity(rep, singular, rep.cubic.reconstruct()) is False
+
+
+def test_linear_solve_rejects_a_singular_pivot():
+    eq = P("x1 + 2*x2 - 1")
+    with pytest.raises(DegenerateSampleError, match="singular 2x2 solve"):
+        _linear_solve((eq, eq), (var_id("x1"), var_id("x2")), {})
+
+
 def test_oracle_identity_settles_an_over_tolerance_trial():
     """JKTII at this seed has one trial over the tolerance in floats; the
     exact identity holds, and the float numbers stay as they were."""
@@ -456,12 +474,15 @@ def test_report_replays_stage_by_stage():
 @pytest.mark.parametrize("name", CASE_NAMES)
 def test_derivation_builds_each_factor_once(name, monkeypatch):
     """One Stokes matrix per layout, one H, and one fold: a product per
-    Stokes factor, then H times the rest and one of R*L or M*M."""
+    Stokes factor, then R*L, and H times the second half where the case has a
+    split.  Tr(M^2) is read from the diagonal, so M*M is never formed, and
+    det M is det R * det L: two determinants, and a third for R^-1 when the
+    closure is M = I."""
     import sys
     from wildcv import stokes
     from wildcv.stokes import SymMat3
 
-    counts = dict.fromkeys(("stokes_matrix", "formal_monodromy", "product"), 0)
+    counts = dict.fromkeys(("stokes_matrix", "formal_monodromy", "product", "det"), 0)
 
     def counting(key, fn):
         def counted(*args, **kwargs):
@@ -476,10 +497,33 @@ def test_derivation_builds_each_factor_once(name, monkeypatch):
                     if val is fn:
                         monkeypatch.setattr(mod, attr, counting(fn.__name__, fn))
     monkeypatch.setattr(SymMat3, "__mul__", counting("product", SymMat3.__mul__))
+    monkeypatch.setattr(SymMat3, "det", counting("det", SymMat3.det))
     derive_case(name, run_oracle=False)
-    steps = len(case_spec(name).schedule)
+    spec = case_spec(name)
+    steps = len(spec.schedule)
+    split = spec.closure.kind == "identity"
     assert counts == {"stokes_matrix": steps, "formal_monodromy": 1,
-                      "product": steps + 2}
+                      "product": steps + 1 + split, "det": 2 + split}
+
+
+@pytest.mark.parametrize("name", ["JKTIVb", "JKTII", "JKTI"])
+def test_det_check_rejects_a_scaled_formal_monodromy(name, monkeypatch):
+    """With one entry of H doubled, det M = 2 and the closure M = I still
+    yields the expected cubic: the determinant check alone fails the case."""
+    from wildcv import pipeline
+    from wildcv.stokes import SymMat3
+
+    def scaled(kind):
+        rows = [list(row) for row in formal_monodromy(kind).rows]
+        j = next(j for j, e in enumerate(rows[0]) if not e.is_zero())
+        rows[0][j] = rows[0][j] * 2
+        return SymMat3(rows)
+
+    monkeypatch.setattr(pipeline, "formal_monodromy", scaled)
+    report = derive_case(name, run_oracle=False)
+    assert report.expected.matched
+    assert report.det_is_one is False
+    assert report.passed is False
 
 
 def test_eliminate_propagates_solver_errors():

@@ -10,8 +10,7 @@ from wildcv.model import CASE_NAMES, case_spec
 from wildcv.monodromy import monodromy_factors
 from wildcv.pipeline import (ORACLE_TOLERANCE, CubicSurface, DegenerateSampleError,
                              ShapeError, _eliminate_with_solutions, _linear_solve,
-                             derive_case,
-                             oracle_identity, oracle_sampling, oracle_verify,
+                             derive_case, oracle_identity, oracle_sampling, oracle_verify,
                              specialize_unit_cube_root, to_cubic_normal_form)
 from wildcv.polyring import LaurentPoly, parse, var_id
 from wildcv.report import report_to_dict
@@ -501,9 +500,9 @@ def test_derivation_builds_each_factor_once(name, monkeypatch):
     derive_case(name, run_oracle=False)
     spec = case_spec(name)
     steps = len(spec.schedule)
-    split = spec.closure.kind == "identity"
+    identity = spec.closure.kind == "identity"   # the M = I cases are the split ones
     assert counts == {"stokes_matrix": steps, "formal_monodromy": 1,
-                      "product": steps + 1 + split, "det": 2 + split}
+                      "product": steps + 1 + identity, "det": 2 + identity}
 
 
 @pytest.mark.parametrize("name", ["JKTIVb", "JKTII", "JKTI"])

@@ -68,7 +68,7 @@ def _x_split(mono: Monomial, xnames: set):
 
 def _factorizations(mono: Monomial, gens: tuple, start: int = 0):
     """Yield exponent tuples (e_0, ..., e_{n-1}) with prod gens[i]^e_i == mono."""
-    if not mono.exps:
+    if not mono:    # the constant monomial
         yield (0,) * (len(gens) - start)
         return
     if start >= len(gens):

@@ -10,7 +10,8 @@ coefficients (the back substitutions), two form the residual system, and the
 redundant ninth is dropped.  The six consumed entries vanish identically
 under the back substitutions by construction, so they are not checked again.
 ``pipeline.derive_case`` takes det M as det R * det L of the factors here,
-never from M; the test suite still expands det M in full.
+never from M, and hands det R on to R^-1; the test suite still expands det M
+in full.
 """
 
 from __future__ import annotations
@@ -55,9 +56,10 @@ def topological_monodromy(factors: tuple) -> SymMat3:
     return right * left
 
 
-def closure_equations(spec: CaseSpec, monodromy: SymMat3,
-                      factors: tuple) -> ClosureSystem:
-    """The closure system from M and its factors (L, R) at the split."""
+def closure_equations(spec: CaseSpec, monodromy: SymMat3, factors: tuple,
+                      right_det: Optional[LaurentPoly] = None) -> ClosureSystem:
+    """The closure system from M and its factors (L, R) at the split;
+    ``right_det`` is det R when the caller has already expanded it."""
     trace_polys = subs = dropped = None
     if spec.closure.kind == "fixed_class":
         tr = monodromy.trace()
@@ -68,7 +70,7 @@ def closure_equations(spec: CaseSpec, monodromy: SymMat3,
         trace_polys = (tr, tr2)
     else:
         left, right = factors
-        inverse = right.inverse()
+        inverse = right.inverse(right_det)
         entries = {(i, j): left.entry(i, j) - inverse.entry(i, j)
                    for i in (1, 2, 3) for j in (1, 2, 3)}
         solved = solve_in_order(entries, spec.back_sub_plan)

@@ -199,10 +199,11 @@ def derive_case(name: str, trials: int = DEFAULT_TRIALS,
 
     norm = spec.parameter_normalization
     left, right = factors
-    det_is_one = (right.det() * left.det()).substitute(norm) == LaurentPoly.constant(1)
+    right_det = right.det()
+    det_is_one = (right_det * left.det()).substitute(norm) == LaurentPoly.constant(1)
 
     with _stage("closure"):
-        closure = closure_equations(spec, M, factors)
+        closure = closure_equations(spec, M, factors, right_det)
 
     normalized = tuple(e.substitute(norm) for e in closure.equations)
 

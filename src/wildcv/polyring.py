@@ -12,6 +12,15 @@ stands for a square root of ``alpha`` and ``e`` for a cube root of unity only
 where a caller substitutes ``alpha = r**2`` or reduces the exponents of ``e``
 explicitly.
 
+A ``Monomial`` is one ``int`` holding a signed 16-bit field per registry
+variable, x1 most significant, in the manner of Monagan and Pearce's packed
+exponent vectors (CASC 2007): a monomial product is one integer addition, and
+monomials hash, compare and sort as ints.  Every exponent lies in
+[-EXP_LIMIT, EXP_LIMIT) = [-8192, 8191]; an operation whose result leaves that
+range raises ``ExponentOverflowError`` and never wraps.  Products with a
+constant-1 factor return the other factor, products with a single-term factor
+map the other's terms one to one, and sums with zero return the other summand.
+
 Polynomials print deterministically (terms sorted by exponent vector in
 registry order) in a small text grammar, and ``parse`` round-trips it::
 
@@ -24,7 +33,9 @@ Terms are joined by ``+`` or ``-``; juxtaposed terms or factors (``x1 x2``,
 from __future__ import annotations
 
 import re
+import struct
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -40,6 +51,10 @@ class UnknownVariableError(PolyError):
 
 class ExponentDomainError(PolyError):
     """A non-unit variable was given a negative exponent."""
+
+
+class ExponentOverflowError(PolyError):
+    """An exponent left the range [-EXP_LIMIT, EXP_LIMIT) of a packed field."""
 
 
 class SubstitutionDomainError(PolyError):
@@ -74,11 +89,15 @@ _REGISTRY_NAMES = tuple(
     + ["alpha", "beta", "gamma", "r", "p", "q", "lam", "mu", "e"]
 )
 
+_N_VARS = len(_REGISTRY_NAMES)
+_WIDTH = 16    # bits of a monomial's field per variable
+
 
 class VarId:
-    """Interned identifier for a registry variable."""
+    """Interned identifier for a registry variable; ``shift`` places its
+    exponent field in a packed Monomial."""
 
-    __slots__ = ("name", "index", "unit")
+    __slots__ = ("name", "index", "unit", "shift")
 
     _by_name: dict = {}
 
@@ -86,6 +105,7 @@ class VarId:
         self.name = name
         self.index = index
         self.unit = unit
+        self.shift = _WIDTH * (_N_VARS - 1 - index)
 
     def __repr__(self):
         return f"VarId({self.name})"
@@ -97,7 +117,7 @@ class VarId:
 for _i, _name in enumerate(_REGISTRY_NAMES):
     VarId._by_name[_name] = VarId(_name, _i, _name in _UNIT_NAMES)
 
-_N_VARS = len(_REGISTRY_NAMES)
+_VARS = tuple(VarId._by_name.values())
 
 
 def var_id(name: str) -> VarId:
@@ -112,123 +132,116 @@ def var_id(name: str) -> VarId:
 # monomials
 # --------------------------------------------------------------------------
 
+# A monomial is the int sum(k_v << v.shift): one signed 16-bit field per
+# variable, x1 most significant.  With L = EXP_LIMIT, exponents lie in [-L, L),
+# so a sum or difference of two monomials has every field in [-2L, 2L), and
+# adding _BIAS = 3L to each field leaves it in [L, 5L) with no carry between
+# fields.  The field is in range exactly when that biased value lies in
+# [2L, 4L), i.e. its bit of value 2L is set and its bit of value 4L is clear:
+# the mask test of _checked.  In range, the bit of value L is set exactly when
+# the exponent is >= 0.
+EXP_LIMIT = 1 << (_WIDTH - 3)
+_FIELD = (1 << _WIDTH) - 1
+_BIAS = 3 * EXP_LIMIT
 
-class Monomial:
-    """Canonical sparse exponent vector; zero exponents are never stored."""
 
-    __slots__ = ("exps", "_hash")
+def _each_field(bits: int, units: bool = True) -> int:
+    return sum(bits << v.shift for v in _VARS if units or not v.unit)
 
-    def __init__(self, exps: Iterable[tuple[VarId, int]]):
+
+_OFFSET = _each_field(_BIAS)
+_GUARD = _each_field(6 * EXP_LIMIT)
+_IN_RANGE = _each_field(2 * EXP_LIMIT)
+_NONUNIT_FIELDS = _each_field(_FIELD, units=False)
+_NONUNIT_SIGNS = _each_field(EXP_LIMIT, units=False)   # set when the exponent is >= 0
+_FIELDS = struct.Struct(f">{_N_VARS}H")
+
+
+class Monomial(int):
+    """A monomial packed into one int (see above): a product is one integer
+    addition, hashing and equality are the int's, and the int order is the
+    lexicographic order of exponent vectors in registry order.  ``Monomial(())``
+    is 0.  A Monomial is not a scalar: the ring rejects it as a coefficient."""
+
+    __slots__ = ()
+
+    def __new__(cls, exps: Iterable[tuple[VarId, int]] = ()):
         norm: dict = {}
         for v, k in exps:
             norm[v] = norm.get(v, 0) + k
-        cleaned = []
+        packed = 0
         for v, k in norm.items():
-            if k == 0:
-                continue
             if k < 0 and not v.unit:
                 raise ExponentDomainError(f"negative exponent on non-unit {v.name}")
-            cleaned.append((v, k))
-        self.exps = tuple(sorted(cleaned, key=lambda it: it[0].index))
-        self._hash = hash(self.exps)
+            if not -EXP_LIMIT <= k < EXP_LIMIT:
+                raise _overflow(v, k)
+            packed += k << v.shift
+        return _new_int(cls, packed)
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
+    @property
+    def exps(self) -> tuple:
+        """The nonzero exponents as (VarId, k) pairs in registry order."""
+        return tuple((v, u - _BIAS) for v, u in zip(_VARS, _biased_fields(self))
+                     if u != _BIAS)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        """Merge the two sorted exponent tuples; the product of two valid
-        monomials is valid, so it skips ``__init__``'s checks."""
-        a, b = self.exps, other.exps
-        if not b:
-            return self
-        if not a:
-            return other
-        out = []
-        i = j = 0
-        va, ka = a[0]
-        vb, kb = b[0]
-        while True:
-            if va.index < vb.index:
-                out.append(a[i])
-                i += 1
-                if i == len(a):
-                    out.extend(b[j:])
-                    break
-                va, ka = a[i]
-            elif vb.index < va.index:
-                out.append(b[j])
-                j += 1
-                if j == len(b):
-                    out.extend(a[i:])
-                    break
-                vb, kb = b[j]
-            else:
-                if ka + kb:
-                    out.append((va, ka + kb))
-                i += 1
-                j += 1
-                if i == len(a) or j == len(b):
-                    out.extend(a[i:] or b[j:])
-                    break
-                va, ka = a[i]
-                vb, kb = b[j]
-        return _monomial(tuple(out))
+        if type(other) is not Monomial:
+            return NotImplemented
+        return _checked(self + other)
 
     def divide(self, other: "Monomial"):
         """Exact quotient self/other, or None when not divisible (non-units only go down)."""
-        merged = dict(self.exps)
-        for v, k in other.exps:
-            merged[v] = merged.get(v, 0) - k
-        try:
-            return Monomial(merged.items())
-        except ExponentDomainError:
+        quotient = _checked(self - other)
+        if (quotient + _OFFSET) & _NONUNIT_SIGNS != _NONUNIT_SIGNS:
             return None
+        return quotient
 
     def inverse(self) -> "Monomial":
-        for v, _ in self.exps:
-            if not v.unit:
-                raise NotInvertibleError(f"{self} contains non-unit {v.name}")
-        # negated unit exponents stay sorted, nonzero and in domain
-        return _monomial(tuple((v, -k) for v, k in self.exps))
+        if (self + _OFFSET) & _NONUNIT_FIELDS != _OFFSET & _NONUNIT_FIELDS:
+            v = next(v for v, _ in self.exps if not v.unit)
+            raise NotInvertibleError(f"{self} contains non-unit {v.name}")
+        return _checked(-self)
 
     def total_degree(self) -> int:
         return sum(k for _, k in self.exps)
 
     def exponent(self, v: VarId) -> int:
-        for w, k in self.exps:
-            if w is v:
-                return k
-        return 0
+        return (((self + _OFFSET) >> v.shift) & _FIELD) - _BIAS
 
     def variables(self) -> tuple:
         return tuple(v for v, _ in self.exps)
 
-    def sort_key(self) -> tuple:
-        key = [0] * _N_VARS
-        for v, k in self.exps:
-            key[v.index] = k
-        return tuple(key)
-
     def __str__(self):
-        if not self.exps:
+        if not self:
             return "1"
         return "*".join(v.name if k == 1 else f"{v.name}^{k}" for v, k in self.exps)
 
     __repr__ = __str__
 
 
-def _monomial(exps: tuple) -> Monomial:
-    """A Monomial of exponent pairs already sorted, nonzero and in domain."""
-    m = object.__new__(Monomial)
-    m.exps = exps
-    m._hash = hash(exps)
-    return m
+_new_int = int.__new__
 
 
-_MONOMIAL_ONE = Monomial(())
+def _biased_fields(packed: int) -> tuple:
+    """Each variable's field of ``packed`` plus _BIAS, in registry order."""
+    return _FIELDS.unpack((packed + _OFFSET).to_bytes(_FIELDS.size, "big"))
+
+
+def _overflow(v: VarId, k: int) -> "ExponentOverflowError":
+    return ExponentOverflowError(
+        f"exponent {k} of {v.name} is outside [{-EXP_LIMIT}, {EXP_LIMIT - 1}]")
+
+
+def _checked(packed: int) -> Monomial:
+    """The Monomial packed as ``packed``, a sum or difference of two
+    monomials; ExponentOverflowError when a field left its range."""
+    if (packed + _OFFSET) & _GUARD != _IN_RANGE:
+        raise next(_overflow(v, u - _BIAS) for v, u in zip(_VARS, _biased_fields(packed))
+                   if not 2 * EXP_LIMIT <= u < 4 * EXP_LIMIT)
+    return _new_int(Monomial, packed)
+
+
+_MONOMIAL_ONE = Monomial()
 
 
 # --------------------------------------------------------------------------
@@ -236,29 +249,37 @@ _MONOMIAL_ONE = Monomial(())
 # --------------------------------------------------------------------------
 
 
+def _is_scalar(c) -> bool:
+    return isinstance(c, (int, Fraction)) and not isinstance(c, Monomial)
+
+
 def _coerce_scalar(c) -> Scalar:
     """c in canonical form: an ``int``, or a ``Fraction`` whose denominator
     is not 1."""
+    if not _is_scalar(c):
+        raise TypeError(f"not an exact scalar: {c!r}")
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
-        return int(c)
-    raise TypeError(f"not an exact scalar: {c!r}")
+    return int(c)
 
 
-def _accumulate(out: dict, pairs: Iterable[tuple[Monomial, Scalar]]) -> dict:
+def _canonical(c: Scalar) -> Scalar:
+    """A nonzero rational as an ``int`` when its denominator is 1."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _accumulate(out: dict, pairs: Iterable[tuple[int, Scalar]]) -> dict:
     """Add each (monomial, coefficient) pair into out, in order: a new
-    monomial goes last, a sum is kept canonical, and a zero sum is removed."""
+    monomial goes last, a sum is kept canonical, and a zero sum is removed.
+    A monomial may come as the plain int sum of two; it is checked and
+    packed only when it is new to out."""
     for m, c in pairs:
         s = out.get(m)
-        if s is not None:
-            c = s + c
-        if type(c) is not int and c.denominator == 1:
-            c = c.numerator
+        c = _canonical(c if s is None else s + c)
         if c:
-            out[m] = c
-        else:
-            out.pop(m, None)
+            out[m if s is not None or type(m) is Monomial else _checked(m)] = c
+        elif s is not None:
+            del out[m]
     return out
 
 
@@ -267,6 +288,12 @@ def _poly(terms: dict) -> "LaurentPoly":
     p = object.__new__(LaurentPoly)
     p.terms = terms
     return p
+
+
+def _shifted(terms: dict, mono: int, coef: Scalar) -> dict:
+    """terms times the single term coef*mono: a one-to-one map, so the
+    terms keep their order and no two of them meet."""
+    return {_checked(m + mono): _canonical(c * coef) for m, c in terms.items()}
 
 
 class LaurentPoly:
@@ -287,11 +314,12 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls({})
+        return _poly({})
 
     @classmethod
     def constant(cls, c: Scalar) -> "LaurentPoly":
-        return cls({_MONOMIAL_ONE: c})
+        c = _coerce_scalar(c)
+        return _poly({_MONOMIAL_ONE: c} if c else {})
 
     @classmethod
     def variable(cls, name: str, exponent: int = 1) -> "LaurentPoly":
@@ -312,6 +340,10 @@ class LaurentPoly:
 
     def __add__(self, other):
         other = _lift(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         return _poly(_accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
@@ -326,16 +358,32 @@ class LaurentPoly:
         return _lift(other) + (-self)
 
     def __mul__(self, other):
-        b = _lift(other).terms.items()
-        return _poly(_accumulate({}, ((m1 * m2, c1 * c2)
-                                      for m1, c1 in self.terms.items() for m2, c2 in b)))
+        """The product, with the terms in the order of adding every term
+        product, self's terms outermost; a constant-1 factor returns the
+        other one, and a single-term factor maps the other's terms one to
+        one."""
+        other = _lift(other)
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            if b.get(_MONOMIAL_ONE) == 1:
+                return self
+            ((m, c),) = b.items()
+            return _poly(_shifted(a, m, c))
+        if len(a) == 1:
+            if a.get(_MONOMIAL_ONE) == 1:
+                return other
+            ((m, c),) = a.items()
+            return _poly(_shifted(b, m, c))
+        b = b.items()
+        return _poly(_accumulate({}, ((m1 + m2, c1 * c2)
+                                      for m1, c1 in a.items() for m2, c2 in b)))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers; invert unit terms instead")
-        out = LaurentPoly.constant(1)
+        out = _ONE
         base = self
         while k:
             if k & 1:
@@ -345,7 +393,7 @@ class LaurentPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             other = LaurentPoly.constant(other)
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
@@ -368,10 +416,13 @@ class LaurentPoly:
         {exponent tuple: coefficient}, each coefficient free of ``variables``.
         Keys, and the terms of each coefficient, come in self's term order."""
         variables = tuple(variables)
+        mask = sum(_FIELD << v.shift for v in set(variables))
+        offset = _OFFSET & mask
         parts: dict = {}
         for m, c in self.terms.items():
-            key = tuple(m.exponent(v) for v in variables)
-            rest = Monomial((v, k) for v, k in m.exps if v not in variables)
+            biased = m + _OFFSET
+            key = tuple(((biased >> v.shift) & _FIELD) - _BIAS for v in variables)
+            rest = _new_int(Monomial, m - ((biased & mask) - offset))
             parts.setdefault(key, {})[rest] = c
         return {key: _poly(terms) for key, terms in parts.items()}
 
@@ -387,28 +438,42 @@ class LaurentPoly:
         return LaurentPoly({m.inverse(): Fraction(1, c)})
 
     def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda it: it[0].sort_key(), reverse=True)
+        """The terms, highest monomial first: by the packed int, which orders
+        as the exponent vector in registry order."""
+        return sorted(self.terms.items(), key=itemgetter(0), reverse=True)
 
     # -- substitution and evaluation ----------------------------------------
 
     def substitute(self, bindings: Mapping[VarId, "LaurentPoly"]) -> "LaurentPoly":
         """Simultaneous substitution; unbound variables pass through.
 
+        Each term's image is its coefficient times the product of the bound
+        powers' images, taken in registry order, shifted by the term's
+        unbound part as one monomial; the images are summed in term order.
+
         A variable occurring with a negative exponent can only be replaced by
         a single term in unit variables, otherwise SubstitutionDomainError.
         """
         if not bindings:
             return self
+        bound = sorted(bindings, key=attrgetter("index"))
+        mask = sum(_FIELD << v.shift for v in bound)
+        offset = _OFFSET & mask
         out: dict = {}
-        powers: dict = {}    # (v, k) -> the image of v^k
+        images: dict = {}    # a term's bound part -> the image of that part
         for m, c in self.terms.items():
-            acc = _poly({_MONOMIAL_ONE: c})
-            for vk in m.exps:
-                f = powers.get(vk)
-                if f is None:
-                    f = powers[vk] = _power_image(vk, bindings)
-                acc = acc * f
-            _accumulate(out, acc.terms.items())
+            biased = m + _OFFSET
+            part = (biased & mask) - offset
+            image = images.get(part)
+            if image is None:
+                image = _ONE
+                for v in bound:
+                    k = ((biased >> v.shift) & _FIELD) - _BIAS
+                    if k:
+                        image = image * _power_image(v, k, bindings[v])
+                image = images[part] = image.terms
+            rest = m - part
+            _accumulate(out, ((mi + rest, ci * c) for mi, ci in image.items()))
         return _poly(out)
 
     def evaluate(self, values: Mapping[VarId, complex]) -> complex:
@@ -436,13 +501,12 @@ class LaurentPoly:
         return f"<{format_poly(self)}>"
 
 
-def _power_image(vk: tuple, bindings: Mapping[VarId, LaurentPoly]) -> LaurentPoly:
-    """v^k under bindings; an unbound v passes through."""
-    v, k = vk
-    b = bindings.get(v)
-    if b is None:
-        return _poly({_monomial((vk,)): 1})
-    if k >= 0:
+_ONE = LaurentPoly.constant(1)
+
+
+def _power_image(v: VarId, k: int, b: LaurentPoly) -> LaurentPoly:
+    """v^k with v bound to b."""
+    if k > 0:
         return b ** k
     try:
         inverse = b.inverse_term()
@@ -454,7 +518,7 @@ def _power_image(vk: tuple, bindings: Mapping[VarId, LaurentPoly]) -> LaurentPol
 def _lift(x) -> LaurentPoly:
     if isinstance(x, LaurentPoly):
         return x
-    if isinstance(x, (int, Fraction)):
+    if _is_scalar(x):
         return LaurentPoly.constant(x)
     raise TypeError(f"cannot lift {x!r} into the ring")
 
@@ -514,9 +578,9 @@ def format_poly(poly: LaurentPoly) -> str:
     for i, (m, c) in enumerate(items):
         neg = c < 0
         mag = -c if neg else c
-        if m.exps and mag == 1:
+        if m and mag == 1:
             body = str(m)
-        elif m.exps:
+        elif m:
             body = f"{mag}*{m}"
         else:
             body = str(mag)

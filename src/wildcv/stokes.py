@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .polyring import LaurentPoly, PolyError
 
@@ -141,10 +141,10 @@ class SymMat3:
               for j in range(3)] for i in range(3)]
         )
 
-    def inverse(self) -> "SymMat3":
-        """Inverse via the adjugate; the determinant must be an invertible term."""
-        d = self.det()
-        inv = d.inverse_term()
+    def inverse(self, det: Optional[LaurentPoly] = None) -> "SymMat3":
+        """Inverse via the adjugate; the determinant, ``det`` when the caller
+        has already expanded it, must be an invertible term."""
+        inv = (self.det() if det is None else det).inverse_term()
         adj = self.adjugate()
         return SymMat3([[inv * e for e in row] for row in adj.rows])
 

@@ -6,10 +6,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from wildcv.polyring import (LaurentPoly, Monomial, NotInvertibleError,
-                             NotLinearError, ParseError,
+from wildcv.polyring import (EXP_LIMIT, LaurentPoly, Monomial,
+                             ExponentOverflowError, NotInvertibleError,
+                             NotLinearError, ParseError, _REGISTRY_NAMES,
                              SubstitutionDomainError, UnboundVariableError,
                              UnknownVariableError, format_poly, parse,
                              solve_in_order, solve_linear, var_id)
@@ -511,3 +512,195 @@ def test_from_terms_adds_in_order(pairs, data):
     got = LaurentPoly.from_terms(pairs)
     assert list(got.terms.items()) == list(want.terms.items())
     _assert_canonical(got)
+
+
+# --------------------------------------------------------------------------
+# packed monomials against an exponent-dict reference
+# --------------------------------------------------------------------------
+
+
+_ALL_VARS = tuple(var_id(nm) for nm in _REGISTRY_NAMES)
+_EDGES = (-EXP_LIMIT, -EXP_LIMIT + 1, EXP_LIMIT - 2, EXP_LIMIT - 1)
+
+
+def test_registry_has_31_variables():
+    assert len(_ALL_VARS) == 31 and len({v.shift for v in _ALL_VARS}) == 31
+
+
+@st.composite
+def _exponent_dicts(draw):
+    """{VarId: nonzero exponent} over the whole registry: small exponents,
+    negative ones on units only, and both edges of the field range."""
+    out = {}
+    for v in draw(st.lists(st.sampled_from(_ALL_VARS), unique=True, max_size=8)):
+        k = draw(st.one_of(st.integers(-3, 3), st.sampled_from(_EDGES)))
+        k = k if v.unit else abs(k) - (k == -EXP_LIMIT)
+        if k:
+            out[v] = k
+    return out
+
+
+def _ref_exps(d):
+    """A reference exponent dict as Monomial.exps would list it."""
+    return tuple(sorted(((v, k) for v, k in d.items() if k), key=lambda it: it[0].index))
+
+
+def _ref_combine(a, b, sign):
+    out = dict(a)
+    for v, k in b.items():
+        out[v] = out.get(v, 0) + sign * k
+    return {v: k for v, k in out.items() if k}
+
+
+def _in_range(d):
+    return all(-EXP_LIMIT <= k < EXP_LIMIT for k in d.values())
+
+
+@given(_exponent_dicts(), _exponent_dicts(), st.booleans())
+@example({var_id("x1"): EXP_LIMIT - 1}, {var_id("x1"): 1}, False)
+@example({var_id("alpha"): -EXP_LIMIT}, {var_id("alpha"): -1}, False)
+@example({var_id("alpha"): -EXP_LIMIT, var_id("e"): EXP_LIMIT - 1},
+         {var_id("alpha"): EXP_LIMIT - 1, var_id("x12"): 3}, True)
+def test_packed_product_matches_exponent_dicts(a, b, cancel):
+    if cancel:    # b's unit exponents then cancel a's to zero
+        b = {**b, **{v: -k for v, k in a.items() if v.unit and k != -EXP_LIMIT}}
+    ma, mb = Monomial(a.items()), Monomial(b.items())
+    assert ma.exps == _ref_exps(a) and mb.exps == _ref_exps(b)
+    want = _ref_combine(a, b, 1)
+    if not _in_range(want):
+        with pytest.raises(ExponentOverflowError):
+            ma * mb
+        return
+    got = ma * mb
+    assert type(got) is Monomial and got.exps == _ref_exps(want)
+    assert got == Monomial(want.items()) and hash(got) == hash(Monomial(want.items()))
+    assert all(got.exponent(v) == want.get(v, 0) for v in _ALL_VARS)
+
+
+@given(_exponent_dicts(), _exponent_dicts())
+def test_packed_divide_matches_exponent_dicts(a, b):
+    ma, mb = Monomial(a.items()), Monomial(b.items())
+    want = _ref_combine(a, b, -1)
+    if not _in_range(want):
+        with pytest.raises(ExponentOverflowError):
+            ma.divide(mb)
+    elif any(k < 0 and not v.unit for v, k in want.items()):
+        assert ma.divide(mb) is None
+    else:
+        got = ma.divide(mb)
+        assert type(got) is Monomial and got.exps == _ref_exps(want)
+        assert ma.divide(ma) == Monomial(())
+
+
+@given(_exponent_dicts())
+def test_packed_inverse_matches_exponent_dicts(d):
+    m = Monomial(d.items())
+    if any(not v.unit for v in d):
+        with pytest.raises(NotInvertibleError):
+            m.inverse()
+    elif -EXP_LIMIT in d.values():
+        with pytest.raises(ExponentOverflowError):
+            m.inverse()
+    else:
+        assert m.inverse().exps == _ref_exps({v: -k for v, k in d.items()})
+
+
+@given(st.lists(st.tuples(_exponent_dicts(), _coefs.filter(bool)), max_size=8),
+       st.lists(st.sampled_from(_ALL_VARS), unique=True, max_size=4))
+def test_packed_split_and_order_match_exponent_dicts(pairs, variables):
+    poly = LaurentPoly.from_terms((Monomial(d.items()), c) for d, c in pairs)
+    ref = {Monomial(d.items()): d for d, _ in pairs}
+    want: dict = {}
+    for m, c in poly.terms.items():
+        d = ref[m]
+        key = tuple(d.get(v, 0) for v in variables)
+        rest = {v: k for v, k in d.items() if v not in variables}
+        want.setdefault(key, []).append((_ref_exps(rest), c))
+    got = poly.split(variables)
+    assert list(got) == list(want)
+    assert {key: [(m.exps, c) for m, c in part.terms.items()]
+            for key, part in got.items()} == want
+
+    def vector(m):
+        return tuple(ref[m].get(v, 0) for v in _ALL_VARS)
+
+    assert [m for m, _ in poly.sorted_terms()] == sorted(poly.terms, key=vector, reverse=True)
+
+
+def test_exponent_overflow_raises_and_never_wraps():
+    x1, alpha = var_id("x1"), var_id("alpha")
+    top = Monomial(((x1, EXP_LIMIT - 1),))
+    bottom = Monomial(((alpha, -EXP_LIMIT),))
+    assert top.exps == ((x1, EXP_LIMIT - 1),) and bottom.exps == ((alpha, -EXP_LIMIT),)
+    for bad in (((x1, EXP_LIMIT),), ((alpha, -EXP_LIMIT - 1),), ((x1, 10 ** 6),)):
+        with pytest.raises(ExponentOverflowError):
+            Monomial(bad)
+    with pytest.raises(ExponentOverflowError, match=r"exponent 8192 of x1 is outside \[-8192, 8191\]"):
+        top * Monomial(((x1, 1),))
+    with pytest.raises(ExponentOverflowError):
+        bottom * Monomial(((alpha, -1),))
+    with pytest.raises(ExponentOverflowError):
+        bottom.inverse()
+    with pytest.raises(ExponentOverflowError):
+        Monomial(((alpha, EXP_LIMIT - 1),)).divide(Monomial(((alpha, -1),)))
+    with pytest.raises(ExponentOverflowError):
+        parse(f"x1^{EXP_LIMIT}")
+    x1_top = LaurentPoly.term(1, top)
+    for poly_op in (lambda: x1_top * P("x1"),                  # single-term path
+                    lambda: (x1_top + P("x2")) * P("x1 + x3"),  # general path
+                    lambda: P(f"x1^{EXP_LIMIT // 2}") ** 2,
+                    lambda: P("x2").substitute({var_id("x2"): x1_top * P("x2")})
+                    * P("x1"),
+                    lambda: P("x1*x2").substitute({var_id("x2"): x1_top})):
+        with pytest.raises(ExponentOverflowError):
+            poly_op()
+
+
+# --------------------------------------------------------------------------
+# fast paths of * and + against the general path
+# --------------------------------------------------------------------------
+
+
+def _general_product(a, b):
+    return LaurentPoly.from_terms((m1 * m2, c1 * c2) for m1, c1 in a.terms.items()
+                                  for m2, c2 in b.terms.items())
+
+
+def _general_sum(a, b):
+    return LaurentPoly.from_terms(list(a.terms.items()) + list(b.terms.items()))
+
+
+def _same(got, want):
+    """Same terms, in the same insertion order, with the same coefficient types."""
+    assert [(m, c, type(c)) for m, c in got.terms.items()] == \
+        [(m, c, type(c)) for m, c in want.terms.items()]
+
+
+@given(_polys(), st.data())
+def test_fast_paths_match_the_general_path(p, data):
+    one, zero = LaurentPoly.constant(1), LaurentPoly.zero()
+    term = data.draw(_polys(max_terms=1).filter(lambda t: len(t.terms) == 1)
+                     | _unit_terms())
+    for got in (p * 1, 1 * p, p * one, one * p):
+        _same(got, _general_product(p, one))
+    for got in (p + 0, 0 + p, p + zero, zero + p):
+        _same(got, _general_sum(p, zero))
+    _same(term * p, _general_product(term, p))
+    _same(p * term, _general_product(p, term))
+
+
+def test_fast_paths_keep_coefficients_canonical():
+    half = P("1/2*x1 + 1/2*x2")
+    _same(half * P("2*alpha"), P("x1*alpha + x2*alpha"))
+    _same(P("2") * half, P("x1 + x2"))
+    _same(P("1/2*x1 + 1/2") * P("2*x1 + 2"), P("x1^2 + 2*x1 + 1"))
+
+
+def test_a_monomial_is_not_a_scalar():
+    m = Monomial(((var_id("x1"), 1),))
+    p = P("x1 + 1")
+    for bad in (lambda: LaurentPoly.constant(m), lambda: LaurentPoly.term(m, m),
+                lambda: p * m, lambda: m * p, lambda: p + m, lambda: p - m):
+        with pytest.raises(TypeError):
+            bad()
+    assert (p == m) is False and (P("1") == Monomial(())) is False

@@ -33,7 +33,6 @@ Terms are joined by ``+`` or ``-``; juxtaposed terms or factors (``x1 x2``,
 from __future__ import annotations
 
 import re
-import struct
 from fractions import Fraction
 from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Union
@@ -154,7 +153,7 @@ _GUARD = _each_field(6 * EXP_LIMIT)
 _IN_RANGE = _each_field(2 * EXP_LIMIT)
 _NONUNIT_FIELDS = _each_field(_FIELD, units=False)
 _NONUNIT_SIGNS = _each_field(EXP_LIMIT, units=False)   # set when the exponent is >= 0
-_FIELDS = struct.Struct(f">{_N_VARS}H")
+_AT_SHIFT = {v.shift: v for v in _VARS}
 
 
 class Monomial(int):
@@ -181,8 +180,9 @@ class Monomial(int):
     @property
     def exps(self) -> tuple:
         """The nonzero exponents as (VarId, k) pairs in registry order."""
-        return tuple((v, u - _BIAS) for v, u in zip(_VARS, _biased_fields(self))
-                     if u != _BIAS)
+        biased = self + _OFFSET
+        return tuple([(_AT_SHIFT[s], ((biased >> s) & _FIELD) - _BIAS)
+                      for s in _shifts(biased ^ _OFFSET)])
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if type(other) is not Monomial:
@@ -222,9 +222,16 @@ class Monomial(int):
 _new_int = int.__new__
 
 
-def _biased_fields(packed: int) -> tuple:
-    """Each variable's field of ``packed`` plus _BIAS, in registry order."""
-    return _FIELDS.unpack((packed + _OFFSET).to_bytes(_FIELDS.size, "big"))
+def _shifts(fields: int) -> list:
+    """The shifts of the nonzero fields of ``fields``, x1's first.  A
+    monomial m's field is nonzero in (m + _OFFSET) ^ _OFFSET exactly where
+    its exponent is."""
+    out = []
+    while fields:
+        shift = (fields.bit_length() - 1) // _WIDTH * _WIDTH
+        out.append(shift)
+        fields &= (1 << shift) - 1
+    return out
 
 
 def _overflow(v: VarId, k: int) -> "ExponentOverflowError":
@@ -235,9 +242,12 @@ def _overflow(v: VarId, k: int) -> "ExponentOverflowError":
 def _checked(packed: int) -> Monomial:
     """The Monomial packed as ``packed``, a sum or difference of two
     monomials; ExponentOverflowError when a field left its range."""
-    if (packed + _OFFSET) & _GUARD != _IN_RANGE:
-        raise next(_overflow(v, u - _BIAS) for v, u in zip(_VARS, _biased_fields(packed))
-                   if not 2 * EXP_LIMIT <= u < 4 * EXP_LIMIT)
+    biased = packed + _OFFSET
+    if biased & _GUARD != _IN_RANGE:
+        for v in _VARS:
+            k = ((biased >> v.shift) & _FIELD) - _BIAS
+            if not -EXP_LIMIT <= k < EXP_LIMIT:
+                raise _overflow(v, k)
     return _new_int(Monomial, packed)
 
 
@@ -406,10 +416,10 @@ class LaurentPoly:
     # -- inspection --------------------------------------------------------
 
     def variables(self) -> set:
-        out = set()
+        fields = 0
         for m in self.terms:
-            out.update(m.variables())
-        return out
+            fields |= (m + _OFFSET) ^ _OFFSET
+        return {_AT_SHIFT[s] for s in _shifts(fields)}
 
     def split(self, variables) -> dict:
         """self read as a polynomial in ``variables`` (a sequence of VarIds):

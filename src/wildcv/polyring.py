@@ -160,7 +160,9 @@ class Monomial(int):
     """A monomial packed into one int (see above): a product is one integer
     addition, hashing and equality are the int's, and the int order is the
     lexicographic order of exponent vectors in registry order.  ``Monomial(())``
-    is 0.  A Monomial is not a scalar: the ring rejects it as a coefficient."""
+    is 0.  A Monomial is not a scalar: the ring rejects it as a coefficient,
+    and ``*`` takes only another Monomial; ``+`` and ``-`` stay the int's and
+    give the packed product and quotient unchecked."""
 
     __slots__ = ()
 
@@ -186,8 +188,10 @@ class Monomial(int):
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if type(other) is not Monomial:
-            return NotImplemented
+            raise TypeError(f"cannot multiply the monomial {self} by {other!r}")
         return _checked(self + other)
+
+    __rmul__ = __mul__
 
     def divide(self, other: "Monomial"):
         """Exact quotient self/other, or None when not divisible (non-units only go down)."""

@@ -607,7 +607,7 @@ def test_packed_inverse_matches_exponent_dicts(d):
 
 @given(st.lists(st.tuples(_exponent_dicts(), _coefs.filter(bool)), max_size=8),
        st.lists(st.sampled_from(_ALL_VARS), unique=True, max_size=4))
-def test_packed_split_and_order_match_exponent_dicts(pairs, variables):
+def test_packed_split_order_and_variables_match_exponent_dicts(pairs, variables):
     poly = LaurentPoly.from_terms((Monomial(d.items()), c) for d, c in pairs)
     ref = {Monomial(d.items()): d for d, _ in pairs}
     want: dict = {}
@@ -620,6 +620,9 @@ def test_packed_split_and_order_match_exponent_dicts(pairs, variables):
     assert list(got) == list(want)
     assert {key: [(m.exps, c) for m, c in part.terms.items()]
             for key, part in got.items()} == want
+
+    assert poly.variables() == {v for m in poly.terms for v in ref[m]}
+    assert all(m.variables() == tuple(v for v, _ in _ref_exps(ref[m])) for m in poly.terms)
 
     def vector(m):
         return tuple(ref[m].get(v, 0) for v in _ALL_VARS)
@@ -700,7 +703,8 @@ def test_a_monomial_is_not_a_scalar():
     m = Monomial(((var_id("x1"), 1),))
     p = P("x1 + 1")
     for bad in (lambda: LaurentPoly.constant(m), lambda: LaurentPoly.term(m, m),
-                lambda: p * m, lambda: m * p, lambda: p + m, lambda: p - m):
+                lambda: p * m, lambda: m * p, lambda: p + m, lambda: p - m,
+                lambda: m * 2, lambda: 2 * m):
         with pytest.raises(TypeError):
             bad()
     assert (p == m) is False and (P("1") == Monomial(())) is False

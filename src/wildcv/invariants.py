@@ -2,30 +2,27 @@
 
 The exponential torus acts on Stokes coefficients by conjugation; a monomial
 in the coefficients is invariant exactly when its weights sum to zero.  The
-invariant ring is generated by the divisibility-minimal zero-weight monomials
-(degree at most 3 suffices for all shipped cases) and the closure equations
-are rewritten in these generators U, V, W, R, T.
+closure equations are rewritten in the case's generators U, V, W, R, T; the
+tests check that these are the minimal zero-weight monomials up to degree 3
+(in the 6- and the 12-variable rings), which proves no degree bound.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import gcd
 
 from .polyring import LaurentPoly, Monomial, PolyError, var_id
 
 
 class NotInvariantError(PolyError):
-    """A monomial admits no factorization into invariant generators."""
+    """A monomial is no product of the generators, or they have other than one relation."""
 
 
-def _weight_of(mono: Monomial, weights: dict, dim: int) -> tuple:
-    total = [0] * dim
-    for v, k in mono.exps:
-        w = weights[v.name]
-        for a in range(dim):
-            total[a] += w[a] * k
-    return tuple(total)
+def weight_of(mono: Monomial, weights: dict, dim: int) -> tuple:
+    """The torus weight of mono, given each variable's weight by name."""
+    return tuple(sum(weights[v.name][a] * k for v, k in mono.exps) for a in range(dim))
 
 
 def invariant_monomials(weights: dict, degree_bound: int) -> set:
@@ -34,16 +31,11 @@ def invariant_monomials(weights: dict, degree_bound: int) -> set:
         raise ValueError("degree bound must be at least 1")
     names = sorted(weights, key=lambda nm: var_id(nm).index)
     dim = len(next(iter(weights.values()))) if weights else 0
-    zero = tuple([0] * dim)
     candidates = []
     for d in range(1, degree_bound + 1):
         for combo in combinations_with_replacement(names, d):
-            exps: dict = {}
-            for nm in combo:
-                vid = var_id(nm)
-                exps[vid] = exps.get(vid, 0) + 1
-            mono = Monomial(exps.items())
-            if _weight_of(mono, weights, dim) == zero:
+            mono = Monomial((var_id(nm), 1) for nm in combo)
+            if not any(weight_of(mono, weights, dim)):
                 candidates.append(mono)
     candidates.sort(key=lambda m: m.total_degree())
     kept: list = []
@@ -54,16 +46,37 @@ def invariant_monomials(weights: dict, degree_bound: int) -> set:
     return set(kept)
 
 
+def generator_relation(defs) -> LaurentPoly:
+    """term(v+) - term(v-) for the primitive integer relation v among the
+    exponent vectors of the generators ((name, Monomial), ...), with its first
+    nonzero entry positive.  The relations must have rank 1, so that this
+    binomial generates them all; NotInvariantError otherwise."""
+    variables = {v for _, mono in defs for v in mono.variables()}
+    n = len(variables)
+    # a generator's exponent vector, then its integer combination of generators
+    rows = [[mono.exponent(v) for v in variables] + [int(i == j) for j in range(len(defs))]
+            for i, (_, mono) in enumerate(defs)]
+    for col in range(n):
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot is not None:
+            rows.remove(pivot)
+            rows = [[pivot[col] * a - row[col] * b for a, b in zip(row, pivot)]
+                    for row in rows]
+    if len(rows) != 1:     # the rows left have zero exponents: the relations
+        raise NotInvariantError(f"the generators' relations have rank {len(rows)}, need 1")
+    g = gcd(*rows[0][n:])
+    v = [k // g for k in rows[0][n:]]
+    if next(k for k in v if k) < 0:
+        v = [-k for k in v]
+    ids = [var_id(name) for name, _ in defs]
+    plus = Monomial((i, k) for i, k in zip(ids, v) if k > 0)
+    minus = Monomial((i, -k) for i, k in zip(ids, v) if k < 0)
+    return LaurentPoly.from_terms([(plus, 1), (minus, -1)])
+
+
 # --------------------------------------------------------------------------
 # rewriting into the invariant generators
 # --------------------------------------------------------------------------
-
-
-def _x_split(mono: Monomial, xnames: set):
-    xpart, rest = [], []
-    for v, k in mono.exps:
-        (xpart if v.name in xnames else rest).append((v, k))
-    return Monomial(xpart), Monomial(rest)
 
 
 def _factorizations(mono: Monomial, gens: tuple, start: int = 0):
@@ -96,10 +109,11 @@ def rewrite_in_invariants(eq: LaurentPoly, defs) -> LaurentPoly:
     in the order U < V < W < R < T.
     """
     gens = tuple(defs)
+    ids = [var_id(name) for name, _ in gens]
     xnames = {v.name for _, mono in gens for v in mono.variables()}
 
     @lru_cache(maxsize=None)
-    def best(mono: Monomial):
+    def best(mono: Monomial) -> Monomial:
         options = []
         for exps in _factorizations(mono, gens):
             count = sum(exps)
@@ -107,15 +121,10 @@ def rewrite_in_invariants(eq: LaurentPoly, defs) -> LaurentPoly:
             options.append(((count, signature), exps))
         if not options:
             raise NotInvariantError(f"{mono} is not a product of the generators")
-        return min(options)[1]
+        return Monomial(zip(ids, min(options)[1]))
 
     terms = []
     for mono, coef in eq.terms.items():
-        xpart, rest = _x_split(mono, xnames)
-        exps = best(xpart)
-        gmono = rest
-        for (gname, _), e in zip(gens, exps):
-            if e:
-                gmono = gmono * Monomial(((var_id(gname), e),))
-        terms.append((gmono, coef))
+        xpart = Monomial((v, k) for v, k in mono.exps if v.name in xnames)
+        terms.append((mono.divide(xpart) * best(xpart), coef))
     return LaurentPoly.from_terms(terms)

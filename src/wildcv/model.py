@@ -9,13 +9,16 @@ variables, and the expected cubic.  ``CubicSurface`` is the one cubic type:
 the cubic a derivation builds, and the cubic a case expects, whose free
 linear and constant coefficients are ``None``.
 
-The twist class and the divisor fix four more facts, derived, not stored:
+The twist class, the divisor and the generators fix five more facts,
+derived, not stored:
 
 * formal monodromy: ``formal_monodromy(twist.ramification_index)``, and the
   ramification index of every eigenvalue pair;
 * closure: ``M = I`` for the one-point divisor ``3{inf}``, otherwise the
   fixed trace class ``Tr M = p``, ``Tr M^2 = q``;
 * invariant rewrite: exactly when the twist's torus is nontrivial;
+* the tautological relation among U, V, W, R, T:
+  ``invariants.generator_relation(generator_defs)``, computed once per spec;
 * gamma normalization: ``gamma = alpha^-1 * beta^-1`` (imposing
   alpha*beta*gamma = 1) exactly for the untwisted cases (JKTVI, JKTIVb), as
   one read-only ``{VarId: LaurentPoly}`` map that every consumer substitutes.
@@ -36,10 +39,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional
 
+from .invariants import NotInvariantError, generator_relation, weight_of
 from .polyring import LaurentPoly, Monomial, PolyError, parse, var_id
 from .stokes import RationalAngle, singular_directions
 
@@ -64,25 +68,20 @@ class TwistClass(enum.Enum):
 
     @property
     def torus_dim(self) -> int:
-        return {TwistClass.UNTWISTED: 2,
-                TwistClass.MINIMALLY_TWISTED: 1,
-                TwistClass.MAXIMALLY_TWISTED: 0}[self]
+        return len(_ROW_WEIGHTS[self][0])
+
+
+# the torus weights of rows 1, 2, 3: untwisted diag(lam, mu, 1), minimally
+# twisted diag(lam, lam, lam^-2), maximally twisted trivial
+_ROW_WEIGHTS = {TwistClass.UNTWISTED: ((1, 0), (0, 1), (0, 0)),
+                TwistClass.MINIMALLY_TWISTED: ((1,), (1,), (-2,)),
+                TwistClass.MAXIMALLY_TWISTED: ((), (), ())}
 
 
 def torus_weight_of_position(twist: TwistClass, row: int, col: int) -> tuple:
-    """Weight of a Stokes coefficient at matrix position (row, col), 1-based.
-
-    Untwisted torus: diag(lam, mu, 1); minimally twisted: diag(lam, lam,
-    lam^-2); maximally twisted: trivial.
-    """
-    if twist is TwistClass.UNTWISTED:
-        basis = {1: (1, 0), 2: (0, 1), 3: (0, 0)}
-        a, b = basis[row], basis[col]
-        return (a[0] - b[0], a[1] - b[1])
-    if twist is TwistClass.MINIMALLY_TWISTED:
-        basis = {1: 1, 2: 1, 3: -2}
-        return (basis[row] - basis[col],)
-    return ()
+    """Weight of a Stokes coefficient at matrix position (row, col), 1-based."""
+    rows = _ROW_WEIGHTS[twist]
+    return tuple(a - b for a, b in zip(rows[row - 1], rows[col - 1]))
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,6 @@ class CaseSpec:
     pair_specs: tuple
     schedule: tuple
     generator_defs: tuple          # ((name, Monomial), ...) over U,V,W,R,T
-    tautological: LaurentPoly
     elimination_plan: tuple        # ((equation index, varname), ...)
     cov_steps: tuple
     expected: CubicSurface
@@ -206,6 +204,11 @@ class CaseSpec:
             return _CLOSURE_BY_DIVISOR[self.divisor]
         except KeyError:
             raise ValueError(f"unknown divisor {self.divisor!r}") from None
+
+    @cached_property
+    def tautological(self) -> LaurentPoly:
+        """The one relation among U, V, W, R, T that the definitions imply."""
+        return generator_relation(self.generator_defs)
 
     @property
     def use_invariant_rewrite(self) -> bool:
@@ -308,7 +311,6 @@ def _build_jktvi() -> CaseSpec:
         schedule=schedule,
         generator_defs=_defs(U="x1*x4", V="x2*x5", W="x3*x6",
                              R="x1*x3*x5", T="x2*x4*x6"),
-        tautological=parse("U*V*W - R*T"),
         elimination_plan=((0, "U"), (1, "R")),
         residual_scale=parse("-beta"),
         cov_steps=(
@@ -346,7 +348,6 @@ def _build_jktv() -> CaseSpec:
             ((3, 2), [(3, 1, "x5"), (3, 2, "x6")]),
         ]),
         generator_defs=_defs(U="x2*x5", V="x3*x6", W="x1", R="x2*x6", T="x3*x5"),
-        tautological=parse("U*V - R*T"),
         elimination_plan=((0, "U"), (1, "R")),
         residual_scale=parse("-alpha"),
         cov_steps=(
@@ -382,7 +383,6 @@ def _build_jktiva() -> CaseSpec:
             ((0, 1), [(2, 1, "x4")]),
         ]),
         generator_defs=_defs(U="x1*x4", V="x2", W="x3", R="x1*x3", T="x2*x4"),
-        tautological=parse("U*V*W - R*T"),
         elimination_plan=((0, "x1"),),
         residual_scale=LaurentPoly.constant(Fraction(1, 2)),
         cov_steps=(_subst(x3="X", x2="Y", x4="Z"),),
@@ -418,7 +418,6 @@ def _build_jktivb() -> CaseSpec:
         schedule=schedule,
         generator_defs=_defs(U="x1*x4", V="x2*x5", W="x3*x6",
                              R="x1*x3*x5", T="x2*x4*x6"),
-        tautological=parse("U*V*W - R*T"),
         back_sub_plan=(((2, 3), "x9"), ((3, 2), "x12"), ((3, 1), "x11"),
                        ((2, 1), "x10"), ((1, 3), "x8"), ((1, 2), "x7")),
         residual_entries=(((3, 3), parse("gamma")), ((2, 2), parse("1"))),
@@ -461,7 +460,6 @@ def _build_jktii() -> CaseSpec:
         ]),
         generator_defs=_defs(U="x2*x5", V="x3*x6", W="x1",
                              R="x2*x6", T="x1*x3*x5"),
-        tautological=parse("U*V*W - R*T"),
         back_sub_plan=(((3, 1), "x12"), ((3, 2), "x11"), ((1, 3), "x8"),
                        ((1, 1), "x7"), ((2, 3), "x9"), ((2, 2), "x4")),
         residual_entries=(((3, 3), parse("-1")), ((1, 2), parse("1"))),
@@ -504,7 +502,6 @@ def _build_jkti() -> CaseSpec:
         ]),
         schedule=schedule,
         generator_defs=_defs(U="x1*x4", V="x2", W="x3", R="x1*x3", T="x2*x4"),
-        tautological=parse("U*V*W - R*T"),
         back_sub_plan=(((2, 1), "x9"), ((2, 2), "x10"), ((1, 3), "x7"),
                        ((1, 1), "x8"), ((3, 3), "x6"), ((3, 2), "x5")),
         residual_entries=(((2, 3), parse("1")), ((1, 2), parse("-1"))),
@@ -560,12 +557,6 @@ def torus_weights(spec: CaseSpec) -> dict:
     return out
 
 
-def tautological_check(defs, relation: LaurentPoly) -> bool:
-    """True when the relation vanishes identically under the definitions."""
-    bindings = {var_id(nm): LaurentPoly.term(1, mono) for nm, mono in defs}
-    return relation.substitute(bindings).is_zero()
-
-
 def validate_spec(spec: CaseSpec) -> list:
     """Mechanical consistency checks; an empty list means the case data is sound."""
     out = []
@@ -573,26 +564,22 @@ def validate_spec(spec: CaseSpec) -> list:
     # generator monomials: torus-invariant, built from surviving coefficients
     weights = torus_weights(spec)
     first_half = set(spec.first_half_variables())
-    zero = tuple([0] * spec.twist.torus_dim)
     for gname, mono in spec.generator_defs:
-        total = [0] * spec.twist.torus_dim
-        for varid, k in mono.exps:
-            if varid.name not in weights:
-                out.append(Violation("generator_mismatch",
-                                     f"{gname} uses unscheduled {varid.name}"))
-                continue
-            if varid.name not in first_half:
-                out.append(Violation("generator_mismatch",
-                                     f"{gname} uses eliminated {varid.name}"))
-            for a, w in enumerate(weights[varid.name]):
-                total[a] += w * k
-        if tuple(total) != zero:
+        scheduled = True
+        for v in mono.variables():
+            if v.name not in weights:
+                out.append(Violation("generator_mismatch", f"{gname} uses unscheduled {v.name}"))
+                scheduled = False
+            elif v.name not in first_half:
+                out.append(Violation("generator_mismatch", f"{gname} uses eliminated {v.name}"))
+        if scheduled and any(weight := weight_of(mono, weights, spec.twist.torus_dim)):
             out.append(Violation("generator_mismatch",
-                                 f"{gname} = {mono} has nonzero weight {tuple(total)}"))
+                                 f"{gname} = {mono} has nonzero weight {weight}"))
 
-    if not tautological_check(spec.generator_defs, spec.tautological):
-        out.append(Violation("tautological_relation",
-                             f"{spec.tautological} does not vanish under the definitions"))
+    try:
+        spec.tautological
+    except NotInvariantError as exc:
+        out.append(Violation("tautological_relation", str(exc)))
 
     # every schedule variable is either in a generator or eliminated
     covered = {v.name for _, mono in spec.generator_defs for v in mono.variables()}

@@ -189,7 +189,8 @@ def derive_case(name: str, trials: int = DEFAULT_TRIALS,
     spec = case_spec(name)
     violations = validate_spec(spec)
     if violations:
-        raise DerivationError(f"[spec] invalid case data: {violations}")
+        raise DerivationError("[spec] invalid case data: "
+                              + "; ".join(f"{v.kind}: {v.detail}" for v in violations))
 
     with _stage("stokes"):
         matrices = tuple(stokes_matrix(l) for l in spec.schedule)

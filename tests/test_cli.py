@@ -261,6 +261,11 @@ def _bilinear_targets(monkeypatch):
     _mutated_oracle_plan(monkeypatch, "JKTII", solve_targets=("x2", "x6"))
 
 
+def _one_solve_target(monkeypatch):
+    """An identity closure needs two solve targets."""
+    _mutated_oracle_plan(monkeypatch, "JKTIVb", solve_targets=("x5",))
+
+
 @pytest.mark.parametrize("argv", [("derive", "--case", "JKTI"), ("verify",)],
                          ids=["derive", "verify"])
 @pytest.mark.parametrize("patch,line", [
@@ -269,7 +274,11 @@ def _bilinear_targets(monkeypatch):
     (_unbound_xyz_map, "error: [oracle] unbound variable lam"),
     (_non_affine_targets, "error: [oracle] solve equations are not affine in x1, x2"),
     (_bilinear_targets, "error: [oracle] solve equations are not affine in x2, x6"),
-], ids=["derivation", "degenerate-sample", "unbound-variable", "non-affine", "bilinear"])
+    (_one_solve_target, "error: [spec] invalid case data: oracle_plan: identity closure "
+     "with solve targets ('x5',); an identity closure needs two distinct surviving "
+     "coefficients, a fixed-class closure none"),
+], ids=["derivation", "degenerate-sample", "unbound-variable", "non-affine", "bilinear",
+        "spec"])
 def test_derivation_error_exits_three(argv, patch, line, capsys, monkeypatch):
     patch(monkeypatch)
     code = cli.main(list(argv))

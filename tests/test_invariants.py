@@ -6,8 +6,8 @@ import pytest
 
 from wildcv.invariants import (NotInvariantError, invariant_monomials,
                                rewrite_in_invariants)
-from wildcv.model import (CASE_NAMES, case_spec, tautological_check,
-                          torus_weight_of_position, torus_weights, TwistClass)
+from wildcv.model import (CASE_NAMES, case_spec, torus_weight_of_position,
+                          torus_weights, TwistClass)
 from wildcv.monodromy import topological_monodromy
 from wildcv.polyring import LaurentPoly, Monomial, parse, var_id
 from wildcv.stokes import SymMat3, formal_monodromy, stokes_matrix
@@ -178,15 +178,30 @@ def test_rewrite_roundtrip_on_every_closure_equation():
 # --------------------------------------------------------------------------
 
 
+def _defs(spec):
+    return {var_id(nm): LaurentPoly.term(1, mono) for nm, mono in spec.generator_defs}
+
+
 def test_tautological_checks():
-    assert tautological_check(case_spec("JKTVI").generator_defs,
-                              P("U*V*W - R*T"))
-    assert tautological_check(case_spec("JKTV").generator_defs, P("U*V - R*T"))
-    assert not tautological_check(case_spec("JKTVI").generator_defs,
-                                  P("U*V*W - R^2"))
     for name in CASE_NAMES:
         spec = case_spec(name)
-        assert tautological_check(spec.generator_defs, spec.tautological)
+        assert spec.tautological.substitute(_defs(spec)).is_zero()
+
+
+def test_jktii_invariant_outside_the_generators_holds_on_the_locus():
+    """x3*x5 is invariant but not a product of U..T (T = x1*x3*x5); modulo
+    the raw entry(3,3) and entry(1,2) equations E0, E1 it is alpha*(T - U*V):
+    x3*x5 - alpha*(T - U*V) + x3*x5*(E1 - alpha*x1*E0) = 0 exactly, and not
+    with either sign flipped."""
+    spec = case_spec("JKTII")
+    system = case_closure(spec)
+    assert system.provenance[:2] == ("entry(3,3)", "entry(1,2)")
+    e0, e1 = system.raw_equations[:2]
+    x35, alpha, x1 = P("x3*x5"), P("alpha"), P("x1")
+    t_uv = P("T - U*V").substitute(_defs(spec))
+    for s1, s2 in product((1, -1), repeat=2):
+        certificate = x35 - s1 * alpha * t_uv + x35 * (e1 - s2 * alpha * x1 * e0)
+        assert certificate.is_zero() == (s1 == s2 == 1)
 
 
 # --------------------------------------------------------------------------
@@ -212,10 +227,8 @@ def test_closure_equations_fixed_by_torus_scaling():
         spec = case_spec(name)
         system = case_closure(spec)
         scaling = _torus_scaling(spec)
-        defs = {var_id(nm): LaurentPoly.term(1, mono)
-                for nm, mono in spec.generator_defs}
         for eq in system.equations:
-            in_x = eq.substitute(defs)
+            in_x = eq.substitute(_defs(spec))
             assert in_x.substitute(scaling) == in_x
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from wildcv import pipeline
 from wildcv.model import (CASE_NAMES, ClosureCondition, TwistClass,
-                          UnknownCaseError, case_spec, validate_spec)
+                          UnknownCaseError, Violation, case_spec, validate_spec)
 from wildcv.pipeline import DerivationError
 from wildcv.polyring import LaurentPoly, parse
 
@@ -56,9 +56,11 @@ def test_generator_definitions():
 
 
 def test_tautological_relations():
-    assert case_spec("JKTV").tautological == parse("U*V - R*T")
-    for name in ("JKTVI", "JKTIVa", "JKTIVb", "JKTII", "JKTI"):
-        assert case_spec(name).tautological == parse("U*V*W - R*T")
+    """The derived relation keeps the written relations' terms and their order."""
+    for name in CASE_NAMES:
+        written = "U*V - R*T" if name == "JKTV" else "U*V*W - R*T"
+        assert list(case_spec(name).tautological.terms.items()) == list(
+            parse(written).terms.items()), name
 
 
 def test_closure_kind_by_divisor():
@@ -114,14 +116,30 @@ def test_validate_detects_wrong_schedule_length():
             assert "direction_mismatch" in kinds, name
 
 
+def _with_generator(name, gname, text):
+    spec = case_spec(name)
+    defs = tuple((nm, parse(text).single_term()[1] if nm == gname else mono)
+                 for nm, mono in spec.generator_defs)
+    return dataclasses.replace(spec, generator_defs=defs)
+
+
 def test_validate_detects_generator_mismatch():
-    spec = case_spec("JKTVI")
-    bad_defs = tuple(
-        (nm, mono) if nm != "U" else (nm, parse("x1*x5").single_term()[1])
-        for nm, mono in spec.generator_defs)
-    mutated = dataclasses.replace(spec, generator_defs=bad_defs)
-    kinds = {v.kind for v in validate_spec(mutated)}
+    """JKTVI's U = x1*x5 has nonzero weight, and its five exponent vectors
+    are independent, so the generators satisfy no relation."""
+    violations = validate_spec(_with_generator("JKTVI", "U", "x1*x5"))
+    kinds = {v.kind for v in violations}
     assert "generator_mismatch" in kinds
+    assert Violation("tautological_relation",
+                     "the generators' relations have rank 0, need 1") in violations
+
+
+def test_validate_detects_two_relations():
+    """JKTV's W = x2*x5 repeats U, a second relation beside U*V = R*T; the
+    replaced spec does not keep the shipped spec's cached relation."""
+    assert case_spec("JKTV").tautological == parse("U*V - R*T")
+    violations = validate_spec(_with_generator("JKTV", "W", "x2*x5"))
+    assert Violation("tautological_relation",
+                     "the generators' relations have rank 2, need 1") in violations
 
 
 def test_unknown_divisor_rejected():

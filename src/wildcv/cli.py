@@ -5,8 +5,8 @@ Subcommands: ``derive`` (run one or all derivations and emit a report),
 full verification suite with the numeric oracle) and ``dump-spec`` (emit the
 static case data as JSON).  Output is byte-deterministic for a fixed seed.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 derivation
-error (a failed stage, the oracle included); each is one ``error:`` line of stderr.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 bad case data
+or a failed stage, the oracle included; each is one ``error:`` line of stderr.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ position), the invariant-monomial generators, and the plans the pipeline
 executes verbatim: back substitutions, linear eliminations, affine changes of
 variables, and the expected cubic.  ``CubicSurface`` is the one cubic type:
 the cubic a derivation builds, and the cubic a case expects, whose free
-linear and constant coefficients are ``None``.
+linear and constant coefficients are ``None``.  ``case_spec``, the one way to
+a case's data, runs ``validate_spec`` on it once per process and raises a
+``[spec]`` ``DerivationError`` on any violation.
 
 The twist class, the divisor and the generators fix five more facts,
 derived, not stored:
@@ -50,6 +52,10 @@ from .stokes import RationalAngle, singular_directions
 
 class UnknownCaseError(PolyError):
     """Not one of the six JKT case names."""
+
+
+class DerivationError(PolyError):
+    """A pipeline stage failed; the message carries the stage label."""
 
 
 CASE_NAMES = ("JKTVI", "JKTV", "JKTIVa", "JKTIVb", "JKTII", "JKTI")
@@ -200,10 +206,7 @@ class CaseSpec:
 
     @property
     def closure(self) -> ClosureCondition:
-        try:
-            return _CLOSURE_BY_DIVISOR[self.divisor]
-        except KeyError:
-            raise ValueError(f"unknown divisor {self.divisor!r}") from None
+        return _CLOSURE_BY_DIVISOR[self.divisor]
 
     @cached_property
     def tautological(self) -> LaurentPoly:
@@ -530,11 +533,17 @@ _BUILDERS = {
 
 @lru_cache(maxsize=None)
 def case_spec(name: str) -> CaseSpec:
+    """The named case's data, once it has passed ``validate_spec``."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise UnknownCaseError(f"unknown case {name!r}; expected one of {CASE_NAMES}") from None
-    return builder()
+    spec = builder()
+    violations = validate_spec(spec)
+    if violations:
+        raise DerivationError("[spec] invalid case data: "
+                              + "; ".join(f"{v.kind}: {v.detail}" for v in violations))
+    return spec
 
 
 # --------------------------------------------------------------------------
@@ -559,6 +568,9 @@ def torus_weights(spec: CaseSpec) -> dict:
 
 def validate_spec(spec: CaseSpec) -> list:
     """Mechanical consistency checks; an empty list means the case data is sound."""
+    if spec.divisor not in _CLOSURE_BY_DIVISOR:
+        # every later check reads spec.closure
+        return [Violation("divisor", f"unknown divisor {spec.divisor!r}")]
     out = []
 
     # generator monomials: torus-invariant, built from surviving coefficients
@@ -620,6 +632,10 @@ def validate_spec(spec: CaseSpec) -> list:
         out.append(Violation("elimination_plan",
                              f"plan {spec.elimination_plan} does not leave one residual"))
 
+    for step in spec.cov_steps:
+        if step.kind not in ("subst", "divide"):
+            out.append(Violation("cov_step", f"unknown kind {step.kind!r}"))
+
     # the oracle solves M = I for two surviving coefficients; a fixed-class
     # closure holds the trace parameters, which a trial sets only after solving
     targets = spec.oracle.solve_targets
@@ -629,7 +645,7 @@ def validate_spec(spec: CaseSpec) -> list:
         sound = not targets
     if not sound:
         out.append(Violation("oracle_plan", f"{spec.closure.kind} closure with solve "
-                             f"targets {targets}; an identity closure needs two distinct "
+                             f"targets {targets}: an identity closure needs two distinct "
                              "surviving coefficients, a fixed-class closure none"))
 
     return out

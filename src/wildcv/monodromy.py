@@ -57,9 +57,8 @@ def topological_monodromy(factors: tuple) -> SymMat3:
 
 
 def closure_equations(spec: CaseSpec, monodromy: SymMat3, factors: tuple,
-                      right_det: Optional[LaurentPoly] = None) -> ClosureSystem:
-    """The closure system from M and its factors (L, R) at the split;
-    ``right_det`` is det R when the caller has already expanded it."""
+                      right_det: LaurentPoly) -> ClosureSystem:
+    """The closure system from M, its factors (L, R) at the split and det R."""
     trace_polys = subs = dropped = None
     if spec.closure.kind == "fixed_class":
         tr = monodromy.trace()

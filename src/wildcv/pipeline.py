@@ -4,13 +4,15 @@ A derivation runs: closure system -> parameter normalization -> linear
 elimination down to a single residual -> affine change of variables -> cubic
 normal form, then verifies the result against the expected surface and a
 seeded numeric oracle that samples points on the constraint locus and checks
-that the cubic vanishes there.  The report's ``det_is_one`` (JSON
-``determinant_is_one``) is det R * det L of the monodromy's factors M = R * L:
-det M as the same exact polynomial, without expanding the determinant of the
-full product (the test suite still expands det M itself).  The cubic's type,
-``CubicSurface``, and its shape table live in ``model``: the normal form reads
-the residual with ``LaurentPoly.split`` in X, Y, Z into the same slots that a
-case's expected cubic and ``CubicSurface.reconstruct`` use.
+that the cubic vanishes there.  The case data comes from ``model.case_spec``,
+which has already checked it, so a derivation does not check it again.  The
+report's ``det_is_one`` (JSON ``determinant_is_one``) is det R * det L of the
+monodromy's factors M = R * L: det M as the same exact polynomial, without
+expanding the determinant of the full product (the test suite still expands
+det M itself).  The cubic's type, ``CubicSurface``, and its shape table live
+in ``model``: the normal form reads the residual with ``LaurentPoly.split`` in
+X, Y, Z into the same slots that a case's expected cubic and
+``CubicSurface.reconstruct`` use.
 
 The oracle builds the cubic polynomial once per run, and each polynomial
 keeps the float form of its terms after its first evaluation.  A run whose
@@ -32,7 +34,7 @@ from typing import Optional
 from .polyring import (LaurentPoly, Monomial, NotLinearError, PolyError, solve_in_order,
                        var_id)
 from .stokes import SymMat3, formal_monodromy, stokes_matrix
-from .model import _SLOTS, _XYZ_IDS, CaseSpec, CubicSurface, case_spec, validate_spec
+from .model import _SLOTS, _XYZ_IDS, CaseSpec, CubicSurface, DerivationError, case_spec
 from .monodromy import (ClosureSystem, closure_equations, monodromy_factors,
                         topological_monodromy)
 
@@ -51,10 +53,6 @@ class ShapeError(PolyError):
 
 class DegenerateSampleError(PolyError):
     """A sampled configuration was numerically singular."""
-
-
-class DerivationError(PolyError):
-    """A pipeline stage failed; the message carries the stage label."""
 
 
 # --------------------------------------------------------------------------
@@ -92,10 +90,8 @@ def to_cubic_normal_form(residual: LaurentPoly, cov_steps, normalization) -> Cub
         if step.kind == "subst":
             residual = residual.substitute(
                 {var_id(nm): poly.substitute(normalization) for nm, poly in step.mapping})
-        elif step.kind == "divide":
-            residual = residual * step.term.substitute(normalization).inverse_term()
         else:
-            raise ValueError(f"unknown cov step {step.kind!r}")
+            residual = residual * step.term.substitute(normalization).inverse_term()
     return _decompose_cubic(residual)
 
 
@@ -187,11 +183,6 @@ def derive_case(name: str, trials: int = DEFAULT_TRIALS,
                 seed: int = DEFAULT_SEED, run_oracle: bool = True) -> CaseReport:
     """Run the full mechanical derivation for one case."""
     spec = case_spec(name)
-    violations = validate_spec(spec)
-    if violations:
-        raise DerivationError("[spec] invalid case data: "
-                              + "; ".join(f"{v.kind}: {v.detail}" for v in violations))
-
     with _stage("stokes"):
         matrices = tuple(stokes_matrix(l) for l in spec.schedule)
         H = formal_monodromy(spec.twist.ramification_index)

@@ -13,13 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .polyring import LaurentPoly, PolyError
-
-
-class DiagonalEntryError(PolyError):
-    """A Stokes entry was scheduled on the diagonal."""
+from .polyring import LaurentPoly
 
 
 # --------------------------------------------------------------------------
@@ -141,10 +137,9 @@ class SymMat3:
               for j in range(3)] for i in range(3)]
         )
 
-    def inverse(self, det: Optional[LaurentPoly] = None) -> "SymMat3":
-        """Inverse via the adjugate; the determinant, ``det`` when the caller
-        has already expanded it, must be an invertible term."""
-        inv = (self.det() if det is None else det).inverse_term()
+    def inverse(self, det: LaurentPoly) -> "SymMat3":
+        """Inverse via the adjugate, given ``det``, an invertible term."""
+        inv = det.inverse_term()
         adj = self.adjugate()
         return SymMat3([[inv * e for e in row] for row in adj.rows])
 
@@ -165,8 +160,6 @@ def stokes_matrix(layout) -> SymMat3:
     rows = [[LaurentPoly.constant(1 if i == j else 0) for j in range(3)]
             for i in range(3)]
     for row, col, name in layout.entries:
-        if row == col:
-            raise DiagonalEntryError(f"diagonal entry ({row},{col}) in layout")
         rows[row - 1][col - 1] = LaurentPoly.variable(name)
     return SymMat3(rows)
 

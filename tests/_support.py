@@ -2,7 +2,7 @@
 
 import dataclasses
 
-from wildcv import pipeline
+from wildcv import cli, model, pipeline
 from wildcv.model import case_spec
 from wildcv.monodromy import (closure_equations, monodromy_factors,
                               topological_monodromy)
@@ -17,13 +17,22 @@ def case_factors(spec):
 
 def case_closure(spec):
     """The case's closure system, from its topological monodromy."""
-    factors = case_factors(spec)
-    return closure_equations(spec, topological_monodromy(factors), factors)
+    left, right = factors = case_factors(spec)
+    return closure_equations(spec, topological_monodromy(factors), factors, right.det())
+
+
+def use_spec(monkeypatch, spec):
+    """Make ``derive_case`` and the CLI read ``spec`` for its case.  The spec
+    passes through the same check as the shipped data, and ``case_spec``'s
+    cache is left untouched."""
+    monkeypatch.setitem(model._BUILDERS, spec.name, lambda: spec)
+    uncached = model.case_spec.__wrapped__
+    monkeypatch.setattr(pipeline, "case_spec", uncached)
+    monkeypatch.setattr(cli, "case_spec", uncached)
 
 
 def patch_expected(monkeypatch, name, **coefficients):
     """Make ``derive_case`` read the case with these expected coefficients."""
     spec = case_spec(name)
-    wrong = dataclasses.replace(spec, expected=dataclasses.replace(spec.expected,
-                                                                   **coefficients))
-    monkeypatch.setattr(pipeline, "case_spec", lambda _: wrong)
+    use_spec(monkeypatch, dataclasses.replace(
+        spec, expected=dataclasses.replace(spec.expected, **coefficients)))

@@ -80,7 +80,7 @@ def test_criterion_3_intermediate_formulas():
         "x2*x3*x4 + x3^2 + x4 - p*x3 + x2 + 1/2*p^2 - 1/2*q")
     # JKTIVb partial product display, entrywise
     left, right = case_factors(case_spec("JKTIVb"))
-    right = right.inverse()
+    right = right.inverse(right.det())
     lhs_rows = [
         ["1", "x1", "x2"],
         ["x4", "x1*x4 + 1", "x3 + x2*x4"],

@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 from wildcv import cli, pipeline
-from wildcv.model import CASE_NAMES, case_spec
+from wildcv.model import CASE_NAMES, CovStep, case_spec, validate_spec
 from wildcv.pipeline import DegenerateSampleError, DerivationError
 from wildcv.polyring import parse
 
-from _support import patch_expected
+from _support import patch_expected, use_spec
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -229,6 +229,7 @@ def _failing_derivation(monkeypatch):
         raise DerivationError("[eliminate] degree in x5 is 2, need exactly 1")
 
     monkeypatch.setattr(cli, "derive_case", failing)
+    return "JKTI"
 
 
 def _degenerate_trials(monkeypatch):
@@ -236,38 +237,39 @@ def _degenerate_trials(monkeypatch):
         raise DegenerateSampleError("singular 2x2 solve")
 
     monkeypatch.setattr(pipeline, "_oracle_trial", degenerate)
+    return "JKTI"
 
 
 def _mutated_oracle_plan(monkeypatch, name, **changes):
     spec = case_spec(name)
-    mutated = dataclasses.replace(spec, oracle=dataclasses.replace(spec.oracle, **changes))
-    monkeypatch.setattr(pipeline, "case_spec", lambda _: mutated)
+    use_spec(monkeypatch, dataclasses.replace(
+        spec, oracle=dataclasses.replace(spec.oracle, **changes)))
+    return name
 
 
 def _unbound_xyz_map(monkeypatch):
     """An xyz_map entry that reads lam, which no trial sets."""
     (name, expr), *rest = case_spec("JKTVI").oracle.xyz_map
-    _mutated_oracle_plan(monkeypatch, "JKTVI",
-                         xyz_map=((name, expr + parse("lam")), *rest))
+    return _mutated_oracle_plan(monkeypatch, "JKTVI",
+                                xyz_map=((name, expr + parse("lam")), *rest))
 
 
 def _non_affine_targets(monkeypatch):
     """JKTIVb's closure equations are not affine in x1, x2."""
-    _mutated_oracle_plan(monkeypatch, "JKTIVb", solve_targets=("x1", "x2"))
+    return _mutated_oracle_plan(monkeypatch, "JKTIVb", solve_targets=("x1", "x2"))
 
 
 def _bilinear_targets(monkeypatch):
     """JKTII's solve equations in x2, x6 hold an x2*x6 term."""
-    _mutated_oracle_plan(monkeypatch, "JKTII", solve_targets=("x2", "x6"))
+    return _mutated_oracle_plan(monkeypatch, "JKTII", solve_targets=("x2", "x6"))
 
 
 def _one_solve_target(monkeypatch):
     """An identity closure needs two solve targets."""
-    _mutated_oracle_plan(monkeypatch, "JKTIVb", solve_targets=("x5",))
+    return _mutated_oracle_plan(monkeypatch, "JKTIVb", solve_targets=("x5",))
 
 
-@pytest.mark.parametrize("argv", [("derive", "--case", "JKTI"), ("verify",)],
-                         ids=["derive", "verify"])
+@pytest.mark.parametrize("command", ["derive", "verify"])
 @pytest.mark.parametrize("patch,line", [
     (_failing_derivation, "error: [eliminate] degree in x5 is 2, need exactly 1"),
     (_degenerate_trials, "error: [oracle] trial 0: resample budget exhausted"),
@@ -275,18 +277,59 @@ def _one_solve_target(monkeypatch):
     (_non_affine_targets, "error: [oracle] solve equations are not affine in x1, x2"),
     (_bilinear_targets, "error: [oracle] solve equations are not affine in x2, x6"),
     (_one_solve_target, "error: [spec] invalid case data: oracle_plan: identity closure "
-     "with solve targets ('x5',); an identity closure needs two distinct surviving "
+     "with solve targets ('x5',): an identity closure needs two distinct surviving "
      "coefficients, a fixed-class closure none"),
 ], ids=["derivation", "degenerate-sample", "unbound-variable", "non-affine", "bilinear",
         "spec"])
-def test_derivation_error_exits_three(argv, patch, line, capsys, monkeypatch):
-    patch(monkeypatch)
-    code = cli.main(list(argv))
+def test_derivation_error_exits_three(command, patch, line, capsys, monkeypatch):
+    """``derive`` runs the case that the patch breaks, ``verify`` all six."""
+    name = patch(monkeypatch)
+    code = cli.main([command, "--case", name] if command == "derive" else [command])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err == line + "\n"
     assert "Traceback" not in captured.err
+
+
+_IVB = case_spec("JKTIVb")
+
+
+@pytest.mark.parametrize("command", ["derive", "verify", "dump-spec", "directions"])
+@pytest.mark.parametrize("changes,line", [
+    ({"back_sub_plan": _IVB.back_sub_plan[1:]},
+     "uncovered_variable: x9; closure_plan: identity closure with plan "
+     "(((3, 2), 'x12'), ((3, 1), 'x11'), ((2, 1), 'x10'), ((1, 3), 'x8'), ((1, 2), 'x7'))"
+     " and residuals (((3, 3), <gamma>), ((2, 2), <1>))"),
+    ({"divisor": "2{0}+{inf}"}, "divisor: unknown divisor '2{0}+{inf}'"),
+    ({"cov_steps": (CovStep("scale"),)}, "cov_step: unknown kind 'scale'"),
+], ids=["plan-entry-removed", "unknown-divisor", "unknown-cov-step"])
+def test_bad_case_data_exits_three(command, changes, line, capsys, monkeypatch):
+    """Every command reads a case through the one check, so bad case data
+    ends in one [spec] line before any command uses it."""
+    use_spec(monkeypatch, dataclasses.replace(_IVB, **changes))
+    code = cli.main([command, "--case", "JKTIVb"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error: [spec] invalid case data: {line}\n"
+
+
+def test_spec_line_splits_into_its_violations(capsys, monkeypatch):
+    """"; " separates the violations and occurs in no detail."""
+    mutated = dataclasses.replace(
+        _IVB, back_sub_plan=_IVB.back_sub_plan[1:],
+        oracle=dataclasses.replace(_IVB.oracle, solve_targets=("x5",)))
+    use_spec(monkeypatch, mutated)
+    assert cli.main(["derive", "--case", "JKTIVb"]) == 3
+    err = capsys.readouterr().err
+    prefix = "error: [spec] invalid case data: "
+    assert err.startswith(prefix) and err.count("\n") == 1
+    violations = validate_spec(mutated)
+    assert [v.kind for v in violations] == ["uncovered_variable", "closure_plan",
+                                            "oracle_plan"]
+    assert err[len(prefix):-1].split("; ") == [f"{v.kind}: {v.detail}"
+                                               for v in violations]
 
 
 @pytest.mark.parametrize("fmt,golden", [("latex", "derive_all.tex"),

@@ -1,14 +1,17 @@
 """Static case data: schedules, generators, closure kinds, validation."""
 
 import dataclasses
+import sys
 
 import pytest
 
-from wildcv import pipeline
+from wildcv import model, pipeline
 from wildcv.model import (CASE_NAMES, ClosureCondition, TwistClass,
                           UnknownCaseError, Violation, case_spec, validate_spec)
 from wildcv.pipeline import DerivationError
 from wildcv.polyring import LaurentPoly, parse
+
+from _support import use_spec
 
 
 def _gen_strings(spec):
@@ -143,9 +146,27 @@ def test_validate_detects_two_relations():
 
 
 def test_unknown_divisor_rejected():
+    """The one violation: every other check reads the closure the divisor fixes."""
     spec = dataclasses.replace(case_spec("JKTI"), divisor="2{0}+{inf}")
-    with pytest.raises(ValueError, match="unknown divisor"):
-        spec.closure
+    assert validate_spec(spec) == [Violation("divisor", "unknown divisor '2{0}+{inf}'")]
+
+
+def test_case_spec_checks_each_case_once(monkeypatch):
+    """Once the six specs are cached, deriving them runs no check, under
+    whatever name a module holds it."""
+    for name in CASE_NAMES:
+        case_spec(name)
+
+    def never(spec):
+        raise AssertionError(f"{spec.name} was checked again")
+
+    real = model.validate_spec
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("wildcv")
+                and getattr(mod, "validate_spec", None) is real):
+            monkeypatch.setattr(mod, "validate_spec", never)
+    for name in CASE_NAMES:
+        pipeline.derive_case(name, run_oracle=False)
 
 
 _OTHER_DIVISOR = {"3{inf}": "{0}+2{inf}", "{0}+2{inf}": "3{inf}"}
@@ -161,7 +182,7 @@ def test_wrong_divisor_or_twist_fails_derivation(name, mutant, monkeypatch):
         mutated = dataclasses.replace(spec, divisor=_OTHER_DIVISOR[spec.divisor])
     else:
         mutated = dataclasses.replace(spec, twist=mutant)
-    monkeypatch.setattr(pipeline, "case_spec", lambda _: mutated)
+    use_spec(monkeypatch, mutated)
     with pytest.raises(DerivationError) as exc:
         pipeline.derive_case(name, run_oracle=False)
     if mutant != "divisor":
@@ -194,8 +215,7 @@ def _closure_plan_mutants():
 
 @pytest.mark.parametrize("name,changes", _closure_plan_mutants())
 def test_closure_plan_mutants_fail_at_spec(name, changes, monkeypatch):
-    mutated = dataclasses.replace(case_spec(name), **changes)
-    monkeypatch.setattr(pipeline, "case_spec", lambda _: mutated)
+    use_spec(monkeypatch, dataclasses.replace(case_spec(name), **changes))
     with pytest.raises(DerivationError) as exc:
         pipeline.derive_case(name, run_oracle=False)
     assert str(exc.value).startswith("[spec]")
@@ -211,8 +231,7 @@ def test_oracle_plan_mutants_fail_at_spec(name, targets, monkeypatch):
     identity closure, or any solve targets on a fixed-class closure."""
     spec = case_spec(name)
     oracle = dataclasses.replace(spec.oracle, solve_targets=targets)
-    mutated = dataclasses.replace(spec, oracle=oracle)
-    monkeypatch.setattr(pipeline, "case_spec", lambda _: mutated)
+    use_spec(monkeypatch, dataclasses.replace(spec, oracle=oracle))
     with pytest.raises(DerivationError) as exc:
         pipeline.derive_case(name)
     assert str(exc.value).startswith("[spec]")

@@ -18,7 +18,7 @@ GAMMA_UNIT = {var_id("gamma"): P("alpha^-1*beta^-1")}
 def _split(spec):
     """(L, R^-1) of the case's monodromy: M = I reads L = R^-1."""
     left, right = case_factors(spec)
-    return left, right.inverse()
+    return left, right.inverse(right.det())
 
 
 def _entries(spec):

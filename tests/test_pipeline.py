@@ -455,8 +455,8 @@ def test_report_replays_stage_by_stage():
         M = formal_monodromy(spec.twist.ramification_index) * prod
         assert M == rep.topological_monodromy
         # closure from the monodromy
-        system = close(spec, M, monodromy_factors(
-            spec, rep.stokes_matrices, rep.formal_monodromy))
+        factors = monodromy_factors(spec, rep.stokes_matrices, rep.formal_monodromy)
+        system = close(spec, M, factors, factors[1].det())
         assert system.equations == rep.closure.equations
         # residual from the normalized closure system
         norm = spec.parameter_normalization

@@ -166,6 +166,12 @@ class CubicSurface:
     c4: Optional[LaurentPoly] = None
 
     def reconstruct(self) -> LaurentPoly:
+        """The cubic as one polynomial, built on the first call and kept, so
+        that its compiled evaluator is kept with it."""
+        return self._polynomial
+
+    @cached_property
+    def _polynomial(self) -> LaurentPoly:
         free = [name for name in _SLOTS if getattr(self, name) is None]
         if free:
             raise ValueError("cannot reconstruct a cubic with free coefficients: "
@@ -566,6 +572,11 @@ def torus_weights(spec: CaseSpec) -> dict:
     return out
 
 
+def _angles(directions) -> str:
+    """Sorted angles as ``wildcv directions`` prints them: [0, pi/5, ...]."""
+    return "[" + ", ".join(map(str, sorted(directions))) + "]"
+
+
 def validate_spec(spec: CaseSpec) -> list:
     """Mechanical consistency checks; an empty list means the case data is sound."""
     if spec.divisor not in _CLOSURE_BY_DIVISOR:
@@ -606,8 +617,8 @@ def validate_spec(spec: CaseSpec) -> list:
     for pair in spec.pair_specs:
         pair_dirs.update(singular_directions(pair, spec.twist.ramification_index))
     if sched_dirs != pair_dirs:
-        out.append(Violation("direction_mismatch",
-                             f"schedule {sorted(sched_dirs)} vs pairs {sorted(pair_dirs)}"))
+        out.append(Violation("direction_mismatch", f"schedule {_angles(sched_dirs)} "
+                             f"vs pairs {_angles(pair_dirs)}"))
 
     # M = I: the plan and the residual system read eight distinct entries, and
     # the plan solves exactly the coefficients from the split on
@@ -635,6 +646,8 @@ def validate_spec(spec: CaseSpec) -> list:
     for step in spec.cov_steps:
         if step.kind not in ("subst", "divide"):
             out.append(Violation("cov_step", f"unknown kind {step.kind!r}"))
+        elif step.kind == "divide" and step.term is None:
+            out.append(Violation("cov_step", "divide step without a term"))
 
     # the oracle solves M = I for two surviving coefficients; a fixed-class
     # closure holds the trace parameters, which a trial sets only after solving

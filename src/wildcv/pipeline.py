@@ -14,14 +14,15 @@ in ``model``: the normal form reads the residual with ``LaurentPoly.split`` in
 X, Y, Z into the same slots that a case's expected cubic and
 ``CubicSurface.reconstruct`` use.
 
-The oracle builds the cubic polynomial once per run, and each polynomial
-keeps the float form of its terms after its first evaluation.  A run whose
-largest residual reaches the tolerance is settled by ``oracle_identity``, the
-same claim checked as an exact polynomial identity; so a PASS with a residual
-at or above ``ORACLE_TOLERANCE`` means that the identity held.  Solve
-equations that are not affine in the solve targets (a bilinear x*y term, say)
-make ``oracle_sampling`` raise ``NotLinearError`` before the first trial, so
-the run ends as an ``[oracle]`` error naming the targets.
+The oracle builds the cubic polynomial once per report (``reconstruct`` keeps
+it), and each polynomial keeps the straight-line evaluator it compiles on its
+first evaluation.  A run whose largest residual reaches the tolerance is
+settled by ``oracle_identity``, the same claim checked as an exact polynomial
+identity; so a PASS with a residual at or above ``ORACLE_TOLERANCE`` means
+that the identity held.  Solve equations that are not affine in the solve
+targets (a bilinear x*y term, say) make ``oracle_sampling`` raise
+``NotLinearError`` before the first trial, so the run ends as an ``[oracle]``
+error naming the targets.
 """
 
 from __future__ import annotations

@@ -314,8 +314,8 @@ class LaurentPoly:
     """Immutable canonical polynomial: map monomial -> nonzero rational, an
     ``int`` when its denominator is 1 and a ``Fraction`` otherwise.
 
-    ``_floats`` holds the float form that ``evaluate`` builds on its first
-    call, ``((complex coefficient, exponent pairs), ...)`` in term order.
+    ``_floats`` holds the compiled straight-line evaluator that ``evaluate``
+    builds on its first call (see ``_compile_evaluator``).
     """
 
     __slots__ = ("terms", "_floats")
@@ -491,22 +491,17 @@ class LaurentPoly:
         return _poly(out)
 
     def evaluate(self, values: Mapping[VarId, complex]) -> complex:
-        """Direct term-by-term numeric evaluation, in term order; the float
-        form of the terms is built on the first call and kept."""
+        """Direct term-by-term numeric evaluation, in term order; the
+        straight-line function that does it is compiled on the first call
+        and kept."""
         try:
-            floats = self._floats
+            evaluator = self._floats
         except AttributeError:
-            floats = self._floats = tuple(
-                (complex(c), m.exps) for m, c in self.terms.items())
-        total = 0j
+            evaluator = self._floats = _compile_evaluator(self.terms)
         try:
-            for prod, exps in floats:
-                for v, k in exps:
-                    prod *= values[v] ** k
-                total += prod
-        except KeyError:
-            raise UnboundVariableError(f"unbound variable {v.name}") from None
-        return total
+            return evaluator(values)
+        except KeyError as exc:
+            raise UnboundVariableError(f"unbound variable {exc.args[0].name}") from None
 
     def __str__(self):
         return format_poly(self)
@@ -516,6 +511,31 @@ class LaurentPoly:
 
 
 _ONE = LaurentPoly.constant(1)
+
+
+def _compile_evaluator(terms: dict):
+    """A function of ``values`` that reads each variable once, in the order
+    of first appearance in the term walk (so a missing one is the one the
+    walk would miss first), and then adds the terms to 0j in term order:
+    ``total += C[i]*v0**k0*v1**k1...``, the factors multiplied left to right
+    and every power kept, ``**1`` too, since ``x**1`` is not ``x`` in floats
+    (it overflows at infinity).  The result is bit for bit that of the walk.
+    Each term is its own statement, because one sum expression of a few
+    thousand terms exceeds the compiler's recursion limit.  The coefficients
+    enter as the tuple C of complex constants; the source holds only indices
+    and exponents."""
+    names: dict = {}    # VarId -> local name
+    body = []
+    for i, m in enumerate(terms):
+        factors = "".join(f"*{names.setdefault(v, f'v{len(names)}')}**{k}"
+                          for v, k in m.exps)
+        body.append(f" total += C[{i}]{factors}\n")
+    reads = [f" {name} = values[V[{j}]]\n" for j, name in enumerate(names.values())]
+    source = ("def evaluate(values):\n" + "".join(reads) + " total = 0j\n"
+              + "".join(body) + " return total\n")
+    namespace = {"C": tuple(complex(c) for c in terms.values()), "V": tuple(names)}
+    exec(compile(source, "<LaurentPoly.evaluate>", "exec"), namespace)
+    return namespace["evaluate"]
 
 
 def _power_image(v: VarId, k: int, b: LaurentPoly) -> LaurentPoly:

@@ -332,6 +332,32 @@ def test_spec_line_splits_into_its_violations(capsys, monkeypatch):
                                                for v in violations]
 
 
+def test_divide_step_without_term_exits_three(capsys, monkeypatch):
+    """A divide step with no term is bad case data, not a traceback out of
+    the normal form."""
+    spec = case_spec("JKTVI")
+    assert spec.cov_steps[-1].kind == "divide"
+    use_spec(monkeypatch, dataclasses.replace(
+        spec, cov_steps=spec.cov_steps[:-1] + (CovStep("divide"),)))
+    code = cli.main(["derive", "--case", "JKTVI"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("error: [spec] invalid case data: "
+                            "cov_step: divide step without a term\n")
+    assert "Traceback" not in captured.err
+
+
+def test_direction_mismatch_prints_angles(capsys, monkeypatch):
+    """The detail prints each angle as ``wildcv directions`` does."""
+    use_spec(monkeypatch, dataclasses.replace(case_spec("JKTI"), pair_specs=()))
+    assert cli.main(["directions", "--case", "JKTI"]) == 3
+    assert capsys.readouterr().err == (
+        "error: [spec] invalid case data: direction_mismatch: schedule "
+        "[0, pi/5, 2*pi/5, 3*pi/5, 4*pi/5, pi, 6*pi/5, 7*pi/5, 8*pi/5, 9*pi/5]"
+        " vs pairs []\n")
+
+
 @pytest.mark.parametrize("fmt,golden", [("latex", "derive_all.tex"),
                                         ("text", "derive_all.txt")])
 def test_derive_all_matches_golden(fmt, golden, capsys):

@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from wildcv import polyring
 from wildcv.model import CASE_NAMES, case_spec
 from wildcv.monodromy import monodromy_factors
 from wildcv.pipeline import (ORACLE_TOLERANCE, CubicSurface, DegenerateSampleError,
@@ -332,6 +333,29 @@ def test_oracle_verify_reconstructs_once(monkeypatch):
     monkeypatch.setattr(CubicSurface, "reconstruct", counted)
     oracle_verify(_derived("JKTV"), trials=100, seed=5)
     assert len(calls) == 1
+
+
+def test_oracle_runs_of_one_report_compile_the_cubic_once(monkeypatch):
+    """The report keeps its cubic polynomial, and the polynomial keeps its
+    compiled evaluator, across oracle runs; a cubic with free coefficients
+    still refuses on every call."""
+    rep = _derived("JKTV")
+    cubic = rep.cubic.reconstruct()
+    assert rep.cubic.reconstruct() is cubic
+    compiled = []
+    real = polyring._compile_evaluator
+
+    def counted(terms):
+        compiled.append(terms)
+        return real(terms)
+
+    monkeypatch.setattr(polyring, "_compile_evaluator", counted)
+    first = oracle_verify(rep, trials=20, seed=5)
+    assert oracle_verify(rep, trials=20, seed=5) == first
+    assert sum(terms is cubic.terms for terms in compiled) == 1
+    for _ in range(2):
+        with pytest.raises(ValueError, match="free coefficients: c1, c2, c3, c4"):
+            case_spec("JKTVI").expected.reconstruct()
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)

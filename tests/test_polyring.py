@@ -1,6 +1,8 @@
 """Ring substrate: canonical arithmetic, grammar round trips, linear solving."""
 
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -313,6 +315,15 @@ def test_evaluate_examples():
 def test_evaluate_unbound_variable():
     with pytest.raises(UnboundVariableError):
         P("x1 + x2").evaluate({var_id("x1"): 1.0})
+    # with two missing, the message names the first in term order: the
+    # terms are x2*alpha, then x1, so x2 and alpha come before x1, although
+    # x1 comes first in the registry
+    poly = LaurentPoly.from_terms([(Monomial([(var_id("x2"), 1), (var_id("alpha"), 1)]), 1),
+                                   (Monomial([(var_id("x1"), 1)]), 1)])
+    with pytest.raises(UnboundVariableError, match="^unbound variable x2$"):
+        poly.evaluate({var_id("alpha"): 2.0})
+    with pytest.raises(UnboundVariableError, match="^unbound variable alpha$"):
+        poly.evaluate({var_id("x2"): 2.0})
 
 
 _EVAL_VARS = ("x1", "x2", "X", "alpha", "gamma")
@@ -348,6 +359,47 @@ def test_evaluate_keeps_term_order_bit_for_bit(poly, points):
     for v in poly.variables():
         with pytest.raises(UnboundVariableError):
             poly.evaluate({w: z for w, z in values.items() if w is not v})
+
+
+def _term_walk(poly, values):
+    """The independent walk of test_evaluate_keeps_term_order_bit_for_bit."""
+    want = 0j
+    for mono, coef in poly.terms.items():
+        prod = complex(coef)
+        for v, k in mono.exps:
+            prod *= values[v] ** k
+        want += prod
+    return want
+
+
+def test_evaluate_a_large_polynomial_bit_for_bit():
+    """A polynomial of 6 125 terms in shuffled order, with negative and unit
+    exponents, gives the independent term walk's value on the first and on
+    later calls."""
+    rng = random.Random(2025)
+    ranges = [range(-3, 4) if var_id(nm).unit else range(5) for nm in _EVAL_VARS]
+    monos = [Monomial(zip(map(var_id, _EVAL_VARS), ks)) for ks in itertools.product(*ranges)]
+    rng.shuffle(monos)
+    poly = LaurentPoly.from_terms(
+        (m, Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7)))
+        for m in monos)
+    assert len(poly.terms) == 6125
+    values = {var_id(nm): complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
+              for nm in _EVAL_VARS}
+    want = repr(_term_walk(poly, values))
+    for _ in range(3):
+        assert repr(poly.evaluate(values)) == want
+
+
+def test_evaluate_keeps_unit_powers():
+    """A power 1 stays a power: at an infinite value ``x**1`` overflows where
+    ``x`` alone would not, and evaluation fails as the term walk does."""
+    poly = P("2*x1")
+    values = {var_id("x1"): complex(math.inf, 0)}
+    with pytest.raises(OverflowError):
+        _term_walk(poly, values)
+    with pytest.raises(OverflowError):
+        poly.evaluate(values)
 
 
 @given(_polys(), st.lists(st.sampled_from(_EVAL_VARS), unique=True, max_size=3))

@@ -582,6 +582,12 @@ def validate_spec(spec: CaseSpec) -> list:
     if spec.divisor not in _CLOSURE_BY_DIVISOR:
         # every later check reads spec.closure
         return [Violation("divisor", f"unknown divisor {spec.divisor!r}")]
+    # every later check reads the entries' torus weights
+    stray = [(row, col, name) for layout in spec.schedule for row, col, name in layout.entries
+             if not (row in (1, 2, 3) and col in (1, 2, 3) and row != col)]
+    if stray:
+        return [Violation("stokes_entry", f"{name} at ({row},{col}) is not an off-diagonal "
+                          "position of a 3x3 matrix") for row, col, name in stray]
     out = []
 
     # generator monomials: torus-invariant, built from surviving coefficients
@@ -642,6 +648,16 @@ def validate_spec(spec: CaseSpec) -> list:
             or len(used) != n_equations - 1:
         out.append(Violation("elimination_plan",
                              f"plan {spec.elimination_plan} does not leave one residual"))
+
+    # the residual and each residual entry are scaled by invertible units
+    scales = [("residual_scale", spec.residual_scale)]
+    scales += [(f"residual entry {entry}", scale) for entry, scale in spec.residual_entries]
+    for label, scale in scales:
+        try:
+            scale.inverse_term()
+        except PolyError:
+            out.append(Violation("scale", f"{label} {scale} is not a single term in "
+                                 "unit variables"))
 
     for step in spec.cov_steps:
         if step.kind not in ("subst", "divide"):

@@ -14,15 +14,20 @@ in ``model``: the normal form reads the residual with ``LaurentPoly.split`` in
 X, Y, Z into the same slots that a case's expected cubic and
 ``CubicSurface.reconstruct`` use.
 
-The oracle builds the cubic polynomial once per report (``reconstruct`` keeps
-it), and each polynomial keeps the straight-line evaluator it compiles on its
-first evaluation.  A run whose largest residual reaches the tolerance is
-settled by ``oracle_identity``, the same claim checked as an exact polynomial
-identity; so a PASS with a residual at or above ``ORACLE_TOLERANCE`` means
-that the identity held.  Solve equations that are not affine in the solve
-targets (a bilinear x*y term, say) make ``oracle_sampling`` raise
-``NotLinearError`` before the first trial, so the run ends as an ``[oracle]``
-error naming the targets.
+The oracle compiles one straight-line function per report that runs a whole
+trial (``_compile_trial``): the draws, the derived units, the 2x2 solve, the
+trace parameters, the dropped entry, ``xyz_map`` and the cubic, each variable
+a local and each polynomial the statements of ``polyring.sum_statements``, so
+the floats are bit for bit those of ``LaurentPoly.evaluate``.  The report
+keeps the function with its sampling and cubic (``compiled_oracle``), so
+every run of one report reuses them.  A run whose largest residual reaches
+the tolerance is settled by ``oracle_identity``, the same claim checked as an
+exact polynomial identity; so a PASS with a residual at or above
+``ORACLE_TOLERANCE`` means that the identity held.  Solve equations that are
+not affine in the solve targets (a bilinear x*y term, say) make
+``oracle_sampling`` raise ``NotLinearError``, and a variable that no step of
+a trial binds makes ``_compile_trial`` raise ``UnboundVariableError``, both
+before the first trial, so the run ends as an ``[oracle]`` error.
 """
 
 from __future__ import annotations
@@ -30,10 +35,11 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
-from .polyring import (LaurentPoly, Monomial, NotLinearError, PolyError, solve_in_order,
-                       var_id)
+from .polyring import (LaurentPoly, Monomial, NotLinearError, PolyError,
+                       UnboundVariableError, solve_in_order, sum_statements, var_id)
 from .stokes import SymMat3, formal_monodromy, stokes_matrix
 from .model import _SLOTS, _XYZ_IDS, CaseSpec, CubicSurface, DerivationError, case_spec
 from .monodromy import (ClosureSystem, closure_equations, monodromy_factors,
@@ -149,6 +155,14 @@ class CaseReport:
         return (self.det_is_one and self.expected.matched
                 and (self.oracle is None or self.oracle.passed))
 
+    @cached_property
+    def compiled_oracle(self) -> tuple:
+        """(OracleSampling, cubic polynomial, compiled trial) of this report's
+        oracle, built on the first ``oracle_verify`` and kept for the next."""
+        sampling = oracle_sampling(self)
+        cubic = self.cubic.reconstruct()
+        return sampling, cubic, _compile_trial(self, sampling, cubic)
+
 
 # --------------------------------------------------------------------------
 # derivation
@@ -236,39 +250,6 @@ def derive_case(name: str, trials: int = DEFAULT_TRIALS,
 # --------------------------------------------------------------------------
 
 
-def _sample_complex(rng: random.Random) -> complex:
-    return complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-
-
-def _sample_unit(rng: random.Random) -> complex:
-    for _ in range(100):
-        z = _sample_complex(rng)
-        if abs(z) >= _UNIT_MIN_MODULUS:
-            return z
-    raise DegenerateSampleError("could not sample a unit away from zero")
-
-
-def _linear_solve(equations, targets, values) -> dict:
-    """Solve two equations that are jointly affine in two targets, numerically."""
-    base = dict(values)
-    for t in targets:
-        base[t] = 0j
-    consts = [eq.evaluate(base) for eq in equations]
-    cols = []
-    for t in targets:
-        probe = dict(base)
-        probe[t] = 1.0 + 0j
-        cols.append([eq.evaluate(probe) - c for eq, c in zip(equations, consts)])
-    a11, a21 = cols[0]
-    a12, a22 = cols[1]
-    det = a11 * a22 - a12 * a21
-    if abs(det) < _PIVOT_FLOOR:
-        raise DegenerateSampleError("singular 2x2 solve")
-    b1, b2 = -consts[0], -consts[1]
-    return {targets[0]: (b1 * a22 - a12 * b2) / det,
-            targets[1]: (a11 * b2 - b1 * a21) / det}
-
-
 @dataclass(frozen=True)
 class OracleSampling:
     """What every oracle trial of one report samples, solves and evaluates."""
@@ -322,32 +303,91 @@ def oracle_sampling(report: CaseReport) -> OracleSampling:
         xyz_map=tuple((var_id(nm), expr) for nm, expr in spec.oracle.xyz_map))
 
 
-def _oracle_trial(report: CaseReport, sampling: OracleSampling,
-                  cubic: LaurentPoly, rng: random.Random) -> tuple:
-    values: dict = {}
+_DRAW = "complex(-1.0 + 2.0*r(), -1.0 + 2.0*r())"    # random.uniform(-1.0, 1.0) twice
+_PROBES = "((0j, 0j), (1+0j, 0j), (0j, 1+0j))"        # the solve targets' three probe points
+
+
+def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentPoly):
+    """One function ``trial(r)`` that runs a whole oracle trial of the report,
+    drawing from ``r`` (a ``Random.random``), and returns (|cubic|, |dropped
+    entry|) at the sampled point.
+
+    Each variable is a local named from its VarId, bound in a trial's order:
+    the sampled units (up to 100 draws each, until the modulus reaches
+    ``_UNIT_MIN_MODULUS``), the derived units, the free coefficients, the
+    solve targets, the trace parameters, then ``xyz_map``; a later binding
+    overwrites the local.  A draw is ``random.uniform(-1.0, 1.0)``'s own
+    formula, ``-1.0 + 2.0*r()``.  The solve equations are written once, in a
+    loop over the targets' probe points (0, 0), (1, 0) and (0, 1), whose
+    differences give the 2x2 system for Cramer's rule.  A variable read
+    before any step binds it raises ``UnboundVariableError`` here, the first
+    one in term order.
+    """
+    bound: set = set()
+    coefs: list = []
+
+    def local(v) -> str:
+        if v not in bound:
+            raise UnboundVariableError(f"unbound variable {v.name}")
+        return f"v_{v.name}"
+
+    def value_of(poly: LaurentPoly, indent: str = "") -> list:
+        return [indent + line for line in sum_statements(poly.terms, local, coefs)]
+
+    def bind(v, poly: LaurentPoly) -> list:
+        lines = value_of(poly) + [f"v_{v.name} = total"]
+        bound.add(v)
+        return lines
+
+    lines = []
     for v in sampling.sample_units:
-        values[v] = _sample_unit(rng)
+        bound.add(v)
+        lines += ["for _ in range(100):",
+                  f" v_{v.name} = {_DRAW}",
+                  f" if abs(v_{v.name}) >= {_UNIT_MIN_MODULUS!r}:",
+                  "  break",
+                  "else:",
+                  ' raise DegenerateSampleError("could not sample a unit away from zero")']
     for v, expr in sampling.derived_units:
-        values[v] = expr.evaluate(values)
+        lines += bind(v, expr)
     for v in sampling.free_xvars:
-        values[v] = _sample_complex(rng)
-
+        bound.add(v)
+        lines.append(f"v_{v.name} = {_DRAW}")
     if sampling.solve_targets:
-        values.update(_linear_solve(sampling.solve_equations,
-                                    sampling.solve_targets, values))
-
+        t1, t2 = sampling.solve_targets
+        bound.update((t1, t2))
+        eq1, eq2 = sampling.solve_equations
+        lines += (["s = []", f"for v_{t1.name}, v_{t2.name} in {_PROBES}:"]
+                  + value_of(eq1, " ") + [" e1 = total"]
+                  + value_of(eq2, " ") + [" s.append((e1, total))"]
+                  + ["(c1, c2), (u1, u2), (w1, w2) = s",
+                     "a11 = u1 - c1", "a21 = u2 - c2", "a12 = w1 - c1", "a22 = w2 - c2",
+                     "det = a11*a22 - a12*a21",
+                     f"if abs(det) < {_PIVOT_FLOOR!r}:",
+                     ' raise DegenerateSampleError("singular 2x2 solve")',
+                     "b1 = -c1", "b2 = -c2",
+                     f"v_{t1.name} = (b1*a22 - a12*b2)/det",
+                     f"v_{t2.name} = (a11*b2 - b1*a21)/det"])
     for v, trace in sampling.trace_params:
-        values[v] = trace.evaluate(values)
-
-    dropped_residual = 0.0
-    if report.closure.dropped is not None:
-        dropped_residual = abs(report.closure.dropped.evaluate(values))
-
+        lines += bind(v, trace)
+    if report.closure.dropped is None:
+        lines.append("dropped = 0.0")
+    else:
+        lines += value_of(report.closure.dropped) + ["dropped = abs(total)"]
     for v, expr in sampling.xyz_map:
-        values[v] = expr.evaluate(values)
+        lines += bind(v, expr)
+    lines += value_of(cubic) + ["return abs(total), dropped"]
 
-    residual = abs(cubic.evaluate(values))
-    return residual, dropped_residual
+    source = "def trial(r):\n" + "".join(f" {line}\n" for line in lines)
+    namespace = {"C": tuple(coefs), "DegenerateSampleError": DegenerateSampleError}
+    exec(compile(source, f"<oracle trial {report.name}>", "exec"), namespace)
+    return namespace["trial"]
+
+
+def _oracle_trial(trial, draw) -> tuple:
+    """One attempt of a compiled trial; its own call, so that an attempt can
+    be timed or replaced from outside."""
+    return trial(draw)
 
 
 def oracle_verify(report: CaseReport, trials: int = DEFAULT_TRIALS,
@@ -358,20 +398,23 @@ def oracle_verify(report: CaseReport, trials: int = DEFAULT_TRIALS,
     from zero), solves the closure constraints numerically exactly where the
     symbolic pipeline solved them, pushes the point through the change of
     variables, and evaluates the final cubic; the max |residual| is reported.
-    When a residual reaches the tolerance, ``oracle_identity`` decides.
+    Attempt ``a`` of trial ``t`` draws from one generator reseeded with
+    ``seed*1_000_003 + t*1_009 + a``.  The report's compiled trial is built on
+    its first run and kept.  When a residual reaches the tolerance,
+    ``oracle_identity`` decides.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    sampling = oracle_sampling(report)
-    cubic = report.cubic.reconstruct()
+    sampling, cubic, trial = report.compiled_oracle
+    rng = random.Random()
     max_res = 0.0
     max_drop = 0.0
     resamples = 0
     for t in range(trials):
         for attempt in range(_MAX_RESAMPLES):
-            rng = random.Random(seed * 1_000_003 + t * 1_009 + attempt)
+            rng.seed(seed * 1_000_003 + t * 1_009 + attempt)
             try:
-                res, drop = _oracle_trial(report, sampling, cubic, rng)
+                res, drop = _oracle_trial(trial, rng.random)
             except DegenerateSampleError:
                 resamples += 1
                 continue

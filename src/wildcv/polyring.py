@@ -513,27 +513,38 @@ class LaurentPoly:
 _ONE = LaurentPoly.constant(1)
 
 
+def sum_statements(terms: dict, local, coefs: list) -> list:
+    """The statements that leave the sum of ``terms`` in ``total``: first
+    ``total = 0j``, then, in term order, ``total += C[i]*v0**k0*v1**k1...``,
+    the factors multiplied left to right and every power kept, ``**1`` too,
+    since ``x**1`` is not ``x`` in floats (it overflows at infinity).  The
+    result is bit for bit that of a term-by-term walk.  Each term is its own
+    statement, because one sum expression of a few thousand terms exceeds the
+    compiler's recursion limit.
+
+    ``local(v)`` names the local that holds VarId v; it is called in term
+    order, each term's factors in registry order.  Each coefficient is
+    appended to ``coefs`` as a complex constant, and ``C[i]`` reads it back,
+    so the source holds only indices and exponents."""
+    lines = ["total = 0j"]
+    for m, c in terms.items():
+        factors = "".join(f"*{local(v)}**{k}" for v, k in m.exps)
+        lines.append(f"total += C[{len(coefs)}]{factors}")
+        coefs.append(complex(c))
+    return lines
+
+
 def _compile_evaluator(terms: dict):
     """A function of ``values`` that reads each variable once, in the order
     of first appearance in the term walk (so a missing one is the one the
-    walk would miss first), and then adds the terms to 0j in term order:
-    ``total += C[i]*v0**k0*v1**k1...``, the factors multiplied left to right
-    and every power kept, ``**1`` too, since ``x**1`` is not ``x`` in floats
-    (it overflows at infinity).  The result is bit for bit that of the walk.
-    Each term is its own statement, because one sum expression of a few
-    thousand terms exceeds the compiler's recursion limit.  The coefficients
-    enter as the tuple C of complex constants; the source holds only indices
-    and exponents."""
+    walk would miss first), and then runs ``sum_statements``."""
     names: dict = {}    # VarId -> local name
-    body = []
-    for i, m in enumerate(terms):
-        factors = "".join(f"*{names.setdefault(v, f'v{len(names)}')}**{k}"
-                          for v, k in m.exps)
-        body.append(f" total += C[{i}]{factors}\n")
-    reads = [f" {name} = values[V[{j}]]\n" for j, name in enumerate(names.values())]
-    source = ("def evaluate(values):\n" + "".join(reads) + " total = 0j\n"
-              + "".join(body) + " return total\n")
-    namespace = {"C": tuple(complex(c) for c in terms.values()), "V": tuple(names)}
+    coefs: list = []
+    body = sum_statements(terms, lambda v: names.setdefault(v, f"v{len(names)}"), coefs)
+    reads = [f"{name} = values[V[{j}]]" for j, name in enumerate(names.values())]
+    source = "def evaluate(values):\n" + "".join(
+        f" {line}\n" for line in reads + body + ["return total"])
+    namespace = {"C": tuple(coefs), "V": tuple(names)}
     exec(compile(source, "<LaurentPoly.evaluate>", "exec"), namespace)
     return namespace["evaluate"]
 

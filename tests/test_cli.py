@@ -11,7 +11,7 @@ import pytest
 from wildcv import cli, pipeline
 from wildcv.model import CASE_NAMES, CovStep, case_spec, validate_spec
 from wildcv.pipeline import DegenerateSampleError, DerivationError
-from wildcv.polyring import parse
+from wildcv.polyring import LaurentPoly, parse
 
 from _support import patch_expected, use_spec
 
@@ -171,7 +171,7 @@ def test_derive_all_emits_one_report_per_case(capsys):
 
 
 def test_json_polynomials_use_the_text_grammar(capsys):
-    from wildcv.polyring import parse
+    from wildcv.polyring import LaurentPoly, parse
     _, out = _run(capsys, "derive", "--case", "JKTVI", "--format", "json")
     doc = json.loads(out)
     for key, val in doc["cubic"].items():
@@ -303,7 +303,19 @@ _IVB = case_spec("JKTIVb")
      " and residuals (((3, 3), <gamma>), ((2, 2), <1>))"),
     ({"divisor": "2{0}+{inf}"}, "divisor: unknown divisor '2{0}+{inf}'"),
     ({"cov_steps": (CovStep("scale"),)}, "cov_step: unknown kind 'scale'"),
-], ids=["plan-entry-removed", "unknown-divisor", "unknown-cov-step"])
+    ({"schedule": _IVB.schedule[:-2] + (
+        dataclasses.replace(_IVB.schedule[-2], entries=((0, 1, "x11"),)),
+        dataclasses.replace(_IVB.schedule[-1], entries=((4, 2, "x12"),)))},
+     "stokes_entry: x11 at (0,1) is not an off-diagonal position of a 3x3 matrix; "
+     "stokes_entry: x12 at (4,2) is not an off-diagonal position of a 3x3 matrix"),
+    ({"residual_scale": LaurentPoly.zero(),
+      "residual_entries": (((3, 3), parse("gamma + 1")), _IVB.residual_entries[1])},
+     "scale: residual_scale 0 is not a single term in unit variables; "
+     "scale: residual entry (3, 3) gamma + 1 is not a single term in unit variables"),
+    ({"residual_scale": parse("2*x1")},
+     "scale: residual_scale 2*x1 is not a single term in unit variables"),
+], ids=["plan-entry-removed", "unknown-divisor", "unknown-cov-step", "stokes-entry-position",
+        "zero-scale", "non-unit-scale"])
 def test_bad_case_data_exits_three(command, changes, line, capsys, monkeypatch):
     """Every command reads a case through the one check, so bad case data
     ends in one [spec] line before any command uses it."""

@@ -3,15 +3,17 @@
 import dataclasses
 import json
 import pathlib
+import random
 
 import pytest
 
-from wildcv import polyring
+from wildcv import pipeline
 from wildcv.model import CASE_NAMES, case_spec
 from wildcv.monodromy import monodromy_factors
-from wildcv.pipeline import (ORACLE_TOLERANCE, CubicSurface, DegenerateSampleError,
-                             ShapeError, _eliminate_with_solutions, _linear_solve,
-                             derive_case, oracle_identity, oracle_sampling, oracle_verify,
+from wildcv.pipeline import (_PIVOT_FLOOR, _UNIT_MIN_MODULUS, ORACLE_TOLERANCE,
+                             CubicSurface, DegenerateSampleError, ShapeError,
+                             _compile_trial, _eliminate_with_solutions, derive_case,
+                             oracle_identity, oracle_sampling, oracle_verify,
                              specialize_unit_cube_root, to_cubic_normal_form)
 from wildcv.polyring import LaurentPoly, parse, var_id
 from wildcv.report import report_to_dict
@@ -335,24 +337,24 @@ def test_oracle_verify_reconstructs_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_oracle_runs_of_one_report_compile_the_cubic_once(monkeypatch):
-    """The report keeps its cubic polynomial, and the polynomial keeps its
-    compiled evaluator, across oracle runs; a cubic with free coefficients
-    still refuses on every call."""
+def test_oracle_runs_of_one_report_generate_the_trial_once(monkeypatch):
+    """The report keeps its compiled trial, and its cubic keeps its
+    polynomial, across oracle runs; a cubic with free coefficients still
+    refuses on every call."""
     rep = _derived("JKTV")
-    cubic = rep.cubic.reconstruct()
-    assert rep.cubic.reconstruct() is cubic
-    compiled = []
-    real = polyring._compile_evaluator
+    generated = []
+    real = pipeline._compile_trial
 
-    def counted(terms):
-        compiled.append(terms)
-        return real(terms)
+    def counted(report, sampling, cubic):
+        generated.append(cubic)
+        return real(report, sampling, cubic)
 
-    monkeypatch.setattr(polyring, "_compile_evaluator", counted)
+    monkeypatch.setattr(pipeline, "_compile_trial", counted)
     first = oracle_verify(rep, trials=20, seed=5)
     assert oracle_verify(rep, trials=20, seed=5) == first
-    assert sum(terms is cubic.terms for terms in compiled) == 1
+    cubic = rep.cubic.reconstruct()
+    assert rep.cubic.reconstruct() is cubic
+    assert len(generated) == 1 and generated[0] is cubic
     for _ in range(2):
         with pytest.raises(ValueError, match="free coefficients: c1, c2, c3, c4"):
             case_spec("JKTVI").expected.reconstruct()
@@ -401,10 +403,17 @@ def test_oracle_identity_rejects_proportional_solve_rows(name):
     assert oracle_identity(rep, singular, rep.cubic.reconstruct()) is False
 
 
-def test_linear_solve_rejects_a_singular_pivot():
-    eq = P("x1 + 2*x2 - 1")
-    with pytest.raises(DegenerateSampleError, match="singular 2x2 solve"):
-        _linear_solve((eq, eq), (var_id("x1"), var_id("x2")), {})
+def test_compiled_trial_rejects_a_singular_pivot():
+    """Two equal solve equations give the 2x2 solve a determinant of exactly
+    zero at every sample, which a trial refuses rather than divides by."""
+    rep = _derived("JKTI")
+    sampling = oracle_sampling(rep)
+    eq = sampling.solve_equations[0]
+    singular = dataclasses.replace(sampling, solve_equations=(eq, eq))
+    trial = _compile_trial(rep, singular, rep.cubic.reconstruct())
+    for seed in range(5):
+        with pytest.raises(DegenerateSampleError, match="^singular 2x2 solve$"):
+            trial(random.Random(seed).random)
 
 
 def test_oracle_identity_settles_an_over_tolerance_trial():
@@ -432,6 +441,115 @@ def test_oracle_identity_reuses_the_oracle_cubic(monkeypatch):
     assert verdict.max_residual == 1.4009083651216406e-09
     assert verdict.exact is True
     assert len(calls) == 1
+
+
+# the dict walk that oracle trials ran before they were compiled: each
+# polynomial evaluated through LaurentPoly.evaluate, random.uniform drawn
+# through the generator's own method
+
+
+def _reference_sample_complex(rng):
+    return complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+
+
+def _reference_sample_unit(rng):
+    for _ in range(100):
+        z = _reference_sample_complex(rng)
+        if abs(z) >= _UNIT_MIN_MODULUS:
+            return z
+    raise DegenerateSampleError("could not sample a unit away from zero")
+
+
+def _reference_linear_solve(equations, targets, values):
+    base = dict(values)
+    for t in targets:
+        base[t] = 0j
+    consts = [eq.evaluate(base) for eq in equations]
+    cols = []
+    for t in targets:
+        probe = dict(base)
+        probe[t] = 1.0 + 0j
+        cols.append([eq.evaluate(probe) - c for eq, c in zip(equations, consts)])
+    a11, a21 = cols[0]
+    a12, a22 = cols[1]
+    det = a11 * a22 - a12 * a21
+    if abs(det) < _PIVOT_FLOOR:
+        raise DegenerateSampleError("singular 2x2 solve")
+    b1, b2 = -consts[0], -consts[1]
+    return {targets[0]: (b1 * a22 - a12 * b2) / det,
+            targets[1]: (a11 * b2 - b1 * a21) / det}
+
+
+def _reference_trial(report, sampling, cubic, rng):
+    values = {}
+    for v in sampling.sample_units:
+        values[v] = _reference_sample_unit(rng)
+    for v, expr in sampling.derived_units:
+        values[v] = expr.evaluate(values)
+    for v in sampling.free_xvars:
+        values[v] = _reference_sample_complex(rng)
+    if sampling.solve_targets:
+        values.update(_reference_linear_solve(sampling.solve_equations,
+                                              sampling.solve_targets, values))
+    for v, trace in sampling.trace_params:
+        values[v] = trace.evaluate(values)
+    dropped_residual = 0.0
+    if report.closure.dropped is not None:
+        dropped_residual = abs(report.closure.dropped.evaluate(values))
+    for v, expr in sampling.xyz_map:
+        values[v] = expr.evaluate(values)
+    return abs(cubic.evaluate(values)), dropped_residual
+
+
+def _outcome(run):
+    try:
+        return tuple(map(repr, run()))
+    except DegenerateSampleError as exc:
+        return ("DegenerateSampleError", str(exc))
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_compiled_trial_matches_the_dict_walk(name):
+    """The compiled trial returns the reference walk's (residual, dropped)
+    by repr: the first 50 attempt seeds of oracle seeds 42 and 1000, and all
+    100 of the seed whose JKTII trial reaches the tolerance."""
+    rep = _derived(name)
+    sampling, cubic, trial = rep.compiled_oracle
+    rng = random.Random()
+    attempt_seeds = ([s * 1_000_003 + t * 1_009 for s in (42, 1000) for t in range(50)]
+                     + [183888082 * 1_000_003 + t * 1_009 for t in range(100)])
+    over_tolerance = 0
+    for x in attempt_seeds:
+        rng.seed(x)
+        got = _outcome(lambda: trial(rng.random))
+        want = _outcome(lambda: _reference_trial(rep, sampling, cubic, random.Random(x)))
+        assert got == want, x
+        over_tolerance += got[0] == repr(1.4009083651216406e-09)
+    assert over_tolerance == (name == "JKTII")
+
+
+class _CentreDraws(random.Random):
+    """Every draw is 0.5, so every complex sample is 0."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return 0.5
+
+
+def test_compiled_trial_gives_up_on_a_unit_after_100_draws():
+    """A unit whose 100 draws all fall inside |z| < 0.1 ends the attempt,
+    after 200 uniform draws, as the reference walk does."""
+    rep = _derived("JKTII")
+    sampling, cubic, trial = rep.compiled_oracle
+    message = "^could not sample a unit away from zero$"
+    compiled, walked = _CentreDraws(), _CentreDraws()
+    with pytest.raises(DegenerateSampleError, match=message):
+        trial(compiled.random)
+    with pytest.raises(DegenerateSampleError, match=message):
+        _reference_trial(rep, sampling, cubic, walked)
+    assert compiled.draws == walked.draws == 200
 
 
 def test_sample_points_land_on_the_surface():

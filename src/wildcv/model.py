@@ -648,6 +648,12 @@ def validate_spec(spec: CaseSpec) -> list:
             or len(used) != n_equations - 1:
         out.append(Violation("elimination_plan",
                              f"plan {spec.elimination_plan} does not leave one residual"))
+    # the plan solves for generators or scheduled coefficients
+    solvable = {gname for gname, _ in spec.generator_defs} | set(spec.schedule_variables())
+    for _, name in spec.elimination_plan:
+        if name not in solvable:
+            out.append(Violation("elimination_plan", f"plan solves for {name!r}, which is "
+                                 "neither a generator nor a scheduled variable"))
 
     # the residual and each residual entry are scaled by invertible units
     scales = [("residual_scale", spec.residual_scale)]

@@ -39,7 +39,8 @@ from functools import cached_property
 from typing import Optional
 
 from .polyring import (LaurentPoly, Monomial, NotLinearError, PolyError,
-                       UnboundVariableError, solve_in_order, sum_statements, var_id)
+                       UnboundVariableError, power_statements, solve_in_order,
+                       sum_statements, var_id)
 from .stokes import SymMat3, formal_monodromy, stokes_matrix
 from .model import _SLOTS, _XYZ_IDS, CaseSpec, CubicSurface, DerivationError, case_spec
 from .monodromy import (ClosureSystem, closure_equations, monodromy_factors,
@@ -322,26 +323,35 @@ def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentP
     differences give the 2x2 system for Cramer's rule.  A variable read
     before any step binds it raises ``UnboundVariableError`` here, the first
     one in term order.
+
+    Each distinct power ``v**k`` is computed once per binding of v, still as
+    ``**``, into a local that every later term reads (``sum_statements``);
+    binding v again drops its powers.  The powers that the solve equations
+    take of the other variables are computed before the probe loop, and only
+    the targets' powers inside it.
     """
-    bound: set = set()
     coefs: list = []
+    powers: dict = {}    # bound VarId -> exponents whose power local is of this binding
 
     def local(v) -> str:
-        if v not in bound:
+        if v not in powers:
             raise UnboundVariableError(f"unbound variable {v.name}")
         return f"v_{v.name}"
 
     def value_of(poly: LaurentPoly, indent: str = "") -> list:
-        return [indent + line for line in sum_statements(poly.terms, local, coefs)]
+        return [indent + line for line in sum_statements(poly.terms, local, coefs, powers)]
+
+    def assigned(v) -> None:
+        powers[v] = set()
 
     def bind(v, poly: LaurentPoly) -> list:
         lines = value_of(poly) + [f"v_{v.name} = total"]
-        bound.add(v)
+        assigned(v)
         return lines
 
     lines = []
     for v in sampling.sample_units:
-        bound.add(v)
+        assigned(v)
         lines += ["for _ in range(100):",
                   f" v_{v.name} = {_DRAW}",
                   f" if abs(v_{v.name}) >= {_UNIT_MIN_MODULUS!r}:",
@@ -351,12 +361,15 @@ def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentP
     for v, expr in sampling.derived_units:
         lines += bind(v, expr)
     for v in sampling.free_xvars:
-        bound.add(v)
+        assigned(v)
         lines.append(f"v_{v.name} = {_DRAW}")
     if sampling.solve_targets:
         t1, t2 = sampling.solve_targets
-        bound.update((t1, t2))
+        assigned(t1)
+        assigned(t2)
         eq1, eq2 = sampling.solve_equations
+        lines += power_statements([(v, k) for eq in (eq1, eq2) for m in eq.terms
+                                   for v, k in m.exps if v not in (t1, t2)], local, powers)
         lines += (["s = []", f"for v_{t1.name}, v_{t2.name} in {_PROBES}:"]
                   + value_of(eq1, " ") + [" e1 = total"]
                   + value_of(eq2, " ") + [" s.append((e1, total))"]
@@ -368,6 +381,8 @@ def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentP
                      "b1 = -c1", "b2 = -c2",
                      f"v_{t1.name} = (b1*a22 - a12*b2)/det",
                      f"v_{t2.name} = (a11*b2 - b1*a21)/det"])
+        assigned(t1)
+        assigned(t2)
     for v, trace in sampling.trace_params:
         lines += bind(v, trace)
     if report.closure.dropped is None:

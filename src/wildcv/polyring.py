@@ -216,14 +216,27 @@ class Monomial(int):
         return tuple(v for v, _ in self.exps)
 
     def __str__(self):
-        if not self:
-            return "1"
-        return "*".join(v.name if k == 1 else f"{v.name}^{k}" for v, k in self.exps)
+        return "*".join(_factor_texts(self)) or "1"
 
     __repr__ = __str__
 
 
 _new_int = int.__new__
+
+
+def _factor_texts(m: int) -> list:
+    """``name`` or ``name^k`` for each nonzero exponent of m, x1's first,
+    read in one pass over its fields (as ``exps`` and ``_shifts`` do)."""
+    biased = m + _OFFSET
+    fields = biased ^ _OFFSET
+    out = []
+    while fields:
+        shift = (fields.bit_length() - 1) // _WIDTH * _WIDTH
+        k = ((biased >> shift) & _FIELD) - _BIAS
+        name = _AT_SHIFT[shift].name
+        out.append(name if k == 1 else f"{name}^{k}")
+        fields &= (1 << shift) - 1
+    return out
 
 
 def _shifts(fields: int) -> list:
@@ -513,11 +526,36 @@ class LaurentPoly:
 _ONE = LaurentPoly.constant(1)
 
 
-def sum_statements(terms: dict, local, coefs: list) -> list:
+def _power_local(name: str, k: int) -> str:
+    """The local that holds ``name**k``: ``p2_v0``, or ``pm1_v0`` for k = -1."""
+    return f"p{k}_{name}" if k > 0 else f"pm{-k}_{name}"
+
+
+def power_statements(powers_read, local, powers: dict) -> list:
+    """``p = v**k`` for each (VarId v, k) of ``powers_read``, in order, that
+    ``powers`` ({VarId: set of exponents whose power local is assigned}) does
+    not hold yet; each one is added to ``powers``.  ``local(v)`` is called for
+    every pair, in order."""
+    lines = []
+    for v, k in powers_read:
+        name = local(v)
+        done = powers.setdefault(v, set())
+        if k not in done:
+            done.add(k)
+            lines.append(f"{_power_local(name, k)} = {name}**{k}")
+    return lines
+
+
+def sum_statements(terms: dict, local, coefs: list, powers: dict) -> list:
     """The statements that leave the sum of ``terms`` in ``total``: first
-    ``total = 0j``, then, in term order, ``total += C[i]*v0**k0*v1**k1...``,
-    the factors multiplied left to right and every power kept, ``**1`` too,
-    since ``x**1`` is not ``x`` in floats (it overflows at infinity).  The
+    ``total = 0j``, then, in term order, ``total += C[i]*p_a*p_b...``, where
+    each factor is the local of one power v**k, the factors multiplied left
+    to right in registry order.  Each distinct power is computed once, as
+    ``v**k``, just before the first term that reads it (``power_statements``),
+    and reused for as long as ``powers`` holds it; a caller that binds v
+    again drops ``powers[v]``.  Every power stays a ``**``, ``**1`` too, since
+    ``x**1`` is not ``x`` in floats (it overflows at infinity), and a power
+    read from a local is the same float as one computed in place, so the
     result is bit for bit that of a term-by-term walk.  Each term is its own
     statement, because one sum expression of a few thousand terms exceeds the
     compiler's recursion limit.
@@ -528,7 +566,8 @@ def sum_statements(terms: dict, local, coefs: list) -> list:
     so the source holds only indices and exponents."""
     lines = ["total = 0j"]
     for m, c in terms.items():
-        factors = "".join(f"*{local(v)}**{k}" for v, k in m.exps)
+        lines += power_statements(m.exps, local, powers)
+        factors = "".join(f"*{_power_local(local(v), k)}" for v, k in m.exps)
         lines.append(f"total += C[{len(coefs)}]{factors}")
         coefs.append(complex(c))
     return lines
@@ -540,7 +579,7 @@ def _compile_evaluator(terms: dict):
     walk would miss first), and then runs ``sum_statements``."""
     names: dict = {}    # VarId -> local name
     coefs: list = []
-    body = sum_statements(terms, lambda v: names.setdefault(v, f"v{len(names)}"), coefs)
+    body = sum_statements(terms, lambda v: names.setdefault(v, f"v{len(names)}"), coefs, {})
     reads = [f"{name} = values[V[{j}]]" for j, name in enumerate(names.values())]
     source = "def evaluate(values):\n" + "".join(
         f" {line}\n" for line in reads + body + ["return total"])
@@ -615,24 +654,18 @@ def solve_in_order(equations, plan) -> dict:
 
 
 def format_poly(poly: LaurentPoly) -> str:
-    """Canonical deterministic rendering (registry order, descending)."""
-    items = poly.sorted_terms()
-    if not items:
-        return "0"
+    """Canonical deterministic rendering (registry order, descending), each
+    packed monomial read once, in one pass over its fields."""
     pieces = []
-    for i, (m, c) in enumerate(items):
-        neg = c < 0
-        mag = -c if neg else c
-        if m and mag == 1:
-            body = str(m)
-        elif m:
-            body = f"{mag}*{m}"
-        else:
-            body = str(mag)
-        if i == 0:
-            pieces.append(("-" if neg else "") + body)
-        else:
-            pieces.append((" - " if neg else " + ") + body)
+    for m, c in poly.sorted_terms():
+        pieces.append(" - " if c < 0 else " + ")
+        factors, mag = _factor_texts(m), abs(c)
+        if not factors or mag != 1:
+            factors.insert(0, str(mag))
+        pieces.append("*".join(factors))
+    if not pieces:
+        return "0"
+    pieces[0] = "-" if pieces[0] == " - " else ""
     return "".join(pieces)
 
 

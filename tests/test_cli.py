@@ -314,8 +314,11 @@ _IVB = case_spec("JKTIVb")
      "scale: residual entry (3, 3) gamma + 1 is not a single term in unit variables"),
     ({"residual_scale": parse("2*x1")},
      "scale: residual_scale 2*x1 is not a single term in unit variables"),
+    ({"elimination_plan": ((0, "Q"), (1, "R"))},
+     "elimination_plan: plan solves for 'Q', which is neither a generator nor a scheduled "
+     "variable"),
 ], ids=["plan-entry-removed", "unknown-divisor", "unknown-cov-step", "stokes-entry-position",
-        "zero-scale", "non-unit-scale"])
+        "zero-scale", "non-unit-scale", "unknown-plan-name"])
 def test_bad_case_data_exits_three(command, changes, line, capsys, monkeypatch):
     """Every command reads a case through the one check, so bad case data
     ends in one [spec] line before any command uses it."""

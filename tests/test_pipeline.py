@@ -1,11 +1,14 @@
 """Elimination, cubic normal forms, full derivations, the numeric oracle."""
 
 import dataclasses
+import functools
 import json
 import pathlib
 import random
+import re
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from wildcv import pipeline
 from wildcv.model import CASE_NAMES, case_spec
@@ -508,24 +511,93 @@ def _outcome(run):
         return ("DegenerateSampleError", str(exc))
 
 
+@functools.lru_cache(maxsize=None)
+def _derived_once(name):
+    """One derived report per case, for property tests that run many
+    examples on it."""
+    return _derived(name)
+
+
 @pytest.mark.parametrize("name", CASE_NAMES)
-def test_compiled_trial_matches_the_dict_walk(name):
+@given(seed=st.integers(0, 2 ** 32 - 1), trials=st.integers(1, 5))
+@example(seed=42, trials=50)
+@example(seed=1000, trials=50)
+@example(seed=183888082, trials=100)
+def test_compiled_trial_matches_the_dict_walk(name, seed, trials):
     """The compiled trial returns the reference walk's (residual, dropped)
-    by repr: the first 50 attempt seeds of oracle seeds 42 and 1000, and all
-    100 of the seed whose JKTII trial reaches the tolerance."""
-    rep = _derived(name)
+    by repr at the first attempt seed of each of the first ``trials`` trials
+    of oracle seed ``seed``.  Only JKTII's trial 50 of seed 183888082, one of
+    the pinned examples, reaches the tolerance."""
+    rep = _derived_once(name)
     sampling, cubic, trial = rep.compiled_oracle
     rng = random.Random()
-    attempt_seeds = ([s * 1_000_003 + t * 1_009 for s in (42, 1000) for t in range(50)]
-                     + [183888082 * 1_000_003 + t * 1_009 for t in range(100)])
     over_tolerance = 0
-    for x in attempt_seeds:
+    for x in (seed * 1_000_003 + t * 1_009 for t in range(trials)):
         rng.seed(x)
         got = _outcome(lambda: trial(rng.random))
         want = _outcome(lambda: _reference_trial(rep, sampling, cubic, random.Random(x)))
         assert got == want, x
         over_tolerance += got[0] == repr(1.4009083651216406e-09)
-    assert over_tolerance == (name == "JKTII")
+    assert over_tolerance == (name == "JKTII" and seed == 183888082 and trials > 50)
+
+
+_POWER_LOCAL = re.compile(r"p(m?)(\d+)_(v_\w+)")    # p2_v_x1 holds v_x1**2, pm1_v_x1 v_x1**-1
+_POWER = re.compile(r"(\w+) = (v_\w+)\*\*(-?\d+)")
+_TERM = re.compile(r"total \+= C\[\d+\]((?:\*\w+)*)")
+_PROBE_LOOP = re.compile(r"for (v_\w+), (v_\w+) in ")
+_ASSIGNED = re.compile(r"(v_\w+) = ")
+
+
+def _power_of(power_local: str) -> tuple:
+    """(variable local, exponent) of a power local's name."""
+    match = _POWER_LOCAL.fullmatch(power_local)
+    assert match, f"{power_local} is not a power local"
+    minus, digits, v = match.groups()
+    return v, -int(digits) if minus else int(digits)
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_compiled_trial_computes_each_power_once(name, monkeypatch):
+    """In the generated trial every ``**`` is one ``p<k>_v = v**k`` (``pm``
+    for k < 0) statement, each (variable, exponent) is computed at most once
+    per binding of the variable, and each term multiplies only powers computed
+    since their variable was last bound.  Inside the probe loop, which binds
+    the solve targets, only the targets' powers are computed."""
+    sources = []
+
+    def capture(source, filename, mode):
+        sources.append(source)
+        return compile(source, filename, mode)
+
+    rep = _derived(name)
+    sampling, cubic, _ = rep.compiled_oracle
+    monkeypatch.setattr(pipeline, "compile", capture, raising=False)
+    _compile_trial(rep, sampling, cubic)
+    (source,) = sources
+
+    computed: dict = {}    # variable local -> exponents computed since its last binding
+    loop_targets = ()
+    for line in source.splitlines()[1:]:
+        text = line.lstrip()
+        if len(line) - len(text) == 1:
+            loop_targets = ()
+        if probe := _PROBE_LOOP.match(text):
+            loop_targets = probe.groups()
+            computed.update((v, set()) for v in loop_targets)
+        elif power := _POWER.fullmatch(text):
+            v, k = _power_of(power[1])
+            assert (v, k) == (power[2], int(power[3])), line
+            assert k not in computed.setdefault(v, set()), line
+            assert not loop_targets or v in loop_targets, line
+            computed[v].add(k)
+        elif term := _TERM.fullmatch(text):
+            for factor in term[1].split("*")[1:]:
+                v, k = _power_of(factor)
+                assert k in computed.get(v, ()), line
+        else:
+            assert "**" not in text, line
+            if assigned := _ASSIGNED.match(text):
+                computed.pop(assigned[1], None)
 
 
 class _CentreDraws(random.Random):

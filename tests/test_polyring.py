@@ -682,6 +682,49 @@ def test_packed_split_order_and_variables_match_exponent_dicts(pairs, variables)
     assert [m for m, _ in poly.sorted_terms()] == sorted(poly.terms, key=vector, reverse=True)
 
 
+def _monomial_text_reference(m):
+    """``str(m)`` as it was, read from ``exps``."""
+    if not m:
+        return "1"
+    return "*".join(v.name if k == 1 else f"{v.name}^{k}" for v, k in m.exps)
+
+
+def _format_reference(poly):
+    """``format_poly`` as it was, rendering each monomial with
+    ``_monomial_text_reference``."""
+    items = poly.sorted_terms()
+    if not items:
+        return "0"
+    pieces = []
+    for i, (m, c) in enumerate(items):
+        neg = c < 0
+        mag = -c if neg else c
+        if m and mag == 1:
+            body = _monomial_text_reference(m)
+        elif m:
+            body = f"{mag}*{_monomial_text_reference(m)}"
+        else:
+            body = str(mag)
+        if i == 0:
+            pieces.append(("-" if neg else "") + body)
+        else:
+            pieces.append((" - " if neg else " + ") + body)
+    return "".join(pieces)
+
+
+@given(st.lists(st.tuples(_exponent_dicts(),
+                          st.one_of(st.sampled_from((1, -1)), _coefs.filter(bool),
+                                    st.integers(-10 ** 30, 10 ** 30).filter(bool))),
+                max_size=8))
+def test_format_matches_the_str_based_rendering(pairs):
+    """The one-pass rendering prints what the monomial-by-monomial ``str(m)``
+    rendering printed: unit and edge exponents over the whole registry, unit,
+    fractional and long coefficients, the constant term and zero."""
+    poly = LaurentPoly.from_terms((Monomial(d.items()), c) for d, c in pairs)
+    assert format_poly(poly) == _format_reference(poly)
+    assert all(str(m) == _monomial_text_reference(m) for m in poly.terms)
+
+
 def test_exponent_overflow_raises_and_never_wraps():
     x1, alpha = var_id("x1"), var_id("alpha")
     top = Monomial(((x1, EXP_LIMIT - 1),))

@@ -655,12 +655,15 @@ def validate_spec(spec: CaseSpec) -> list:
             out.append(Violation("elimination_plan", f"plan solves for {name!r}, which is "
                                  "neither a generator nor a scheduled variable"))
 
-    # the residual and each residual entry are scaled by invertible units
+    # the residual, each residual entry and each divide step of the change of
+    # variables are scaled by units, invertible after the parameter normalization
     scales = [("residual_scale", spec.residual_scale)]
     scales += [(f"residual entry {entry}", scale) for entry, scale in spec.residual_entries]
+    scales += [("divide step", step.term) for step in spec.cov_steps
+               if step.kind == "divide" and step.term is not None]
     for label, scale in scales:
         try:
-            scale.inverse_term()
+            scale.substitute(spec.parameter_normalization).inverse_term()
         except PolyError:
             out.append(Violation("scale", f"{label} {scale} is not a single term in "
                                  "unit variables"))
@@ -670,6 +673,11 @@ def validate_spec(spec: CaseSpec) -> list:
             out.append(Violation("cov_step", f"unknown kind {step.kind!r}"))
         elif step.kind == "divide" and step.term is None:
             out.append(Violation("cov_step", "divide step without a term"))
+        for name, _ in step.mapping:
+            try:
+                var_id(name)
+            except PolyError:
+                out.append(Violation("cov_step", f"subst binds unknown variable {name!r}"))
 
     # the oracle solves M = I for two surviving coefficients; a fixed-class
     # closure holds the trace parameters, which a trial sets only after solving
@@ -682,5 +690,10 @@ def validate_spec(spec: CaseSpec) -> list:
         out.append(Violation("oracle_plan", f"{spec.closure.kind} closure with solve "
                              f"targets {targets}: an identity closure needs two distinct "
                              "surviving coefficients, a fixed-class closure none"))
+    # the cubic reads X, Y and Z, and a trial binds them from xyz_map alone
+    bound = tuple(name for name, _ in spec.oracle.xyz_map)
+    if sorted(bound) != ["X", "Y", "Z"]:
+        out.append(Violation("oracle_plan", f"xyz_map binds {bound}, not X, Y and Z "
+                             "once each"))
 
     return out

@@ -20,18 +20,26 @@ trace parameters, the dropped entry, ``xyz_map`` and the cubic, each variable
 a local and each polynomial the statements of ``polyring.sum_statements``, so
 the floats are bit for bit those of ``LaurentPoly.evaluate``.  The report
 keeps the function with its sampling and cubic (``compiled_oracle``), so
-every run of one report reuses them.  A run whose largest residual reaches
-the tolerance is settled by ``oracle_identity``, the same claim checked as an
-exact polynomial identity; so a PASS with a residual at or above
-``ORACLE_TOLERANCE`` means that the identity held.  Solve equations that are
-not affine in the solve targets (a bilinear x*y term, say) make
-``oracle_sampling`` raise ``NotLinearError``, and a variable that no step of
-a trial binds makes ``_compile_trial`` raise ``UnboundVariableError``, both
-before the first trial, so the run ends as an ``[oracle]`` error.
+every run of one report reuses them; the function's source is kept in
+``linecache``, so a traceback from inside a trial shows its statement.
+Attempt ``a`` of trial ``t`` draws the stream of
+``random.Random(seed*1_000_003 + t*1_009 + a)``.  That key does not depend on
+the report, so the reports of a run at one seed share the streams: each
+stream's first draws are drawn once and kept for the last seed only
+(``_attempt``), and every float is that of a generator seeded per attempt.
+A run whose largest residual reaches the tolerance is settled by
+``oracle_identity``, the same claim checked as an exact polynomial identity;
+so a PASS with a residual at or above ``ORACLE_TOLERANCE`` means that the
+identity held.  Solve equations that are not affine in the solve targets (a
+bilinear x*y term, say) make ``oracle_sampling`` raise ``NotLinearError``,
+and a variable that no step of a trial binds makes ``_compile_trial`` raise
+``UnboundVariableError``, both before the first trial, so the run ends as an
+``[oracle]`` error.
 """
 
 from __future__ import annotations
 
+import linecache
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -328,7 +336,8 @@ def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentP
     ``**``, into a local that every later term reads (``sum_statements``);
     binding v again drops its powers.  The powers that the solve equations
     take of the other variables are computed before the probe loop, and only
-    the targets' powers inside it.
+    the targets' powers inside it.  The source is registered in ``linecache``
+    under the function's file name, ``<oracle trial NAME>``.
     """
     coefs: list = []
     powers: dict = {}    # bound VarId -> exponents whose power local is of this binding
@@ -394,8 +403,11 @@ def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentP
     lines += value_of(cubic) + ["return abs(total), dropped"]
 
     source = "def trial(r):\n" + "".join(f" {line}\n" for line in lines)
+    filename = f"<oracle trial {report.name}>"
+    # kept where a traceback looks up its lines; no mtime, so never checked stale
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"C": tuple(coefs), "DegenerateSampleError": DegenerateSampleError}
-    exec(compile(source, f"<oracle trial {report.name}>", "exec"), namespace)
+    exec(compile(source, filename, "exec"), namespace)
     return namespace["trial"]
 
 
@@ -403,6 +415,38 @@ def _oracle_trial(trial, draw) -> tuple:
     """One attempt of a compiled trial; its own call, so that an attempt can
     be timed or replaced from outside."""
     return trial(draw)
+
+
+# How many draws of each attempt's stream are kept.  A trial draws two per
+# complex sample: JKTVI's, the largest, takes 16 plus 2 for each unit it
+# redraws (16 or 18 in 2000 measured trials; the other cases' at most 14), so
+# 20 covers two redraws.
+_PREFIX_DRAWS = 20
+# How many attempt keys are kept: about 0.8 MB of draws, whatever ``trials``
+# is.  The kept draws are a pure function of the key, so sharing them across
+# the callers of ``oracle_verify`` changes no result.
+_MEMO_KEYS = 1024
+_SEED_DRAWS: dict = {}    # {seed: {attempt key: its first draws}}, the last seed only
+
+
+def _attempt(trial, key: int, memo: dict) -> tuple:
+    """One attempt of the compiled trial on the stream of ``random.Random(key)``.
+    The first ``_PREFIX_DRAWS`` draws come from ``memo``, drawn into it by the
+    first attempt with this key while it holds fewer than ``_MEMO_KEYS``
+    keys.  A trial that runs past them raises ``StopIteration`` from its draw
+    and runs again on a freshly seeded generator, as does an attempt whose key
+    the memo does not hold; the trial is a pure function of its draws, so the
+    result is the same either way."""
+    prefix = memo.get(key)
+    if prefix is None and len(memo) < _MEMO_KEYS:
+        draw = random.Random(key).random
+        prefix = memo[key] = tuple([draw() for _ in range(_PREFIX_DRAWS)])
+    if prefix is not None:
+        try:
+            return _oracle_trial(trial, iter(prefix).__next__)
+        except StopIteration:
+            pass
+    return _oracle_trial(trial, random.Random(key).random)
 
 
 def oracle_verify(report: CaseReport, trials: int = DEFAULT_TRIALS,
@@ -413,23 +457,28 @@ def oracle_verify(report: CaseReport, trials: int = DEFAULT_TRIALS,
     from zero), solves the closure constraints numerically exactly where the
     symbolic pipeline solved them, pushes the point through the change of
     variables, and evaluates the final cubic; the max |residual| is reported.
-    Attempt ``a`` of trial ``t`` draws from one generator reseeded with
-    ``seed*1_000_003 + t*1_009 + a``.  The report's compiled trial is built on
-    its first run and kept.  When a residual reaches the tolerance,
+    Attempt ``a`` of trial ``t`` draws the stream of a generator seeded with
+    ``seed*1_000_003 + t*1_009 + a``, a key that does not depend on the
+    report, so the reports of one run at one seed read the same streams:
+    ``_attempt`` draws each stream's first ``_PREFIX_DRAWS`` once and keeps
+    them for the most recent seed only.  The report's compiled trial is built
+    on its first run and kept.  When a residual reaches the tolerance,
     ``oracle_identity`` decides.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     sampling, cubic, trial = report.compiled_oracle
-    rng = random.Random()
+    memo = _SEED_DRAWS.get(seed)
+    if memo is None:
+        _SEED_DRAWS.clear()
+        memo = _SEED_DRAWS[seed] = {}
     max_res = 0.0
     max_drop = 0.0
     resamples = 0
     for t in range(trials):
         for attempt in range(_MAX_RESAMPLES):
-            rng.seed(seed * 1_000_003 + t * 1_009 + attempt)
             try:
-                res, drop = _oracle_trial(trial, rng.random)
+                res, drop = _attempt(trial, seed * 1_000_003 + t * 1_009 + attempt, memo)
             except DegenerateSampleError:
                 resamples += 1
                 continue

@@ -36,3 +36,16 @@ def patch_expected(monkeypatch, name, **coefficients):
     spec = case_spec(name)
     use_spec(monkeypatch, dataclasses.replace(
         spec, expected=dataclasses.replace(spec.expected, **coefficients)))
+
+
+def term_walk(poly, values):
+    """poly at ``values``, walked term by term in insertion order, each term
+    ``complex(coef)`` times ``values[v] ** k`` for its powers in registry
+    order: the reference that every compiled evaluation is compared with."""
+    want = 0j
+    for mono, coef in poly.terms.items():
+        prod = complex(coef)
+        for v, k in mono.exps:
+            prod *= values[v] ** k
+        want += prod
+    return want

@@ -3,8 +3,9 @@
 ``ci`` derandomizes every property test, so a failure in CI replays with the
 same examples locally, and prints the blob that reproduces it; select it with
 ``pytest --hypothesis-profile=ci``.  ``ring`` is ``ci`` with 1000 examples per
-property test, for a deeper run of ``tests/test_polyring.py`` and of the
-compiled oracle trial against its reference walk.  The default
+property test, for a deeper run of ``tests/test_polyring.py``, of the
+compiled oracle trial against its reference walk, and of the shared-draw
+oracle verdicts against a generator reseeded per attempt.  The default
 profile is untouched.
 """
 

@@ -317,8 +317,21 @@ _IVB = case_spec("JKTIVb")
     ({"elimination_plan": ((0, "Q"), (1, "R"))},
      "elimination_plan: plan solves for 'Q', which is neither a generator nor a scheduled "
      "variable"),
+    ({"oracle": dataclasses.replace(_IVB.oracle, xyz_map=_IVB.oracle.xyz_map[:2])},
+     "oracle_plan: xyz_map binds ('X', 'Y'), not X, Y and Z once each"),
+    ({"oracle": dataclasses.replace(_IVB.oracle, xyz_map=_IVB.oracle.xyz_map[:2] + (
+        ("Q", parse("x3*x6 + 1")),))},
+     "oracle_plan: xyz_map binds ('X', 'Y', 'Q'), not X, Y and Z once each"),
+    ({"cov_steps": (CovStep("subst", (("U", parse("X - 1")), ("Q", parse("Y - 1")),
+                                      ("W", parse("Z - 1")))),)},
+     "cov_step: subst binds unknown variable 'Q'"),
+    ({"cov_steps": _IVB.cov_steps + (CovStep("divide", (), parse("2*x1")),)},
+     "scale: divide step 2*x1 is not a single term in unit variables"),
+    ({"cov_steps": _IVB.cov_steps + (CovStep("divide", (), LaurentPoly.zero()),)},
+     "scale: divide step 0 is not a single term in unit variables"),
 ], ids=["plan-entry-removed", "unknown-divisor", "unknown-cov-step", "stokes-entry-position",
-        "zero-scale", "non-unit-scale", "unknown-plan-name"])
+        "zero-scale", "non-unit-scale", "unknown-plan-name", "xyz-map-without-z",
+        "xyz-map-unknown-name", "subst-unknown-name", "divide-non-unit", "divide-by-zero"])
 def test_bad_case_data_exits_three(command, changes, line, capsys, monkeypatch):
     """Every command reads a case through the one check, so bad case data
     ends in one [spec] line before any command uses it."""

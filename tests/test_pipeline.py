@@ -2,10 +2,13 @@
 
 import dataclasses
 import functools
+import itertools
 import json
+import linecache
 import pathlib
 import random
 import re
+import traceback
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -14,7 +17,7 @@ from wildcv import pipeline
 from wildcv.model import CASE_NAMES, case_spec
 from wildcv.monodromy import monodromy_factors
 from wildcv.pipeline import (_PIVOT_FLOOR, _UNIT_MIN_MODULUS, ORACLE_TOLERANCE,
-                             CubicSurface, DegenerateSampleError, ShapeError,
+                             CubicSurface, DegenerateSampleError, OracleVerdict, ShapeError,
                              _compile_trial, _eliminate_with_solutions, derive_case,
                              oracle_identity, oracle_sampling, oracle_verify,
                              specialize_unit_cube_root, to_cubic_normal_form)
@@ -22,7 +25,7 @@ from wildcv.polyring import LaurentPoly, parse, var_id
 from wildcv.report import report_to_dict
 from wildcv.stokes import formal_monodromy
 
-from _support import case_closure, patch_expected
+from _support import case_closure, patch_expected, term_walk
 
 P = parse
 
@@ -408,15 +411,21 @@ def test_oracle_identity_rejects_proportional_solve_rows(name):
 
 def test_compiled_trial_rejects_a_singular_pivot():
     """Two equal solve equations give the 2x2 solve a determinant of exactly
-    zero at every sample, which a trial refuses rather than divides by."""
+    zero at every sample, which a trial refuses rather than divides by.  The
+    traceback shows the generated ``raise`` statement."""
     rep = _derived("JKTI")
     sampling = oracle_sampling(rep)
     eq = sampling.solve_equations[0]
     singular = dataclasses.replace(sampling, solve_equations=(eq, eq))
     trial = _compile_trial(rep, singular, rep.cubic.reconstruct())
     for seed in range(5):
-        with pytest.raises(DegenerateSampleError, match="^singular 2x2 solve$"):
+        with pytest.raises(DegenerateSampleError, match="^singular 2x2 solve$") as exc:
             trial(random.Random(seed).random)
+        frame = traceback.extract_tb(exc.tb)[-1]
+        assert frame.filename == "<oracle trial JKTI>"
+        assert frame.line == 'raise DegenerateSampleError("singular 2x2 solve")'
+        assert f'File "<oracle trial JKTI>", line {frame.lineno}, in trial\n    {frame.line}\n' in (
+            "".join(traceback.format_exception(exc.type, exc.value, exc.tb)))
 
 
 def test_oracle_identity_settles_an_over_tolerance_trial():
@@ -446,9 +455,10 @@ def test_oracle_identity_reuses_the_oracle_cubic(monkeypatch):
     assert len(calls) == 1
 
 
-# the dict walk that oracle trials ran before they were compiled: each
-# polynomial evaluated through LaurentPoly.evaluate, random.uniform drawn
-# through the generator's own method
+# the reference trial: a dict walk over the same steps, each polynomial
+# walked term by term (term_walk), so no statement of the emitter that the
+# compiled trial runs takes part, and random.uniform drawn through the
+# generator's own method
 
 
 def _reference_sample_complex(rng):
@@ -467,12 +477,12 @@ def _reference_linear_solve(equations, targets, values):
     base = dict(values)
     for t in targets:
         base[t] = 0j
-    consts = [eq.evaluate(base) for eq in equations]
+    consts = [term_walk(eq, base) for eq in equations]
     cols = []
     for t in targets:
         probe = dict(base)
         probe[t] = 1.0 + 0j
-        cols.append([eq.evaluate(probe) - c for eq, c in zip(equations, consts)])
+        cols.append([term_walk(eq, probe) - c for eq, c in zip(equations, consts)])
     a11, a21 = cols[0]
     a12, a22 = cols[1]
     det = a11 * a22 - a12 * a21
@@ -488,20 +498,20 @@ def _reference_trial(report, sampling, cubic, rng):
     for v in sampling.sample_units:
         values[v] = _reference_sample_unit(rng)
     for v, expr in sampling.derived_units:
-        values[v] = expr.evaluate(values)
+        values[v] = term_walk(expr, values)
     for v in sampling.free_xvars:
         values[v] = _reference_sample_complex(rng)
     if sampling.solve_targets:
         values.update(_reference_linear_solve(sampling.solve_equations,
                                               sampling.solve_targets, values))
     for v, trace in sampling.trace_params:
-        values[v] = trace.evaluate(values)
+        values[v] = term_walk(trace, values)
     dropped_residual = 0.0
     if report.closure.dropped is not None:
-        dropped_residual = abs(report.closure.dropped.evaluate(values))
+        dropped_residual = abs(term_walk(report.closure.dropped, values))
     for v, expr in sampling.xyz_map:
-        values[v] = expr.evaluate(values)
-    return abs(cubic.evaluate(values)), dropped_residual
+        values[v] = term_walk(expr, values)
+    return abs(term_walk(cubic, values)), dropped_residual
 
 
 def _outcome(run):
@@ -541,6 +551,118 @@ def test_compiled_trial_matches_the_dict_walk(name, seed, trials):
     assert over_tolerance == (name == "JKTII" and seed == 183888082 and trials > 50)
 
 
+def _reference_verify(report, trials, seed):
+    """``oracle_verify`` with no shared draws: one generator, reseeded with
+    the attempt key for every attempt of every report."""
+    sampling, cubic, trial = report.compiled_oracle
+    rng = random.Random()
+    max_res = max_drop = 0.0
+    resamples = 0
+    for t in range(trials):
+        for attempt in range(pipeline._MAX_RESAMPLES):
+            rng.seed(seed * 1_000_003 + t * 1_009 + attempt)
+            try:
+                res, drop = pipeline._oracle_trial(trial, rng.random)
+            except DegenerateSampleError:
+                resamples += 1
+                continue
+            break
+        else:
+            raise DegenerateSampleError(f"trial {t}: resample budget exhausted")
+        max_res = max(max_res, res)
+        max_drop = max(max_drop, drop)
+    exact = None
+    if max(max_res, max_drop) >= ORACLE_TOLERANCE:
+        exact = oracle_identity(report, sampling, cubic)
+    return OracleVerdict(seed=seed, trials=trials, max_residual=max_res,
+                         max_dropped_residual=max_drop, resamples=resamples,
+                         tolerance=ORACLE_TOLERANCE, exact=exact)
+
+
+def _refuse_low_first_draws(trial, draw):
+    """An attempt that refuses its sample as degenerate when its first draw
+    is below 0.3, and otherwise runs the trial on the same draws."""
+    first = draw()
+    if first < 0.3:
+        raise DegenerateSampleError("first draw below 0.3")
+    return trial(itertools.chain((first,), iter(draw, None)).__next__)
+
+
+_ATTEMPTS = {
+    "shipped": {},
+    # about three attempts in ten are refused, so attempts past the first
+    # and resamples occur, which the case data almost never reach
+    "refused-low-first-draws": {"_oracle_trial": _refuse_low_first_draws},
+    # every trial outruns the kept draws and runs on a fresh generator
+    "prefix-of-two": {"_PREFIX_DRAWS": 2},
+}
+
+
+@pytest.mark.parametrize("attempts", list(_ATTEMPTS))
+@given(seed=st.integers(0, 2 ** 32 - 1), trials=st.integers(1, 5))
+@example(seed=42, trials=100)
+@example(seed=1000, trials=100)
+@example(seed=183888082, trials=100)
+def test_shared_draws_give_the_reseeded_verdicts(attempts, seed, trials):
+    """The six reports at one seed, run as every caller runs them, give by
+    repr the verdicts of a generator reseeded for every attempt of every
+    report."""
+    reports = [_derived_once(name) for name in CASE_NAMES]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_SEED_DRAWS", {})
+        for attr, value in _ATTEMPTS[attempts].items():
+            mp.setattr(pipeline, attr, value)
+        got = [repr(oracle_verify(rep, trials=trials, seed=seed)) for rep in reports]
+        want = [_reference_verify(rep, trials, seed) for rep in reports]
+    assert got == list(map(repr, want))
+    if attempts == "refused-low-first-draws" and trials == 100:
+        assert all(verdict.resamples > 0 for verdict in want)
+
+
+class _CountedRandom(random.Random):
+    """A generator that counts every seeding, its construction's too."""
+
+    seeded = 0
+
+    def seed(self, *args, **kwargs):
+        _CountedRandom.seeded += 1
+        super().seed(*args, **kwargs)
+
+
+def test_reports_at_one_seed_seed_each_stream_once(monkeypatch):
+    """Six reports at one seed seed at most one generator per attempt key,
+    trials plus resamples in all, where each report used to reseed its own."""
+    reports = [_derived_once(name) for name in CASE_NAMES]
+    monkeypatch.setattr(pipeline, "_SEED_DRAWS", {})
+    monkeypatch.setattr(random, "Random", _CountedRandom)
+    _CountedRandom.seeded = 0
+    verdicts = [oracle_verify(rep, trials=100, seed=5) for rep in reports]
+    assert 100 <= _CountedRandom.seeded <= 100 + sum(v.resamples for v in verdicts)
+
+
+def test_draw_memo_holds_the_last_seed_up_to_its_cap(monkeypatch):
+    """The memo keeps at most ``_MEMO_KEYS`` keys, whatever ``trials`` is,
+    each with the first ``_PREFIX_DRAWS`` draws of its generator; attempts
+    past the cap still give the reseeded verdict; a new seed drops the old
+    seed's keys."""
+    rep = _derived_once("JKTI")
+    monkeypatch.setattr(pipeline, "_SEED_DRAWS", {})
+    assert repr(oracle_verify(rep, trials=1500, seed=9)) == repr(
+        _reference_verify(rep, 1500, 9))
+    assert list(pipeline._SEED_DRAWS) == [9]
+    assert len(pipeline._SEED_DRAWS[9]) == pipeline._MEMO_KEYS
+    monkeypatch.setattr(pipeline, "_MEMO_KEYS", 8)
+    for seed in (10, 11):
+        assert repr(oracle_verify(rep, trials=20, seed=seed)) == repr(
+            _reference_verify(rep, 20, seed))
+        assert list(pipeline._SEED_DRAWS) == [seed]
+        memo = pipeline._SEED_DRAWS[seed]
+        assert set(memo) == {seed * 1_000_003 + t * 1_009 for t in range(8)}
+        for key, draws in memo.items():
+            stream = random.Random(key)
+            assert draws == tuple(stream.random() for _ in range(pipeline._PREFIX_DRAWS))
+
+
 _POWER_LOCAL = re.compile(r"p(m?)(\d+)_(v_\w+)")    # p2_v_x1 holds v_x1**2, pm1_v_x1 v_x1**-1
 _POWER = re.compile(r"(\w+) = (v_\w+)\*\*(-?\d+)")
 _TERM = re.compile(r"total \+= C\[\d+\]((?:\*\w+)*)")
@@ -557,23 +679,19 @@ def _power_of(power_local: str) -> tuple:
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
-def test_compiled_trial_computes_each_power_once(name, monkeypatch):
+def test_compiled_trial_computes_each_power_once(name):
     """In the generated trial every ``**`` is one ``p<k>_v = v**k`` (``pm``
     for k < 0) statement, each (variable, exponent) is computed at most once
     per binding of the variable, and each term multiplies only powers computed
     since their variable was last bound.  Inside the probe loop, which binds
-    the solve targets, only the targets' powers are computed."""
-    sources = []
-
-    def capture(source, filename, mode):
-        sources.append(source)
-        return compile(source, filename, mode)
-
+    the solve targets, only the targets' powers are computed.  The source is
+    the one ``linecache`` holds for the trial's file name."""
     rep = _derived(name)
-    sampling, cubic, _ = rep.compiled_oracle
-    monkeypatch.setattr(pipeline, "compile", capture, raising=False)
-    _compile_trial(rep, sampling, cubic)
-    (source,) = sources
+    sampling, cubic, trial = rep.compiled_oracle
+    filename = f"<oracle trial {name}>"
+    assert trial.__code__.co_filename == filename
+    source = "".join(linecache.getlines(filename))
+    assert source.startswith("def trial(r):\n")
 
     computed: dict = {}    # variable local -> exponents computed since its last binding
     loop_targets = ()

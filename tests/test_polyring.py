@@ -17,6 +17,8 @@ from wildcv.polyring import (EXP_LIMIT, LaurentPoly, Monomial,
                              UnknownVariableError, format_poly, parse,
                              solve_in_order, solve_linear, var_id)
 
+from _support import term_walk
+
 P = parse
 
 
@@ -348,28 +350,12 @@ def test_evaluate_keeps_term_order_bit_for_bit(poly, points):
     """The kept float form gives, on the first and on later calls, what an
     independent walk over the terms in insertion order gives."""
     values = {var_id(nm): z for nm, z in zip(_EVAL_VARS, points)}
-    want = 0j
-    for mono, coef in poly.terms.items():
-        prod = complex(coef)
-        for v, k in mono.exps:
-            prod *= values[v] ** k
-        want += prod
+    want = term_walk(poly, values)
     first, second = poly.evaluate(values), poly.evaluate(values)
     assert repr(first) == repr(want) and repr(second) == repr(want)
     for v in poly.variables():
         with pytest.raises(UnboundVariableError):
             poly.evaluate({w: z for w, z in values.items() if w is not v})
-
-
-def _term_walk(poly, values):
-    """The independent walk of test_evaluate_keeps_term_order_bit_for_bit."""
-    want = 0j
-    for mono, coef in poly.terms.items():
-        prod = complex(coef)
-        for v, k in mono.exps:
-            prod *= values[v] ** k
-        want += prod
-    return want
 
 
 def test_evaluate_a_large_polynomial_bit_for_bit():
@@ -386,7 +372,7 @@ def test_evaluate_a_large_polynomial_bit_for_bit():
     assert len(poly.terms) == 6125
     values = {var_id(nm): complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
               for nm in _EVAL_VARS}
-    want = repr(_term_walk(poly, values))
+    want = repr(term_walk(poly, values))
     for _ in range(3):
         assert repr(poly.evaluate(values)) == want
 
@@ -397,7 +383,7 @@ def test_evaluate_keeps_unit_powers():
     poly = P("2*x1")
     values = {var_id("x1"): complex(math.inf, 0)}
     with pytest.raises(OverflowError):
-        _term_walk(poly, values)
+        term_walk(poly, values)
     with pytest.raises(OverflowError):
         poly.evaluate(values)
 

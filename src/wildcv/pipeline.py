@@ -17,11 +17,18 @@ X, Y, Z into the same slots that a case's expected cubic and
 The oracle compiles one straight-line function per report that runs a whole
 trial (``_compile_trial``): the draws, the derived units, the 2x2 solve, the
 trace parameters, the dropped entry, ``xyz_map`` and the cubic, each variable
-a local and each polynomial the statements of ``polyring.sum_statements``, so
-the floats are bit for bit those of ``LaurentPoly.evaluate``.  The report
-keeps the function with its sampling and cubic (``compiled_oracle``), so
-every run of one report reuses them; the function's source is kept in
-``linecache``, so a traceback from inside a trial shows its statement.
+a local.  A trial returns moduli and tests only moduli, so each polynomial is
+written with only the arithmetic its modulus needs
+(``_reduced_sum_statements``): no ``**1``, no +-1 coefficient, and the solve
+equations written out at each probe point with the terms that vanish there
+left out.  These change values only in the signs of their zero components;
+with every operand finite (a draw has modulus at most sqrt(2), a unit at
+least ``_UNIT_MIN_MODULUS``, the solve's determinant at least
+``_PIVOT_FLOOR``), every modulus is bit for bit that of the term-by-term walk
+of ``LaurentPoly.evaluate``.  The report keeps the function with its sampling
+and cubic (``compiled_oracle``), so every run of one report reuses them; the
+function's source is kept in ``linecache`` under a file name of its own, so
+a traceback from inside a trial shows its statement.
 Attempt ``a`` of trial ``t`` draws the stream of
 ``random.Random(seed*1_000_003 + t*1_009 + a)``.  That key does not depend on
 the report, so the reports of a run at one seed share the streams: each
@@ -39,16 +46,17 @@ and a variable that no step of a trial binds makes ``_compile_trial`` raise
 
 from __future__ import annotations
 
+import itertools
 import linecache
 import random
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
 from .polyring import (LaurentPoly, Monomial, NotLinearError, PolyError,
-                       UnboundVariableError, power_statements, solve_in_order,
-                       sum_statements, var_id)
+                       UnboundVariableError, _power_local, solve_in_order, var_id)
 from .stokes import SymMat3, formal_monodromy, stokes_matrix
 from .model import _SLOTS, _XYZ_IDS, CaseSpec, CubicSurface, DerivationError, case_spec
 from .monodromy import (ClosureSystem, closure_equations, monodromy_factors,
@@ -313,7 +321,77 @@ def oracle_sampling(report: CaseReport) -> OracleSampling:
 
 
 _DRAW = "complex(-1.0 + 2.0*r(), -1.0 + 2.0*r())"    # random.uniform(-1.0, 1.0) twice
-_PROBES = "((0j, 0j), (1+0j, 0j), (0j, 1+0j))"        # the solve targets' three probe points
+_TRIAL_FILES = itertools.count(1)    # numbers each compiled trial's file name, per process
+
+
+def _reduced_sum_statements(terms: dict, local, coefs: list, powers: dict,
+                            fixed: dict, target: str) -> list:
+    """The statements that leave the sum of ``terms`` in ``target``, for code
+    that reads only its modulus: the term walk of ``polyring.sum_statements``,
+    in the same term order, with the same products and the same ``**``, less
+    three kinds of arithmetic.
+
+    - A power 1 reads the variable's own local.  Every other power is
+      computed once, as ``v**k``, into a local (``p<k>_v``, ``pm<k>_v`` for
+      k < 0) just before the first term that reads it, and reused for as long
+      as ``powers`` ({VarId: set of exponents whose power local is
+      assigned}) holds it; a caller that binds v again drops ``powers[v]``.
+    - A coefficient of +-1 is not multiplied: its term is the product alone,
+      added with ``+=`` or ``-=``, or ``1+0j`` if it has no factor.  The
+      first term is assigned (``total = t`` or ``total = -(t)``), and a sum
+      with no term is ``total = 0j``.  Any other coefficient is appended to
+      ``coefs`` as a complex constant and read back as ``C[i]``.
+    - ``fixed`` ({VarId: 0 or 1}) gives variables a known value: a term
+      holding a power (a positive one: the variables fixed are Stokes
+      coefficients) of one fixed at 0 is dropped, and one fixed at 1 is left
+      out of its product.  No local of a fixed variable is read.
+
+    ``local(v)`` names the local that holds VarId v.  It is called for every
+    factor of every term, in term order, before a term is dropped, so the
+    variable it refuses first is the one the full walk would.
+
+    Each of these changes a term, or the sum so far, only in the signs of
+    its zero components, as long as every operand is finite: ``x**1`` is
+    ``(1+0j)*x``, ``(-1+0j)*x`` is ``-x``, ``0j + t`` is ``t``, and a
+    product with a power of ``0j`` is +-0.  Given finite operands that
+    differ only in the signs of zero components, IEEE complex ``+``, ``-``
+    and ``*``, CPython's Smith division and integer ``**`` give results that
+    differ only there too, every nonzero component bit for bit the same, and
+    ``abs`` ignores the signs.  So the modulus of the sum, and of everything
+    computed from it, is bit for bit that of the full walk.  The complex
+    value is not, which is why ``LaurentPoly.evaluate``, whose callers read
+    the value, keeps ``sum_statements`` unreduced: its signed zeros, and
+    ``x**1``, which overflows at infinity."""
+    lines = []
+    assigned = False
+    for m, c in terms.items():
+        names = [local(v) for v, _ in m.exps]
+        if any(fixed.get(v) == 0 for v, _ in m.exps):
+            continue
+        factors = []
+        if c != 1 and c != -1:
+            factors.append(f"C[{len(coefs)}]")
+            coefs.append(complex(c))
+        for (v, k), name in zip(m.exps, names):
+            if v in fixed:
+                continue
+            if k != 1:
+                done = powers.setdefault(v, set())
+                power = _power_local(name, k)
+                if k not in done:
+                    done.add(k)
+                    lines.append(f"{power} = {name}**{k}")
+                name = power
+            factors.append(name)
+        product = "*".join(factors) or "1+0j"
+        if assigned:
+            lines.append(f"{target} {'-' if c == -1 else '+'}= {product}")
+        else:
+            lines.append(f"{target} = -({product})" if c == -1 else f"{target} = {product}")
+            assigned = True
+    if not assigned:
+        lines.append(f"{target} = 0j")
+    return lines
 
 
 def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentPoly):
@@ -326,18 +404,27 @@ def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentP
     ``_UNIT_MIN_MODULUS``), the derived units, the free coefficients, the
     solve targets, the trace parameters, then ``xyz_map``; a later binding
     overwrites the local.  A draw is ``random.uniform(-1.0, 1.0)``'s own
-    formula, ``-1.0 + 2.0*r()``.  The solve equations are written once, in a
-    loop over the targets' probe points (0, 0), (1, 0) and (0, 1), whose
-    differences give the 2x2 system for Cramer's rule.  A variable read
-    before any step binds it raises ``UnboundVariableError`` here, the first
-    one in term order.
+    formula, ``-1.0 + 2.0*r()``.  The solve equations are written out at the
+    targets' three probe points, (0, 0), (1, 0) and (0, 1), with the
+    targets' values fixed in the source, into ``c1, c2``, ``u1, u2`` and
+    ``w1, w2``, whose differences give the 2x2 system for Cramer's rule.  A
+    variable read before any step binds it raises ``UnboundVariableError``
+    here, the first one in term order.
 
-    Each distinct power ``v**k`` is computed once per binding of v, still as
-    ``**``, into a local that every later term reads (``sum_statements``);
-    binding v again drops its powers.  The powers that the solve equations
-    take of the other variables are computed before the probe loop, and only
-    the targets' powers inside it.  The source is registered in ``linecache``
-    under the function's file name, ``<oracle trial NAME>``.
+    Each polynomial is written by ``_reduced_sum_statements``, not by
+    ``polyring.sum_statements``: no ``**1``, no +-1 coefficient, and no
+    term that is zero at a probe point.  That changes values only in the
+    signs of their zero components, and the trial returns moduli and tests
+    only moduli, so every (|cubic|, |dropped|) and every verdict is bit for
+    bit that of the unreduced walk.  The argument needs every operand
+    finite, and the sampling keeps it so: a draw has modulus at most sqrt(2),
+    a unit at least ``_UNIT_MIN_MODULUS``, and the solve's determinant at
+    least ``_PIVOT_FLOOR``.
+
+    The source is registered in ``linecache`` under the function's own file
+    name, ``<oracle trial NAME #N>``, numbered per process so that a trial
+    compiled later for the same case keeps its own, and dropped with the
+    function.
     """
     coefs: list = []
     powers: dict = {}    # bound VarId -> exponents whose power local is of this binding
@@ -347,8 +434,8 @@ def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentP
             raise UnboundVariableError(f"unbound variable {v.name}")
         return f"v_{v.name}"
 
-    def value_of(poly: LaurentPoly, indent: str = "") -> list:
-        return [indent + line for line in sum_statements(poly.terms, local, coefs, powers)]
+    def value_of(poly: LaurentPoly, target: str = "total", fixed: Optional[dict] = None) -> list:
+        return _reduced_sum_statements(poly.terms, local, coefs, powers, fixed or {}, target)
 
     def assigned(v) -> None:
         powers[v] = set()
@@ -374,24 +461,19 @@ def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentP
         lines.append(f"v_{v.name} = {_DRAW}")
     if sampling.solve_targets:
         t1, t2 = sampling.solve_targets
-        assigned(t1)
+        assigned(t1)    # at the probe points' fixed values, then at the solution
         assigned(t2)
         eq1, eq2 = sampling.solve_equations
-        lines += power_statements([(v, k) for eq in (eq1, eq2) for m in eq.terms
-                                   for v, k in m.exps if v not in (t1, t2)], local, powers)
-        lines += (["s = []", f"for v_{t1.name}, v_{t2.name} in {_PROBES}:"]
-                  + value_of(eq1, " ") + [" e1 = total"]
-                  + value_of(eq2, " ") + [" s.append((e1, total))"]
-                  + ["(c1, c2), (u1, u2), (w1, w2) = s",
-                     "a11 = u1 - c1", "a21 = u2 - c2", "a12 = w1 - c1", "a22 = w2 - c2",
-                     "det = a11*a22 - a12*a21",
-                     f"if abs(det) < {_PIVOT_FLOOR!r}:",
-                     ' raise DegenerateSampleError("singular 2x2 solve")',
-                     "b1 = -c1", "b2 = -c2",
-                     f"v_{t1.name} = (b1*a22 - a12*b2)/det",
-                     f"v_{t2.name} = (a11*b2 - b1*a21)/det"])
-        assigned(t1)
-        assigned(t2)
+        for sums, point in (("c", (0, 0)), ("u", (1, 0)), ("w", (0, 1))):
+            fixed = dict(zip((t1, t2), point))
+            lines += value_of(eq1, f"{sums}1", fixed) + value_of(eq2, f"{sums}2", fixed)
+        lines += ["a11 = u1 - c1", "a21 = u2 - c2", "a12 = w1 - c1", "a22 = w2 - c2",
+                  "det = a11*a22 - a12*a21",
+                  f"if abs(det) < {_PIVOT_FLOOR!r}:",
+                  ' raise DegenerateSampleError("singular 2x2 solve")',
+                  "b1 = -c1", "b2 = -c2",
+                  f"v_{t1.name} = (b1*a22 - a12*b2)/det",
+                  f"v_{t2.name} = (a11*b2 - b1*a21)/det"]
     for v, trace in sampling.trace_params:
         lines += bind(v, trace)
     if report.closure.dropped is None:
@@ -403,12 +485,14 @@ def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentP
     lines += value_of(cubic) + ["return abs(total), dropped"]
 
     source = "def trial(r):\n" + "".join(f" {line}\n" for line in lines)
-    filename = f"<oracle trial {report.name}>"
+    filename = f"<oracle trial {report.name} #{next(_TRIAL_FILES)}>"
     # kept where a traceback looks up its lines; no mtime, so never checked stale
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"C": tuple(coefs), "DegenerateSampleError": DegenerateSampleError}
     exec(compile(source, filename, "exec"), namespace)
-    return namespace["trial"]
+    trial = namespace["trial"]
+    weakref.finalize(trial, linecache.cache.pop, filename, None)
+    return trial
 
 
 def _oracle_trial(trial, draw) -> tuple:

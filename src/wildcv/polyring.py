@@ -531,42 +531,37 @@ def _power_local(name: str, k: int) -> str:
     return f"p{k}_{name}" if k > 0 else f"pm{-k}_{name}"
 
 
-def power_statements(powers_read, local, powers: dict) -> list:
-    """``p = v**k`` for each (VarId v, k) of ``powers_read``, in order, that
-    ``powers`` ({VarId: set of exponents whose power local is assigned}) does
-    not hold yet; each one is added to ``powers``.  ``local(v)`` is called for
-    every pair, in order."""
-    lines = []
-    for v, k in powers_read:
-        name = local(v)
-        done = powers.setdefault(v, set())
-        if k not in done:
-            done.add(k)
-            lines.append(f"{_power_local(name, k)} = {name}**{k}")
-    return lines
-
-
-def sum_statements(terms: dict, local, coefs: list, powers: dict) -> list:
+def sum_statements(terms: dict, local, coefs: list) -> list:
     """The statements that leave the sum of ``terms`` in ``total``: first
     ``total = 0j``, then, in term order, ``total += C[i]*p_a*p_b...``, where
     each factor is the local of one power v**k, the factors multiplied left
     to right in registry order.  Each distinct power is computed once, as
-    ``v**k``, just before the first term that reads it (``power_statements``),
-    and reused for as long as ``powers`` holds it; a caller that binds v
-    again drops ``powers[v]``.  Every power stays a ``**``, ``**1`` too, since
-    ``x**1`` is not ``x`` in floats (it overflows at infinity), and a power
-    read from a local is the same float as one computed in place, so the
-    result is bit for bit that of a term-by-term walk.  Each term is its own
-    statement, because one sum expression of a few thousand terms exceeds the
-    compiler's recursion limit.
+    ``v**k``, just before the first term that reads it, and reused by every
+    later term.  Every power stays a ``**``, ``**1`` too, since ``x**1`` is
+    not ``x`` in floats (it overflows at infinity), and a power read from a
+    local is the same float as one computed in place, so the result is bit
+    for bit that of a term-by-term walk.  Each term is its own statement,
+    because one sum expression of a few thousand terms exceeds the compiler's
+    recursion limit.
 
     ``local(v)`` names the local that holds VarId v; it is called in term
     order, each term's factors in registry order.  Each coefficient is
     appended to ``coefs`` as a complex constant, and ``C[i]`` reads it back,
-    so the source holds only indices and exponents."""
+    so the source holds only indices and exponents.
+
+    This is the emitter of ``_compile_evaluator`` alone: ``evaluate``
+    returns the complex value, signed zeros included.  The oracle's compiled
+    trial reads only moduli, and writes its sums with
+    ``pipeline._reduced_sum_statements``, which leaves out the arithmetic
+    that changes only the signs of zeros."""
     lines = ["total = 0j"]
+    powers: set = set()    # (VarId, k) whose power local is assigned
     for m, c in terms.items():
-        lines += power_statements(m.exps, local, powers)
+        for v, k in m.exps:
+            name = local(v)
+            if (v, k) not in powers:
+                powers.add((v, k))
+                lines.append(f"{_power_local(name, k)} = {name}**{k}")
         factors = "".join(f"*{_power_local(local(v), k)}" for v, k in m.exps)
         lines.append(f"total += C[{len(coefs)}]{factors}")
         coefs.append(complex(c))
@@ -579,7 +574,7 @@ def _compile_evaluator(terms: dict):
     walk would miss first), and then runs ``sum_statements``."""
     names: dict = {}    # VarId -> local name
     coefs: list = []
-    body = sum_statements(terms, lambda v: names.setdefault(v, f"v{len(names)}"), coefs, {})
+    body = sum_statements(terms, lambda v: names.setdefault(v, f"v{len(names)}"), coefs)
     reads = [f"{name} = values[V[{j}]]" for j, name in enumerate(names.values())]
     source = "def evaluate(values):\n" + "".join(
         f" {line}\n" for line in reads + body + ["return total"])

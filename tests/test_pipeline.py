@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import gc
 import itertools
 import json
 import linecache
@@ -18,7 +19,8 @@ from wildcv.model import CASE_NAMES, case_spec
 from wildcv.monodromy import monodromy_factors
 from wildcv.pipeline import (_PIVOT_FLOOR, _UNIT_MIN_MODULUS, ORACLE_TOLERANCE,
                              CubicSurface, DegenerateSampleError, OracleVerdict, ShapeError,
-                             _compile_trial, _eliminate_with_solutions, derive_case,
+                             _compile_trial, _eliminate_with_solutions,
+                             _reduced_sum_statements, derive_case,
                              oracle_identity, oracle_sampling, oracle_verify,
                              specialize_unit_cube_root, to_cubic_normal_form)
 from wildcv.polyring import LaurentPoly, parse, var_id
@@ -26,6 +28,7 @@ from wildcv.report import report_to_dict
 from wildcv.stokes import formal_monodromy
 
 from _support import case_closure, patch_expected, term_walk
+from test_polyring import _EVAL_VARS, _polys
 
 P = parse
 
@@ -422,10 +425,39 @@ def test_compiled_trial_rejects_a_singular_pivot():
         with pytest.raises(DegenerateSampleError, match="^singular 2x2 solve$") as exc:
             trial(random.Random(seed).random)
         frame = traceback.extract_tb(exc.tb)[-1]
-        assert frame.filename == "<oracle trial JKTI>"
+        assert frame.filename == trial.__code__.co_filename
+        assert frame.filename.startswith("<oracle trial JKTI #")
         assert frame.line == 'raise DegenerateSampleError("singular 2x2 solve")'
-        assert f'File "<oracle trial JKTI>", line {frame.lineno}, in trial\n    {frame.line}\n' in (
+        assert f'File "{frame.filename}", line {frame.lineno}, in trial\n    {frame.line}\n' in (
             "".join(traceback.format_exception(exc.type, exc.value, exc.tb)))
+
+
+def test_each_compiled_trial_keeps_its_own_source():
+    """Two trials compiled for one case from different data have file names
+    of their own, and ``linecache`` maps each to the source that its
+    function was compiled from, so a traceback from the first still reads the
+    first's lines.  The entry goes with its function."""
+    rep = _derived("JKTI")
+    sampling = oracle_sampling(rep)
+    eq = sampling.solve_equations[0]
+    cubic = rep.cubic.reconstruct()
+    trials = [_compile_trial(rep, sampling, cubic),
+              _compile_trial(rep, dataclasses.replace(sampling, solve_equations=(eq, eq)), cubic)]
+    names = [trial.__code__.co_filename for trial in trials]
+    assert names[0] != names[1]
+    assert all(name.startswith("<oracle trial JKTI #") for name in names)
+    sources = ["".join(linecache.getlines(name)) for name in names]
+    assert sources[0] != sources[1]
+    for trial, source in zip(trials, sources):
+        namespace = {}
+        exec(compile(source, trial.__code__.co_filename, "exec"), namespace)
+        code, want = namespace["trial"].__code__, trial.__code__
+        assert (code.co_code, code.co_consts, code.co_names) == (
+            want.co_code, want.co_consts, want.co_names)
+    del trial, trials[0]
+    gc.collect()
+    assert names[0] not in linecache.cache
+    assert "".join(linecache.getlines(names[1])) == sources[1]
 
 
 def test_oracle_identity_settles_an_over_tolerance_trial():
@@ -551,6 +583,52 @@ def test_compiled_trial_matches_the_dict_walk(name, seed, trials):
     assert over_tolerance == (name == "JKTII" and seed == 183888082 and trials > 50)
 
 
+# components of a point: signed zeros and units often, then any float in range
+_COMPONENTS = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)), st.floats(-2.0, 2.0))
+
+
+def _point_value(unit: bool):
+    """A complex value for one variable; a unit's keeps its modulus at least
+    ``_UNIT_MIN_MODULUS``, as the oracle's sampling does."""
+    z = st.builds(complex, _COMPONENTS, _COMPONENTS)
+    return z.filter(lambda z: abs(z) >= _UNIT_MIN_MODULUS) if unit else z
+
+
+@given(_polys(), st.data())
+def test_reduced_sum_keeps_every_modulus(poly, data):
+    """The compiled trial's statement writer gives, at points whose
+    components include +-0.0 and with some variables fixed at exactly 0 (a
+    Stokes coefficient) or 1, the modulus that the unreduced term walk gives
+    there, by repr.  It calls ``local`` for every factor in term order, as
+    the walk meets them, and reads no local of a fixed variable: those are
+    passed as None, which no arithmetic takes.  Each coefficient is kept or
+    made +-1, so that the writer's +-1 forms are met often."""
+    poly = LaurentPoly.from_terms((m, data.draw(st.sampled_from((c, 1, -1))))
+                                  for m, c in poly.terms.items())
+    values, fixed = {}, {}
+    for v in map(var_id, _EVAL_VARS):
+        fix = data.draw(st.sampled_from((None, 1) if v.unit else (None, 0, 1)))
+        if fix is None:
+            values[v] = data.draw(_point_value(v.unit))
+        else:
+            fixed[v], values[v] = fix, complex(fix)
+    names = {v: f"v{i}" for i, v in enumerate(values)}
+    met, coefs = [], []
+
+    def local(v):
+        met.append(v)
+        return names[v]
+
+    lines = _reduced_sum_statements(poly.terms, local, coefs, {}, fixed, "total")
+    assert met == [v for m in poly.terms for v, _ in m.exps]
+    source = f"def reduced({', '.join(names.values())}):\n" + "".join(
+        f" {line}\n" for line in lines + ["return total"])
+    namespace = {"C": tuple(coefs)}
+    exec(compile(source, "<reduced sum>", "exec"), namespace)
+    got = namespace["reduced"](*(None if v in fixed else z for v, z in values.items()))
+    assert repr(abs(got)) == repr(abs(term_walk(poly, values))), source
+
+
 def _reference_verify(report, trials, seed):
     """``oracle_verify`` with no shared draws: one generator, reseeded with
     the attempt key for every attempt of every report."""
@@ -665,8 +743,10 @@ def test_draw_memo_holds_the_last_seed_up_to_its_cap(monkeypatch):
 
 _POWER_LOCAL = re.compile(r"p(m?)(\d+)_(v_\w+)")    # p2_v_x1 holds v_x1**2, pm1_v_x1 v_x1**-1
 _POWER = re.compile(r"(\w+) = (v_\w+)\*\*(-?\d+)")
-_TERM = re.compile(r"total \+= C\[\d+\]((?:\*\w+)*)")
-_PROBE_LOOP = re.compile(r"for (v_\w+), (v_\w+) in ")
+# a sum's statement: its first term assigned, negated or not, or a later one
+# added or subtracted; probe sums go to c1, c2, u1, u2, w1, w2
+_SUM = re.compile(r"(total|[cuw][12]) (?:= -\((.+)\)|[-+]?= (.+))")
+_COEF = re.compile(r"C\[(\d+)\]")
 _ASSIGNED = re.compile(r"(v_\w+) = ")
 
 
@@ -683,39 +763,51 @@ def test_compiled_trial_computes_each_power_once(name):
     """In the generated trial every ``**`` is one ``p<k>_v = v**k`` (``pm``
     for k < 0) statement, each (variable, exponent) is computed at most once
     per binding of the variable, and each term multiplies only powers computed
-    since their variable was last bound.  Inside the probe loop, which binds
-    the solve targets, only the targets' powers are computed.  The source is
-    the one ``linecache`` holds for the trial's file name."""
+    since their variable was last bound.  No power is 1, a unit power being
+    the variable's own local; no coefficient in ``C`` is +-1, and each is
+    read once, in order; and the statements of the solve equations at the
+    probe points read no local of a solve target.  The source is the one
+    ``linecache`` holds for the trial's own file name."""
     rep = _derived(name)
     sampling, cubic, trial = rep.compiled_oracle
-    filename = f"<oracle trial {name}>"
-    assert trial.__code__.co_filename == filename
-    source = "".join(linecache.getlines(filename))
+    source = "".join(linecache.getlines(trial.__code__.co_filename))
     assert source.startswith("def trial(r):\n")
+    assert not re.search(r"\*\*1\b", source)
+    coefs = trial.__globals__["C"]
+    assert not [c for c in coefs if c in (1, -1)]
+    assert [int(i) for i in _COEF.findall(source)] == list(range(len(coefs)))
+
+    lines = [line.strip() for line in source.splitlines()[1:]]
+    probes = [i for i, text in enumerate(lines)
+              if (term := _SUM.fullmatch(text)) and term[1] != "total"]
+    assert bool(probes) == bool(sampling.solve_targets)
+    if probes:
+        targets = re.compile("|".join(rf"v_{t.name}\b" for t in sampling.solve_targets))
+        for text in lines[probes[0]:probes[-1] + 1]:
+            assert not targets.search(text), text
 
     computed: dict = {}    # variable local -> exponents computed since its last binding
-    loop_targets = ()
-    for line in source.splitlines()[1:]:
-        text = line.lstrip()
-        if len(line) - len(text) == 1:
-            loop_targets = ()
-        if probe := _PROBE_LOOP.match(text):
-            loop_targets = probe.groups()
-            computed.update((v, set()) for v in loop_targets)
-        elif power := _POWER.fullmatch(text):
+    for text in lines:
+        if power := _POWER.fullmatch(text):
             v, k = _power_of(power[1])
-            assert (v, k) == (power[2], int(power[3])), line
-            assert k not in computed.setdefault(v, set()), line
-            assert not loop_targets or v in loop_targets, line
+            assert (v, k) == (power[2], int(power[3])), text
+            assert v in computed and k != 1 and k not in computed[v], text
             computed[v].add(k)
-        elif term := _TERM.fullmatch(text):
-            for factor in term[1].split("*")[1:]:
+        elif term := _SUM.fullmatch(text):
+            product = term[2] or term[3]
+            if product in ("0j", "1+0j"):
+                continue
+            for factor in product.split("*"):
+                if _COEF.fullmatch(factor):
+                    continue
+                if factor in computed:
+                    continue    # a power 1: the variable's own local, bound
                 v, k = _power_of(factor)
-                assert k in computed.get(v, ()), line
+                assert k in computed.get(v, ()), text
         else:
-            assert "**" not in text, line
+            assert "**" not in text, text
             if assigned := _ASSIGNED.match(text):
-                computed.pop(assigned[1], None)
+                computed[assigned[1]] = set()
 
 
 class _CentreDraws(random.Random):

@@ -15,24 +15,27 @@ X, Y, Z into the same slots that a case's expected cubic and
 ``CubicSurface.reconstruct`` use.
 
 The oracle compiles one straight-line function per report that runs a whole
-trial (``_compile_trial``): the draws, the derived units, the 2x2 solve, the
-trace parameters, the dropped entry, ``xyz_map`` and the cubic, each variable
-a local.  A trial returns moduli and tests only moduli, so each polynomial is
-written with only the arithmetic its modulus needs
-(``_reduced_sum_statements``): no ``**1``, no +-1 coefficient, and the solve
-equations written out at each probe point with the terms that vanish there
-left out.  These change values only in the signs of their zero components;
-with every operand finite (a draw has modulus at most sqrt(2), a unit at
-least ``_UNIT_MIN_MODULUS``, the solve's determinant at least
-``_PIVOT_FLOOR``), every modulus is bit for bit that of the term-by-term walk
-of ``LaurentPoly.evaluate``.  The report keeps the function with its sampling
-and cubic (``compiled_oracle``), so every run of one report reuses them; the
-function's source is kept in ``linecache`` under a file name of its own, so
-a traceback from inside a trial shows its statement.
-Attempt ``a`` of trial ``t`` draws the stream of
+trial (``_compile_trial``): the samples, the derived units, the 2x2 solve,
+the trace parameters, the dropped entry, ``xyz_map`` and the cubic, each
+variable a local.  A trial returns moduli and tests only moduli, so each
+polynomial is written with only the arithmetic its modulus needs
+(``_reduced_sum_statements``): no ``**`` (a power is CPython's own chain of
+products, ``_power_statements``), no +-1 coefficient, and the solve equations
+written out at each probe point with the terms that vanish there left out
+and each product they share computed once.  These change values only in the
+signs of their zero components; with every operand finite (a sample has
+modulus at most sqrt(2), a unit at least ``_UNIT_MIN_MODULUS``, the solve's
+determinant at least ``_PIVOT_FLOOR``), every modulus is bit for bit that of
+the term-by-term walk of ``LaurentPoly.evaluate``.  The report keeps the
+function with its sampling and cubic (``compiled_oracle``), so every run of
+one report reuses them; the function's source is kept in ``linecache`` under
+a file name of its own, so a traceback from inside a trial shows its
+statement.
+Attempt ``a`` of trial ``t`` reads complex samples, each two draws of
+``random.uniform(-1.0, 1.0)``, from the stream of
 ``random.Random(seed*1_000_003 + t*1_009 + a)``.  That key does not depend on
 the report, so the reports of a run at one seed share the streams: each
-stream's first draws are drawn once and kept for the last seed only
+stream's first samples are built once and kept for the last seed only
 (``_attempt``), and every float is that of a generator seeded per attempt.
 A run whose largest residual reaches the tolerance is settled by
 ``oracle_identity``, the same claim checked as an exact polynomial identity;
@@ -50,6 +53,7 @@ import itertools
 import linecache
 import random
 import weakref
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -320,22 +324,78 @@ def oracle_sampling(report: CaseReport) -> OracleSampling:
         xyz_map=tuple((var_id(nm), expr) for nm, expr in spec.oracle.xyz_map))
 
 
-_DRAW = "complex(-1.0 + 2.0*r(), -1.0 + 2.0*r())"    # random.uniform(-1.0, 1.0) twice
 _TRIAL_FILES = itertools.count(1)    # numbers each compiled trial's file name, per process
+_POWI_CUTOFF = 100    # CPython's c_powi: beyond this |k|, complex ** takes exp and log
+
+
+def _power_statements(name: str, k: int, done: set) -> list:
+    """The statements that leave ``name**k`` in its power local
+    (``_power_local``), as products in the order of CPython's ``c_powi``,
+    each power local assigned at most once: ``done`` holds the exponents
+    already assigned, and gains every one these statements assign.
+
+    For 1 < k <= 100, with h the highest power of two at most k, ``p_k =
+    p_(k-h)*p_h`` if k is not h, and ``p_h = p_(h/2)*p_(h/2)``, where
+    ``p_1`` is ``name`` itself; for -100 <= k < 0, ``pm_k = 1/p_-k``, as
+    ``c_powi`` divides ``1+0j`` by the positive power.  Past 100 CPython takes
+    exp and log, so the power stays ``name**k``.  ``c_powu`` starts its
+    product from ``1+0j`` and multiplies the same operands in the same
+    order, so with finite operands the chain differs from ``name**k`` only
+    in the signs of zero components."""
+    if k == 1 or k in done:
+        return []
+    done.add(k)
+    power = _power_local(name, k)
+    if abs(k) > _POWI_CUTOFF:
+        return [f"{power} = {name}**{k}"]
+    if k < 0:
+        return _power_statements(name, -k, done) + [f"{power} = 1/{_factor(name, -k)}"]
+    h = 1 << (k.bit_length() - 1)
+    low, high = (h // 2, h // 2) if k == h else (k - h, h)
+    return (_power_statements(name, low, done) + _power_statements(name, high, done)
+            + [f"{power} = {_factor(name, low)}*{_factor(name, high)}"])
+
+
+def _factor(name: str, k: int) -> str:
+    """The local that holds ``name**k``: ``name`` itself for k = 1."""
+    return name if k == 1 else _power_local(name, k)
+
+
+def _reduced_terms(terms: dict, local, powers: dict, fixed: dict, lines: list):
+    """Yield (coefficient, product) for each term of ``terms`` that
+    ``fixed`` leaves, in term order: the product is its factors' locals
+    joined by ``*`` (empty if it has none), a power 1 the variable's own
+    local and every other power a power local, whose statements go to
+    ``lines`` before the term is yielded.  ``_reduced_sum_statements`` says
+    what ``local``, ``powers`` and ``fixed`` are."""
+    for m, c in terms.items():
+        names = [local(v) for v, _ in m.exps]
+        if any(fixed.get(v) == 0 for v, _ in m.exps):
+            continue
+        factors = []
+        for (v, k), name in zip(m.exps, names):
+            if v in fixed:
+                continue
+            if k != 1:
+                lines += _power_statements(name, k, powers.setdefault(v, set()))
+                name = _power_local(name, k)
+            factors.append(name)
+        yield c, "*".join(factors)
 
 
 def _reduced_sum_statements(terms: dict, local, coefs: list, powers: dict,
-                            fixed: dict, target: str) -> list:
+                            fixed: dict, target: str, shared: Optional[dict] = None) -> list:
     """The statements that leave the sum of ``terms`` in ``target``, for code
     that reads only its modulus: the term walk of ``polyring.sum_statements``,
-    in the same term order, with the same products and the same ``**``, less
-    three kinds of arithmetic.
+    in the same term order, with the same products, less four kinds of
+    arithmetic.
 
     - A power 1 reads the variable's own local.  Every other power is
-      computed once, as ``v**k``, into a local (``p<k>_v``, ``pm<k>_v`` for
-      k < 0) just before the first term that reads it, and reused for as long
-      as ``powers`` ({VarId: set of exponents whose power local is
-      assigned}) holds it; a caller that binds v again drops ``powers[v]``.
+      computed once, without ``**`` (``_power_statements``), into a local
+      (``p<k>_v``, ``pm<k>_v`` for k < 0) just before the first term that
+      reads it, and reused for as long as ``powers`` ({VarId: set of
+      exponents whose power local is assigned}) holds it; a caller that
+      binds v again drops ``powers[v]``.
     - A coefficient of +-1 is not multiplied: its term is the product alone,
       added with ``+=`` or ``-=``, or ``1+0j`` if it has no factor.  The
       first term is assigned (``total = t`` or ``total = -(t)``), and a sum
@@ -345,45 +405,36 @@ def _reduced_sum_statements(terms: dict, local, coefs: list, powers: dict,
       holding a power (a positive one: the variables fixed are Stokes
       coefficients) of one fixed at 0 is dropped, and one fixed at 1 is left
       out of its product.  No local of a fixed variable is read.
+    - ``shared`` ({product: local}) names products that the caller has
+      already computed into a local: a term with a +-1 coefficient whose
+      product is one of them reads the local, the same float.
 
     ``local(v)`` names the local that holds VarId v.  It is called for every
     factor of every term, in term order, before a term is dropped, so the
     variable it refuses first is the one the full walk would.
 
     Each of these changes a term, or the sum so far, only in the signs of
-    its zero components, as long as every operand is finite: ``x**1`` is
-    ``(1+0j)*x``, ``(-1+0j)*x`` is ``-x``, ``0j + t`` is ``t``, and a
-    product with a power of ``0j`` is +-0.  Given finite operands that
-    differ only in the signs of zero components, IEEE complex ``+``, ``-``
-    and ``*``, CPython's Smith division and integer ``**`` give results that
+    its zero components, as long as every operand is finite and every
+    divisor nonzero: ``x**1`` is ``(1+0j)*x``, an integer power is CPython's
+    product chain from ``1+0j``, ``(-1+0j)*x`` is ``-x``, ``0j + t`` is
+    ``t``, and a product with a power of ``0j`` is +-0.  Given finite
+    operands that differ only in the signs of zero components, IEEE complex
+    ``+``, ``-`` and ``*`` and CPython's Smith division give results that
     differ only there too, every nonzero component bit for bit the same, and
     ``abs`` ignores the signs.  So the modulus of the sum, and of everything
     computed from it, is bit for bit that of the full walk.  The complex
     value is not, which is why ``LaurentPoly.evaluate``, whose callers read
     the value, keeps ``sum_statements`` unreduced: its signed zeros, and
     ``x**1``, which overflows at infinity."""
-    lines = []
+    shared = shared or {}
+    lines: list = []
     assigned = False
-    for m, c in terms.items():
-        names = [local(v) for v, _ in m.exps]
-        if any(fixed.get(v) == 0 for v, _ in m.exps):
-            continue
-        factors = []
-        if c != 1 and c != -1:
-            factors.append(f"C[{len(coefs)}]")
+    for c, product in _reduced_terms(terms, local, powers, fixed, lines):
+        if c == 1 or c == -1:
+            product = shared.get(product, product) or "1+0j"
+        else:
+            product = f"C[{len(coefs)}]" + (f"*{product}" if product else "")
             coefs.append(complex(c))
-        for (v, k), name in zip(m.exps, names):
-            if v in fixed:
-                continue
-            if k != 1:
-                done = powers.setdefault(v, set())
-                power = _power_local(name, k)
-                if k not in done:
-                    done.add(k)
-                    lines.append(f"{power} = {name}**{k}")
-                name = power
-            factors.append(name)
-        product = "*".join(factors) or "1+0j"
         if assigned:
             lines.append(f"{target} {'-' if c == -1 else '+'}= {product}")
         else:
@@ -396,29 +447,31 @@ def _reduced_sum_statements(terms: dict, local, coefs: list, powers: dict,
 
 def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentPoly):
     """One function ``trial(r)`` that runs a whole oracle trial of the report,
-    drawing from ``r`` (a ``Random.random``), and returns (|cubic|, |dropped
-    entry|) at the sampled point.
+    reading each complex sample as ``r()`` (``_samples``), and returns
+    (|cubic|, |dropped entry|) at the sampled point.
 
     Each variable is a local named from its VarId, bound in a trial's order:
-    the sampled units (up to 100 draws each, until the modulus reaches
+    the sampled units (up to 100 samples each, until the modulus reaches
     ``_UNIT_MIN_MODULUS``), the derived units, the free coefficients, the
     solve targets, the trace parameters, then ``xyz_map``; a later binding
-    overwrites the local.  A draw is ``random.uniform(-1.0, 1.0)``'s own
-    formula, ``-1.0 + 2.0*r()``.  The solve equations are written out at the
+    overwrites the local.  The solve equations are written out at the
     targets' three probe points, (0, 0), (1, 0) and (0, 1), with the
     targets' values fixed in the source, into ``c1, c2``, ``u1, u2`` and
-    ``w1, w2``, whose differences give the 2x2 system for Cramer's rule.  A
-    variable read before any step binds it raises ``UnboundVariableError``
-    here, the first one in term order.
+    ``w1, w2``, whose differences give the 2x2 system for Cramer's rule.
+    Their powers come first, then each product that more than one of their
+    terms multiplies, once, into a local ``q<i>`` that those terms read:
+    the same factors in the same order, so the same float.  A variable read
+    before any step binds it raises ``UnboundVariableError`` here, the first
+    one in term order.
 
     Each polynomial is written by ``_reduced_sum_statements``, not by
-    ``polyring.sum_statements``: no ``**1``, no +-1 coefficient, and no
-    term that is zero at a probe point.  That changes values only in the
-    signs of their zero components, and the trial returns moduli and tests
-    only moduli, so every (|cubic|, |dropped|) and every verdict is bit for
-    bit that of the unreduced walk.  The argument needs every operand
-    finite, and the sampling keeps it so: a draw has modulus at most sqrt(2),
-    a unit at least ``_UNIT_MIN_MODULUS``, and the solve's determinant at
+    ``polyring.sum_statements``: no ``**``, no +-1 coefficient, and no term
+    that is zero at a probe point.  That changes values only in the signs of
+    their zero components, and the trial returns moduli and tests only
+    moduli, so every (|cubic|, |dropped|) and every verdict is bit for bit
+    that of the unreduced walk.  The argument needs every operand finite,
+    and the sampling keeps it so: a sample has modulus at most sqrt(2), a
+    unit at least ``_UNIT_MIN_MODULUS``, and the solve's determinant at
     least ``_PIVOT_FLOOR``.
 
     The source is registered in ``linecache`` under the function's own file
@@ -434,8 +487,10 @@ def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentP
             raise UnboundVariableError(f"unbound variable {v.name}")
         return f"v_{v.name}"
 
-    def value_of(poly: LaurentPoly, target: str = "total", fixed: Optional[dict] = None) -> list:
-        return _reduced_sum_statements(poly.terms, local, coefs, powers, fixed or {}, target)
+    def value_of(poly: LaurentPoly, target: str = "total", fixed: Optional[dict] = None,
+                 shared: Optional[dict] = None) -> list:
+        return _reduced_sum_statements(poly.terms, local, coefs, powers, fixed or {}, target,
+                                       shared)
 
     def assigned(v) -> None:
         powers[v] = set()
@@ -449,7 +504,7 @@ def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentP
     for v in sampling.sample_units:
         assigned(v)
         lines += ["for _ in range(100):",
-                  f" v_{v.name} = {_DRAW}",
+                  f" v_{v.name} = r()",
                   f" if abs(v_{v.name}) >= {_UNIT_MIN_MODULUS!r}:",
                   "  break",
                   "else:",
@@ -458,15 +513,25 @@ def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentP
         lines += bind(v, expr)
     for v in sampling.free_xvars:
         assigned(v)
-        lines.append(f"v_{v.name} = {_DRAW}")
+        lines.append(f"v_{v.name} = r()")
     if sampling.solve_targets:
         t1, t2 = sampling.solve_targets
         assigned(t1)    # at the probe points' fixed values, then at the solution
         assigned(t2)
         eq1, eq2 = sampling.solve_equations
-        for sums, point in (("c", (0, 0)), ("u", (1, 0)), ("w", (0, 1))):
-            fixed = dict(zip((t1, t2), point))
-            lines += value_of(eq1, f"{sums}1", fixed) + value_of(eq2, f"{sums}2", fixed)
+        probes = [(f"{sums}{i}", eq, dict(zip((t1, t2), point)))
+                  for sums, point in (("c", (0, 0)), ("u", (1, 0)), ("w", (0, 1)))
+                  for i, eq in ((1, eq1), (2, eq2))]
+        # their powers first, then each product that more than one of their
+        # terms multiplies (a +-1 coefficient's), once, into a local
+        written = Counter(product for _, eq, fixed in probes
+                          for c, product in _reduced_terms(eq.terms, local, powers, fixed, lines)
+                          if (c == 1 or c == -1) and "*" in product)
+        shared = {product: f"q{i}" for i, product in
+                  enumerate(product for product, count in written.items() if count > 1)}
+        lines += [f"{name} = {product}" for product, name in shared.items()]
+        for sums, eq, fixed in probes:
+            lines += value_of(eq, sums, fixed, shared)
         lines += ["a11 = u1 - c1", "a21 = u2 - c2", "a12 = w1 - c1", "a22 = w2 - c2",
                   "det = a11*a22 - a12*a21",
                   f"if abs(det) < {_PIVOT_FLOOR!r}:",
@@ -496,41 +561,51 @@ def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentP
 
 
 def _oracle_trial(trial, draw) -> tuple:
-    """One attempt of a compiled trial; its own call, so that an attempt can
-    be timed or replaced from outside."""
+    """One attempt of a compiled trial on the complex samples that ``draw``
+    returns; its own call, so that an attempt can be timed or replaced from
+    outside."""
     return trial(draw)
 
 
-# How many draws of each attempt's stream are kept.  A trial draws two per
-# complex sample: JKTVI's, the largest, takes 16 plus 2 for each unit it
-# redraws (16 or 18 in 2000 measured trials; the other cases' at most 14), so
-# 20 covers two redraws.
-_PREFIX_DRAWS = 20
-# How many attempt keys are kept: about 0.8 MB of draws, whatever ``trials``
-# is.  The kept draws are a pure function of the key, so sharing them across
-# the callers of ``oracle_verify`` changes no result.
+def _samples(draw):
+    """A source of complex samples from ``draw``, a ``Random.random``: each
+    is ``random.uniform(-1.0, 1.0)`` twice, real part first, written out as
+    its own formula."""
+    return lambda: complex(-1.0 + 2.0*draw(), -1.0 + 2.0*draw())
+
+
+# How many complex samples of each attempt's stream are kept.  JKTVI's
+# trial, the largest, takes 8 plus 1 for each unit it redraws (8 to 10 in
+# 2000 measured trials; the other cases' at most 8), so 10 covers two
+# redraws.
+_PREFIX_DRAWS = 10
+# How many attempt keys are kept: 0.52 MB of samples at the cap (measured
+# with tracemalloc), whatever ``trials`` is.  The kept samples are a pure
+# function of the key, so sharing them across the callers of
+# ``oracle_verify`` changes no result.
 _MEMO_KEYS = 1024
-_SEED_DRAWS: dict = {}    # {seed: {attempt key: its first draws}}, the last seed only
+_SEED_DRAWS: dict = {}    # {seed: {attempt key: its first samples}}, the last seed only
 
 
 def _attempt(trial, key: int, memo: dict) -> tuple:
-    """One attempt of the compiled trial on the stream of ``random.Random(key)``.
-    The first ``_PREFIX_DRAWS`` draws come from ``memo``, drawn into it by the
-    first attempt with this key while it holds fewer than ``_MEMO_KEYS``
-    keys.  A trial that runs past them raises ``StopIteration`` from its draw
-    and runs again on a freshly seeded generator, as does an attempt whose key
-    the memo does not hold; the trial is a pure function of its draws, so the
-    result is the same either way."""
+    """One attempt of the compiled trial on the samples of the stream of
+    ``random.Random(key)``.  The first ``_PREFIX_DRAWS`` samples come from
+    ``memo``, built into it by the first attempt with this key while it holds
+    fewer than ``_MEMO_KEYS`` keys.  A trial that runs past them raises
+    ``StopIteration`` from its draw and runs again on the samples of a
+    freshly seeded generator, as does an attempt whose key the memo does not
+    hold; the trial is a pure function of its samples, so the result is the
+    same either way."""
     prefix = memo.get(key)
     if prefix is None and len(memo) < _MEMO_KEYS:
-        draw = random.Random(key).random
-        prefix = memo[key] = tuple([draw() for _ in range(_PREFIX_DRAWS)])
+        sample = _samples(random.Random(key).random)
+        prefix = memo[key] = tuple([sample() for _ in range(_PREFIX_DRAWS)])
     if prefix is not None:
         try:
             return _oracle_trial(trial, iter(prefix).__next__)
         except StopIteration:
             pass
-    return _oracle_trial(trial, random.Random(key).random)
+    return _oracle_trial(trial, _samples(random.Random(key).random))
 
 
 def oracle_verify(report: CaseReport, trials: int = DEFAULT_TRIALS,
@@ -541,13 +616,13 @@ def oracle_verify(report: CaseReport, trials: int = DEFAULT_TRIALS,
     from zero), solves the closure constraints numerically exactly where the
     symbolic pipeline solved them, pushes the point through the change of
     variables, and evaluates the final cubic; the max |residual| is reported.
-    Attempt ``a`` of trial ``t`` draws the stream of a generator seeded with
-    ``seed*1_000_003 + t*1_009 + a``, a key that does not depend on the
+    Attempt ``a`` of trial ``t`` samples the stream of a generator seeded
+    with ``seed*1_000_003 + t*1_009 + a``, a key that does not depend on the
     report, so the reports of one run at one seed read the same streams:
-    ``_attempt`` draws each stream's first ``_PREFIX_DRAWS`` once and keeps
-    them for the most recent seed only.  The report's compiled trial is built
-    on its first run and kept.  When a residual reaches the tolerance,
-    ``oracle_identity`` decides.
+    ``_attempt`` builds each stream's first ``_PREFIX_DRAWS`` complex samples
+    once and keeps them for the most recent seed only.  The report's compiled
+    trial is built on its first run and kept.  When a residual reaches the
+    tolerance, ``oracle_identity`` decides.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -5,8 +5,8 @@ same examples locally, and prints the blob that reproduces it; select it with
 ``pytest --hypothesis-profile=ci``.  ``ring`` is ``ci`` with 1000 examples per
 property test, for a deeper run of ``tests/test_polyring.py``, of the
 compiled oracle trial against its reference walk, of the trial's reduced sums
-against the unreduced term walk, and of the shared-draw oracle verdicts
-against a generator reseeded per attempt.  The default profile is
+against the unreduced term walk, of its power chains against ``**``, and of
+the shared-draw oracle verdicts against a generator reseeded per attempt.  The default profile is
 untouched.
 """
 

@@ -20,10 +20,10 @@ from wildcv.monodromy import monodromy_factors
 from wildcv.pipeline import (_PIVOT_FLOOR, _UNIT_MIN_MODULUS, ORACLE_TOLERANCE,
                              CubicSurface, DegenerateSampleError, OracleVerdict, ShapeError,
                              _compile_trial, _eliminate_with_solutions,
-                             _reduced_sum_statements, derive_case,
+                             _power_statements, _reduced_sum_statements, derive_case,
                              oracle_identity, oracle_sampling, oracle_verify,
                              specialize_unit_cube_root, to_cubic_normal_form)
-from wildcv.polyring import LaurentPoly, parse, var_id
+from wildcv.polyring import LaurentPoly, _power_local, parse, var_id
 from wildcv.report import report_to_dict
 from wildcv.stokes import formal_monodromy
 
@@ -423,7 +423,7 @@ def test_compiled_trial_rejects_a_singular_pivot():
     trial = _compile_trial(rep, singular, rep.cubic.reconstruct())
     for seed in range(5):
         with pytest.raises(DegenerateSampleError, match="^singular 2x2 solve$") as exc:
-            trial(random.Random(seed).random)
+            trial(_uniform_samples(random.Random(seed)))
         frame = traceback.extract_tb(exc.tb)[-1]
         assert frame.filename == trial.__code__.co_filename
         assert frame.filename.startswith("<oracle trial JKTI #")
@@ -495,6 +495,12 @@ def test_oracle_identity_reuses_the_oracle_cubic(monkeypatch):
 
 def _reference_sample_complex(rng):
     return complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+
+
+def _uniform_samples(rng):
+    """The complex samples that a compiled trial reads, drawn through the
+    generator's own ``random.uniform``, real part first."""
+    return functools.partial(_reference_sample_complex, rng)
 
 
 def _reference_sample_unit(rng):
@@ -576,7 +582,7 @@ def test_compiled_trial_matches_the_dict_walk(name, seed, trials):
     over_tolerance = 0
     for x in (seed * 1_000_003 + t * 1_009 for t in range(trials)):
         rng.seed(x)
-        got = _outcome(lambda: trial(rng.random))
+        got = _outcome(lambda: trial(_uniform_samples(rng)))
         want = _outcome(lambda: _reference_trial(rep, sampling, cubic, random.Random(x)))
         assert got == want, x
         over_tolerance += got[0] == repr(1.4009083651216406e-09)
@@ -594,13 +600,47 @@ def _point_value(unit: bool):
     return z.filter(lambda z: abs(z) >= _UNIT_MIN_MODULUS) if unit else z
 
 
-@given(_polys(), st.data())
+@given(st.lists(st.integers(-12, 12).filter(bool), min_size=1, max_size=4), st.data())
+def test_power_chains_keep_every_modulus(exponents, data):
+    """The powers that ``_power_statements`` writes for one variable, as
+    chains of products sharing their locals, have by repr the modulus of
+    ``x**k`` for each k in +-1..+-12, at points whose components include
+    +-0.0; a variable with a negative power is a unit, of modulus at least
+    ``_UNIT_MIN_MODULUS``.  No statement holds ``**``, and each power local
+    is assigned once."""
+    done: set = set()
+    lines = [line for k in exponents for line in _power_statements("v", k, done)]
+    assert "**" not in "".join(lines)
+    assigned = [line.split(" = ")[0] for line in lines]
+    assert sorted(assigned) == sorted(_power_local("v", k) for k in done)
+    locals_ = ", ".join("v" if k == 1 else _power_local("v", k) for k in exponents)
+    source = "def powers(v):\n" + "".join(f" {line}\n" for line in lines) + (
+        f" return ({locals_},)\n")
+    namespace = {}
+    exec(compile(source, "<power chains>", "exec"), namespace)
+    x = data.draw(_point_value(min(exponents) < 0))
+    got = namespace["powers"](x)
+    for k, power in zip(exponents, got):
+        assert repr(abs(power)) == repr(abs(x ** k)), (k, x, source)
+
+
+def test_power_statements_keep_exp_log_powers():
+    """Past |k| = 100 CPython's complex ``**`` takes exp and log rather than
+    a product chain, so the power stays ``**``."""
+    assert _power_statements("v", 101, set()) == ["p101_v = v**101"]
+    assert _power_statements("v", -101, set()) == ["pm101_v = v**-101"]
+    assert _power_statements("v", 100, set())[-1] == "p100_v = p36_v*p64_v"
+    assert _power_statements("v", -100, set())[-1] == "pm100_v = 1/p100_v"
+
+
+@given(_polys(max_exp=7), st.data())
 def test_reduced_sum_keeps_every_modulus(poly, data):
     """The compiled trial's statement writer gives, at points whose
     components include +-0.0 and with some variables fixed at exactly 0 (a
     Stokes coefficient) or 1, the modulus that the unreduced term walk gives
-    there, by repr.  It calls ``local`` for every factor in term order, as
-    the walk meets them, and reads no local of a fixed variable: those are
+    there, by repr, with exponents up to +-7, so that every shape of power
+    chain up to 7 is met.  It calls ``local`` for every factor in term order,
+    as the walk meets them, and reads no local of a fixed variable: those are
     passed as None, which no arithmetic takes.  Each coefficient is kept or
     made +-1, so that the writer's +-1 forms are met often."""
     poly = LaurentPoly.from_terms((m, data.draw(st.sampled_from((c, 1, -1))))
@@ -640,7 +680,7 @@ def _reference_verify(report, trials, seed):
         for attempt in range(pipeline._MAX_RESAMPLES):
             rng.seed(seed * 1_000_003 + t * 1_009 + attempt)
             try:
-                res, drop = pipeline._oracle_trial(trial, rng.random)
+                res, drop = pipeline._oracle_trial(trial, _uniform_samples(rng))
             except DegenerateSampleError:
                 resamples += 1
                 continue
@@ -658,11 +698,12 @@ def _reference_verify(report, trials, seed):
 
 
 def _refuse_low_first_draws(trial, draw):
-    """An attempt that refuses its sample as degenerate when its first draw
-    is below 0.3, and otherwise runs the trial on the same draws."""
+    """An attempt that refuses its samples as degenerate when the real part
+    of the first is below -0.4 (its uniform draw below 0.3), and otherwise
+    runs the trial on the same samples."""
     first = draw()
-    if first < 0.3:
-        raise DegenerateSampleError("first draw below 0.3")
+    if first.real < -0.4:
+        raise DegenerateSampleError("first sample's real part below -0.4")
     return trial(itertools.chain((first,), iter(draw, None)).__next__)
 
 
@@ -671,8 +712,9 @@ _ATTEMPTS = {
     # about three attempts in ten are refused, so attempts past the first
     # and resamples occur, which the case data almost never reach
     "refused-low-first-draws": {"_oracle_trial": _refuse_low_first_draws},
-    # every trial outruns the kept draws and runs on a fresh generator
-    "prefix-of-two": {"_PREFIX_DRAWS": 2},
+    # every trial takes at least two samples, so it outruns the kept one and
+    # runs on a fresh generator
+    "prefix-of-one": {"_PREFIX_DRAWS": 1},
 }
 
 
@@ -720,9 +762,9 @@ def test_reports_at_one_seed_seed_each_stream_once(monkeypatch):
 
 def test_draw_memo_holds_the_last_seed_up_to_its_cap(monkeypatch):
     """The memo keeps at most ``_MEMO_KEYS`` keys, whatever ``trials`` is,
-    each with the first ``_PREFIX_DRAWS`` draws of its generator; attempts
-    past the cap still give the reseeded verdict; a new seed drops the old
-    seed's keys."""
+    each with the first ``_PREFIX_DRAWS`` complex samples of its generator,
+    drawn through ``random.uniform``; attempts past the cap still give the
+    reseeded verdict; a new seed drops the old seed's keys."""
     rep = _derived_once("JKTI")
     monkeypatch.setattr(pipeline, "_SEED_DRAWS", {})
     assert repr(oracle_verify(rep, trials=1500, seed=9)) == repr(
@@ -736,13 +778,14 @@ def test_draw_memo_holds_the_last_seed_up_to_its_cap(monkeypatch):
         assert list(pipeline._SEED_DRAWS) == [seed]
         memo = pipeline._SEED_DRAWS[seed]
         assert set(memo) == {seed * 1_000_003 + t * 1_009 for t in range(8)}
-        for key, draws in memo.items():
-            stream = random.Random(key)
-            assert draws == tuple(stream.random() for _ in range(pipeline._PREFIX_DRAWS))
+        for key, samples in memo.items():
+            sample = _uniform_samples(random.Random(key))
+            assert samples == tuple(sample() for _ in range(pipeline._PREFIX_DRAWS))
 
 
 _POWER_LOCAL = re.compile(r"p(m?)(\d+)_(v_\w+)")    # p2_v_x1 holds v_x1**2, pm1_v_x1 v_x1**-1
-_POWER = re.compile(r"(\w+) = (v_\w+)\*\*(-?\d+)")
+_POWER = re.compile(r"(pm?\d+_v_\w+) = (.+)")
+_SHARED = re.compile(r"(q\d+) = (.+)")
 # a sum's statement: its first term assigned, negated or not, or a later one
 # added or subtracted; probe sums go to c1, c2, u1, u2, w1, w2
 _SUM = re.compile(r"(total|[cuw][12]) (?:= -\((.+)\)|[-+]?= (.+))")
@@ -758,56 +801,93 @@ def _power_of(power_local: str) -> tuple:
     return v, -int(digits) if minus else int(digits)
 
 
+def _powi_step(v: str, k: int) -> str:
+    """The right-hand side that CPython's ``c_powi`` splits v**k into, for
+    0 < |k| <= 100: ``1/`` the local of v**-k for k < 0; for k > 0, with h
+    the highest power of two at most k, the locals of v**(k-h) and v**h, or
+    of v**(h/2) twice when k is h."""
+    def local(j):
+        return v if j == 1 else f"p{j}_{v}"
+
+    if k < 0:
+        return f"1/{local(-k)}"
+    h = 1 << (k.bit_length() - 1)
+    low, high = (h // 2, h // 2) if k == h else (k - h, h)
+    return f"{local(low)}*{local(high)}"
+
+
 @pytest.mark.parametrize("name", CASE_NAMES)
 def test_compiled_trial_computes_each_power_once(name):
-    """In the generated trial every ``**`` is one ``p<k>_v = v**k`` (``pm``
-    for k < 0) statement, each (variable, exponent) is computed at most once
-    per binding of the variable, and each term multiplies only powers computed
-    since their variable was last bound.  No power is 1, a unit power being
-    the variable's own local; no coefficient in ``C`` is +-1, and each is
-    read once, in order; and the statements of the solve equations at the
-    probe points read no local of a solve target.  The source is the one
-    ``linecache`` holds for the trial's own file name."""
+    """The generated trial holds no ``**``.  Each power local (``p<k>_v``,
+    ``pm<k>`` for k < 0) is assigned at most once per binding of its
+    variable, as ``c_powi``'s split of it (``_powi_step``), from locals of
+    the same binding; and each term multiplies only locals of the current
+    binding.  No power is 1, a unit power being the variable's own local; no
+    coefficient in ``C`` is +-1, and each is read once, in order.  The
+    statements of the solve equations at the probe points read no local of a
+    solve target, and write no product of two or more variables twice: each
+    that more than one of their terms multiplies is computed once, into a
+    ``q<i>`` local.  The source is the one ``linecache`` holds for the
+    trial's own file name."""
     rep = _derived(name)
     sampling, cubic, trial = rep.compiled_oracle
     source = "".join(linecache.getlines(trial.__code__.co_filename))
     assert source.startswith("def trial(r):\n")
-    assert not re.search(r"\*\*1\b", source)
+    assert "**" not in source
     coefs = trial.__globals__["C"]
     assert not [c for c in coefs if c in (1, -1)]
     assert [int(i) for i in _COEF.findall(source)] == list(range(len(coefs)))
 
     lines = [line.strip() for line in source.splitlines()[1:]]
     probes = [i for i, text in enumerate(lines)
-              if (term := _SUM.fullmatch(text)) and term[1] != "total"]
+              if (term := _SUM.fullmatch(text)) and term[1] != "total"
+              or _SHARED.fullmatch(text)]
     assert bool(probes) == bool(sampling.solve_targets)
     if probes:
         targets = re.compile("|".join(rf"v_{t.name}\b" for t in sampling.solve_targets))
+        products = []
         for text in lines[probes[0]:probes[-1] + 1]:
             assert not targets.search(text), text
+            if term := _SHARED.fullmatch(text):
+                products.append(term[2])
+            elif term := _SUM.fullmatch(text):
+                products.append(term[2] or term[3])
+        products = [p for p in products if "*" in p and not _COEF.search(p)]
+        assert len(products) == len(set(products)), products
 
     computed: dict = {}    # variable local -> exponents computed since its last binding
+    shared: set = set()    # q locals
     for text in lines:
         if power := _POWER.fullmatch(text):
             v, k = _power_of(power[1])
-            assert (v, k) == (power[2], int(power[3])), text
             assert v in computed and k != 1 and k not in computed[v], text
+            assert power[2] == _powi_step(v, k), text
+            operands = power[2].removeprefix("1/").split("*")
+            assert all(factor == v or _power_of(factor)[1] in computed[v]
+                       for factor in operands), text
             computed[v].add(k)
+            continue
+        if term := _SHARED.fullmatch(text):
+            assert term[1] not in shared, text
+            shared.add(term[1])
+            product = term[2]
         elif term := _SUM.fullmatch(text):
             product = term[2] or term[3]
             if product in ("0j", "1+0j"):
                 continue
-            for factor in product.split("*"):
-                if _COEF.fullmatch(factor):
-                    continue
-                if factor in computed:
-                    continue    # a power 1: the variable's own local, bound
-                v, k = _power_of(factor)
-                assert k in computed.get(v, ()), text
         else:
-            assert "**" not in text, text
             if assigned := _ASSIGNED.match(text):
                 computed[assigned[1]] = set()
+            continue
+        for factor in product.split("*"):
+            if _COEF.fullmatch(factor) or factor in shared:
+                continue
+            if factor in computed:
+                continue    # a power 1: the variable's own local, bound
+            v, k = _power_of(factor)
+            assert k in computed.get(v, ()), text
+    for q in shared:
+        assert len(re.findall(rf"\b{q}\b", source)) > 2, q    # assigned once, read twice or more
 
 
 class _CentreDraws(random.Random):
@@ -828,7 +908,7 @@ def test_compiled_trial_gives_up_on_a_unit_after_100_draws():
     message = "^could not sample a unit away from zero$"
     compiled, walked = _CentreDraws(), _CentreDraws()
     with pytest.raises(DegenerateSampleError, match=message):
-        trial(compiled.random)
+        trial(_uniform_samples(compiled))
     with pytest.raises(DegenerateSampleError, match=message):
         _reference_trial(rep, sampling, cubic, walked)
     assert compiled.draws == walked.draws == 200

@@ -335,10 +335,10 @@ _points = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0,
 
 
 @st.composite
-def _polys(draw, max_terms=6):
+def _polys(draw, max_terms=6, max_exp=3):
     poly = LaurentPoly.zero()
     for _ in range(draw(st.integers(0, max_terms))):
-        exps = [(var_id(nm), draw(st.integers(-3 if var_id(nm).unit else 0, 3)))
+        exps = [(var_id(nm), draw(st.integers(-max_exp if var_id(nm).unit else 0, max_exp)))
                 for nm in _EVAL_VARS]
         poly = poly + LaurentPoly.term(draw(_coefs), Monomial(exps))
     return poly

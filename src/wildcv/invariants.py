@@ -80,7 +80,11 @@ def generator_relation(defs) -> LaurentPoly:
 
 
 def _factorizations(mono: Monomial, gens: tuple, start: int = 0):
-    """Yield exponent tuples (e_0, ..., e_{n-1}) with prod gens[i]^e_i == mono."""
+    """Yield exponent tuples (e_0, ..., e_{n-1}) with prod gens[i]^e_i == mono.
+
+    Every generator has positive degree (``validate_spec`` rejects a
+    constant one), so each division lowers the degree of ``current`` and the
+    recursion ends: at most deg(mono) divisions per generator."""
     if not mono:    # the constant monomial
         yield (0,) * (len(gens) - start)
         return

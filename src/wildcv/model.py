@@ -152,7 +152,8 @@ _SLOT_MONOMIALS = {name: LaurentPoly.term(1, Monomial(zip(_XYZ_IDS, exps)))
 @dataclass(frozen=True)
 class CubicSurface:
     """xyz*XYZ + x2*X^2 + y2*Y^2 + z2*Z^2 + c1*X + c2*Y + c3*Z + c4 = 0,
-    with coefficients that are exact polynomials in the parameters only.  Only
+    with coefficients that are exact polynomials in the parameters only: the
+    unit variables and the trace parameters p and q.  Only
     a case's expected cubic leaves some of c1..c4 ``None``: those the case
     data does not fix in closed form (the golden files pin them)."""
 
@@ -166,8 +167,8 @@ class CubicSurface:
     c4: Optional[LaurentPoly] = None
 
     def reconstruct(self) -> LaurentPoly:
-        """The cubic as one polynomial, built on the first call and kept, so
-        that its compiled evaluator is kept with it."""
+        """The cubic as one polynomial, built on the first call and kept: the
+        oracle and the report both read it."""
         return self._polynomial
 
     @cached_property
@@ -594,6 +595,8 @@ def validate_spec(spec: CaseSpec) -> list:
     weights = torus_weights(spec)
     first_half = set(spec.first_half_variables())
     for gname, mono in spec.generator_defs:
+        if not mono:
+            out.append(Violation("generator_mismatch", f"{gname} is the constant monomial"))
         scheduled = True
         for v in mono.variables():
             if v.name not in weights:
@@ -625,6 +628,13 @@ def validate_spec(spec: CaseSpec) -> list:
     if sched_dirs != pair_dirs:
         out.append(Violation("direction_mismatch", f"schedule {_angles(sched_dirs)} "
                              f"vs pairs {_angles(pair_dirs)}"))
+    # positive orientation: the directions increase around the circle once,
+    # less than a full turn, so the cyclic sequence descends exactly once
+    turns = [layout.direction.turns for layout in spec.schedule]
+    if sum(a >= b for a, b in zip(turns, turns[1:] + turns[:1])) != 1:
+        out.append(Violation("schedule_order", "directions ["
+                             + ", ".join(str(layout.direction) for layout in spec.schedule)
+                             + "] do not increase once around the circle"))
 
     # M = I: the plan and the residual system read eight distinct entries, and
     # the plan solves exactly the coefficients from the split on

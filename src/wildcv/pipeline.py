@@ -23,14 +23,12 @@ polynomial is written with only the arithmetic its modulus needs
 products, ``_power_statements``), no +-1 coefficient, and the solve equations
 written out at each probe point with the terms that vanish there left out
 and each product they share computed once.  These change values only in the
-signs of their zero components; with every operand finite (a sample has
-modulus at most sqrt(2), a unit at least ``_UNIT_MIN_MODULUS``, the solve's
-determinant at least ``_PIVOT_FLOOR``), every modulus is bit for bit that of
-the term-by-term walk of ``LaurentPoly.evaluate``.  The report keeps the
-function with its sampling and cubic (``compiled_oracle``), so every run of
-one report reuses them; the function's source is kept in ``linecache`` under
-a file name of its own, so a traceback from inside a trial shows its
-statement.
+signs of their zero components, so every modulus is bit for bit that of
+``LaurentPoly.evaluate``'s term walk, the one float reference, as
+``_reduced_sum_statements`` argues.  The report keeps the function with its
+sampling and cubic (``compiled_oracle``), so every run of one report reuses
+them; the function's source is kept in ``linecache`` under a file name of its
+own, so a traceback from inside a trial shows its statement.
 Attempt ``a`` of trial ``t`` reads complex samples, each two draws of
 ``random.uniform(-1.0, 1.0)``, from the stream of
 ``random.Random(seed*1_000_003 + t*1_009 + a)``.  That key does not depend on
@@ -60,7 +58,7 @@ from functools import cached_property
 from typing import Optional
 
 from .polyring import (LaurentPoly, Monomial, NotLinearError, PolyError,
-                       UnboundVariableError, _power_local, solve_in_order, var_id)
+                       UnboundVariableError, solve_in_order, var_id)
 from .stokes import SymMat3, formal_monodromy, stokes_matrix
 from .model import _SLOTS, _XYZ_IDS, CaseSpec, CubicSurface, DerivationError, case_spec
 from .monodromy import (ClosureSystem, closure_equations, monodromy_factors,
@@ -73,10 +71,12 @@ _UNIT_MIN_MODULUS = 0.1
 _PIVOT_FLOOR = 1e-8
 _MAX_RESAMPLES = 60
 _AFFINE_KEYS = ((1, 0), (0, 1), (0, 0))   # a solve row's t1, t2 and constant keys
+_TRACE_PARAMETERS = frozenset(map(var_id, ("p", "q")))
 
 
 class ShapeError(PolyError):
-    """Stray monomials survived the change of variables."""
+    """Stray monomials survived the change of variables, or a coefficient
+    holds more than the parameters."""
 
 
 class DegenerateSampleError(PolyError):
@@ -96,6 +96,12 @@ def _decompose_cubic(poly: LaurentPoly) -> CubicSurface:
     if stray:
         raise ShapeError("stray monomials after change of variables: "
                          + ", ".join(sorted(stray)))
+    # a coefficient may hold the unit variables and the trace parameters only
+    loose = sorted(v for v in poly.variables()
+                   if not (v.unit or v in _TRACE_PARAMETERS or v in _XYZ_IDS))
+    if loose:
+        raise ShapeError("cubic coefficients hold " + ", ".join(v.name for v in loose)
+                         + ", which are not parameters")
     return CubicSurface(**{name: parts.get(exps, LaurentPoly.zero())
                            for name, exps in _SLOTS.items()})
 
@@ -328,6 +334,11 @@ _TRIAL_FILES = itertools.count(1)    # numbers each compiled trial's file name, 
 _POWI_CUTOFF = 100    # CPython's c_powi: beyond this |k|, complex ** takes exp and log
 
 
+def _power_local(name: str, k: int) -> str:
+    """The local that holds ``name**k``: ``p2_v0``, or ``pm1_v0`` for k = -1."""
+    return f"p{k}_{name}" if k > 0 else f"pm{-k}_{name}"
+
+
 def _power_statements(name: str, k: int, done: set) -> list:
     """The statements that leave ``name**k`` in its power local
     (``_power_local``), as products in the order of CPython's ``c_powi``,
@@ -386,7 +397,7 @@ def _reduced_terms(terms: dict, local, powers: dict, fixed: dict, lines: list):
 def _reduced_sum_statements(terms: dict, local, coefs: list, powers: dict,
                             fixed: dict, target: str, shared: Optional[dict] = None) -> list:
     """The statements that leave the sum of ``terms`` in ``target``, for code
-    that reads only its modulus: the term walk of ``polyring.sum_statements``,
+    that reads only its modulus: the term walk of ``LaurentPoly.evaluate``,
     in the same term order, with the same products, less four kinds of
     arithmetic.
 
@@ -423,9 +434,8 @@ def _reduced_sum_statements(terms: dict, local, coefs: list, powers: dict,
     differ only there too, every nonzero component bit for bit the same, and
     ``abs`` ignores the signs.  So the modulus of the sum, and of everything
     computed from it, is bit for bit that of the full walk.  The complex
-    value is not, which is why ``LaurentPoly.evaluate``, whose callers read
-    the value, keeps ``sum_statements`` unreduced: its signed zeros, and
-    ``x**1``, which overflows at infinity."""
+    value is not: ``evaluate``, whose callers read the value, keeps the
+    walk's signed zeros, and ``x**1``, which overflows at infinity."""
     shared = shared or {}
     lines: list = []
     assigned = False
@@ -464,15 +474,13 @@ def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentP
     before any step binds it raises ``UnboundVariableError`` here, the first
     one in term order.
 
-    Each polynomial is written by ``_reduced_sum_statements``, not by
-    ``polyring.sum_statements``: no ``**``, no +-1 coefficient, and no term
-    that is zero at a probe point.  That changes values only in the signs of
-    their zero components, and the trial returns moduli and tests only
-    moduli, so every (|cubic|, |dropped|) and every verdict is bit for bit
-    that of the unreduced walk.  The argument needs every operand finite,
-    and the sampling keeps it so: a sample has modulus at most sqrt(2), a
-    unit at least ``_UNIT_MIN_MODULUS``, and the solve's determinant at
-    least ``_PIVOT_FLOOR``.
+    Each polynomial is written by ``_reduced_sum_statements``, and the
+    trial returns moduli and tests only moduli, so by that function's
+    argument every (|cubic|, |dropped|) and every verdict is bit for bit
+    that of ``LaurentPoly.evaluate`` at the same bindings.  The argument
+    needs every operand finite, and the sampling keeps it so: a sample has
+    modulus at most sqrt(2), a unit at least ``_UNIT_MIN_MODULUS``, and the
+    solve's determinant at least ``_PIVOT_FLOOR``.
 
     The source is registered in ``linecache`` under the function's own file
     name, ``<oracle trial NAME #N>``, numbered per process so that a trial

@@ -325,13 +325,9 @@ def _shifted(terms: dict, mono: int, coef: Scalar) -> dict:
 
 class LaurentPoly:
     """Immutable canonical polynomial: map monomial -> nonzero rational, an
-    ``int`` when its denominator is 1 and a ``Fraction`` otherwise.
+    ``int`` when its denominator is 1 and a ``Fraction`` otherwise."""
 
-    ``_floats`` holds the compiled straight-line evaluator that ``evaluate``
-    builds on its first call (see ``_compile_evaluator``).
-    """
-
-    __slots__ = ("terms", "_floats")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar]):
         coerced = ((m, _coerce_scalar(c)) for m, c in terms.items())
@@ -504,17 +500,22 @@ class LaurentPoly:
         return _poly(out)
 
     def evaluate(self, values: Mapping[VarId, complex]) -> complex:
-        """Direct term-by-term numeric evaluation, in term order; the
-        straight-line function that does it is compiled on the first call
-        and kept."""
-        try:
-            evaluator = self._floats
-        except AttributeError:
-            evaluator = self._floats = _compile_evaluator(self.terms)
-        try:
-            return evaluator(values)
-        except KeyError as exc:
-            raise UnboundVariableError(f"unbound variable {exc.args[0].name}") from None
+        """The term walk: in term order, ``complex(c)`` times ``values[v]**k``
+        for each power of the term in registry order, summed into ``0j``.
+        The first variable missing from ``values``, in that order, raises
+        ``UnboundVariableError``.  This is the float reference: each modulus
+        that the oracle's compiled trial returns is bit for bit that of this
+        walk at the same values."""
+        total = 0j
+        for m, c in self.terms.items():
+            term = complex(c)
+            for v, k in m.exps:
+                try:
+                    term *= values[v] ** k
+                except KeyError:
+                    raise UnboundVariableError(f"unbound variable {v.name}") from None
+            total += term
+        return total
 
     def __str__(self):
         return format_poly(self)
@@ -524,63 +525,6 @@ class LaurentPoly:
 
 
 _ONE = LaurentPoly.constant(1)
-
-
-def _power_local(name: str, k: int) -> str:
-    """The local that holds ``name**k``: ``p2_v0``, or ``pm1_v0`` for k = -1."""
-    return f"p{k}_{name}" if k > 0 else f"pm{-k}_{name}"
-
-
-def sum_statements(terms: dict, local, coefs: list) -> list:
-    """The statements that leave the sum of ``terms`` in ``total``: first
-    ``total = 0j``, then, in term order, ``total += C[i]*p_a*p_b...``, where
-    each factor is the local of one power v**k, the factors multiplied left
-    to right in registry order.  Each distinct power is computed once, as
-    ``v**k``, just before the first term that reads it, and reused by every
-    later term.  Every power stays a ``**``, ``**1`` too, since ``x**1`` is
-    not ``x`` in floats (it overflows at infinity), and a power read from a
-    local is the same float as one computed in place, so the result is bit
-    for bit that of a term-by-term walk.  Each term is its own statement,
-    because one sum expression of a few thousand terms exceeds the compiler's
-    recursion limit.
-
-    ``local(v)`` names the local that holds VarId v; it is called in term
-    order, each term's factors in registry order.  Each coefficient is
-    appended to ``coefs`` as a complex constant, and ``C[i]`` reads it back,
-    so the source holds only indices and exponents.
-
-    This is the emitter of ``_compile_evaluator`` alone: ``evaluate``
-    returns the complex value, signed zeros included.  The oracle's compiled
-    trial reads only moduli, and writes its sums with
-    ``pipeline._reduced_sum_statements``, which leaves out the arithmetic
-    that changes only the signs of zeros."""
-    lines = ["total = 0j"]
-    powers: set = set()    # (VarId, k) whose power local is assigned
-    for m, c in terms.items():
-        for v, k in m.exps:
-            name = local(v)
-            if (v, k) not in powers:
-                powers.add((v, k))
-                lines.append(f"{_power_local(name, k)} = {name}**{k}")
-        factors = "".join(f"*{_power_local(local(v), k)}" for v, k in m.exps)
-        lines.append(f"total += C[{len(coefs)}]{factors}")
-        coefs.append(complex(c))
-    return lines
-
-
-def _compile_evaluator(terms: dict):
-    """A function of ``values`` that reads each variable once, in the order
-    of first appearance in the term walk (so a missing one is the one the
-    walk would miss first), and then runs ``sum_statements``."""
-    names: dict = {}    # VarId -> local name
-    coefs: list = []
-    body = sum_statements(terms, lambda v: names.setdefault(v, f"v{len(names)}"), coefs)
-    reads = [f"{name} = values[V[{j}]]" for j, name in enumerate(names.values())]
-    source = "def evaluate(values):\n" + "".join(
-        f" {line}\n" for line in reads + body + ["return total"])
-    namespace = {"C": tuple(coefs), "V": tuple(names)}
-    exec(compile(source, "<LaurentPoly.evaluate>", "exec"), namespace)
-    return namespace["evaluate"]
 
 
 def _power_image(v: VarId, k: int, b: LaurentPoly) -> LaurentPoly:

@@ -1,6 +1,8 @@
 """Helpers shared by the test modules; pytest collects nothing here."""
 
 import dataclasses
+import signal
+from contextlib import contextmanager
 
 from wildcv import cli, model, pipeline
 from wildcv.model import case_spec
@@ -19,6 +21,23 @@ def case_closure(spec):
     """The case's closure system, from its topological monodromy."""
     left, right = factors = case_factors(spec)
     return closure_equations(spec, topological_monodromy(factors), factors, right.det())
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise ``TimeoutError`` in the block once ``seconds`` of wall time have
+    passed, so that a run that never ends fails its test instead of stalling
+    the suite.  It uses SIGALRM, so it works in the main thread only."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def use_spec(monkeypatch, spec):

@@ -11,9 +11,9 @@ import pytest
 from wildcv import cli, pipeline
 from wildcv.model import CASE_NAMES, CovStep, case_spec, validate_spec
 from wildcv.pipeline import DegenerateSampleError, DerivationError
-from wildcv.polyring import LaurentPoly, parse
+from wildcv.polyring import LaurentPoly, Monomial, parse
 
-from _support import patch_expected, use_spec
+from _support import patch_expected, time_limit, use_spec
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -329,14 +329,20 @@ _IVB = case_spec("JKTIVb")
      "scale: divide step 2*x1 is not a single term in unit variables"),
     ({"cov_steps": _IVB.cov_steps + (CovStep("divide", (), LaurentPoly.zero()),)},
      "scale: divide step 0 is not a single term in unit variables"),
+    # unchecked, the invariant rewrite would divide by the constant U forever
+    ({"generator_defs": (("U", Monomial()),) + _IVB.generator_defs[1:]},
+     "generator_mismatch: U is the constant monomial"),
 ], ids=["plan-entry-removed", "unknown-divisor", "unknown-cov-step", "stokes-entry-position",
         "zero-scale", "non-unit-scale", "unknown-plan-name", "xyz-map-without-z",
-        "xyz-map-unknown-name", "subst-unknown-name", "divide-non-unit", "divide-by-zero"])
+        "xyz-map-unknown-name", "subst-unknown-name", "divide-non-unit", "divide-by-zero",
+        "constant-generator"])
 def test_bad_case_data_exits_three(command, changes, line, capsys, monkeypatch):
     """Every command reads a case through the one check, so bad case data
-    ends in one [spec] line before any command uses it."""
+    ends in one [spec] line before any command uses it; a row whose data
+    would make a command run forever fails at the time limit."""
     use_spec(monkeypatch, dataclasses.replace(_IVB, **changes))
-    code = cli.main([command, "--case", "JKTIVb"])
+    with time_limit(2):
+        code = cli.main([command, "--case", "JKTIVb"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
@@ -384,6 +390,41 @@ def test_direction_mismatch_prints_angles(capsys, monkeypatch):
         "error: [spec] invalid case data: direction_mismatch: schedule "
         "[0, pi/5, 2*pi/5, 3*pi/5, 4*pi/5, pi, 6*pi/5, 7*pi/5, 8*pi/5, 9*pi/5]"
         " vs pairs []\n")
+
+
+# The first two layouts swapped: in JKTVI, JKTIVa, JKTIVb and JKTI the two
+# swapped Stokes factors commute, so M, and every check downstream of it,
+# cannot see the swap, and the orientation check is its only guard.
+@pytest.mark.parametrize("name,directions", [
+    ("JKTVI", "2*pi/3, pi/3, pi, 4*pi/3, 5*pi/3, 0"),
+    ("JKTV", "pi, pi/2, 3*pi/2"),
+    ("JKTIVa", "pi, pi/2, 3*pi/2, 0"),
+    ("JKTIVb", "pi/3, pi/6, pi/2, 2*pi/3, 5*pi/6, pi, 7*pi/6, 4*pi/3, 3*pi/2, 5*pi/3, "
+     "11*pi/6, 0"),
+    ("JKTII", "pi/3, pi/4, 3*pi/4, pi, 5*pi/4, 5*pi/3, 7*pi/4"),
+    ("JKTI", "2*pi/5, pi/5, 3*pi/5, 4*pi/5, pi, 6*pi/5, 7*pi/5, 8*pi/5, 9*pi/5, 0"),
+])
+def test_swapped_schedule_exits_three(name, directions, capsys, monkeypatch):
+    spec = case_spec(name)
+    first, second, *rest = spec.schedule
+    use_spec(monkeypatch, dataclasses.replace(spec, schedule=(second, first, *rest)))
+    assert cli.main(["derive", "--case", name]) == 3
+    assert capsys.readouterr().err == (
+        f"error: [spec] invalid case data: schedule_order: directions [{directions}] "
+        "do not increase once around the circle\n")
+
+
+@pytest.mark.parametrize("name,held", [
+    ("JKTVI", "V, W, T"), ("JKTV", "V, W, T"), ("JKTIVa", "x2, x3, x4"),
+    ("JKTIVb", "U, V, W"), ("JKTII", "U, V, W"), ("JKTI", "x1, x2, x4"),
+])
+def test_cubic_in_stokes_coefficients_exits_three(name, held, capsys, monkeypatch):
+    """Without its change of variables, each residual is all constant term,
+    in generators or Stokes coefficients: not a cubic in the parameters."""
+    use_spec(monkeypatch, dataclasses.replace(case_spec(name), cov_steps=()))
+    assert cli.main(["derive", "--case", name]) == 3
+    assert capsys.readouterr().err == (
+        f"error: [normal-form] cubic coefficients hold {held}, which are not parameters\n")
 
 
 @pytest.mark.parametrize("fmt,golden", [("latex", "derive_all.tex"),

@@ -19,11 +19,11 @@ from wildcv.model import CASE_NAMES, case_spec
 from wildcv.monodromy import monodromy_factors
 from wildcv.pipeline import (_PIVOT_FLOOR, _UNIT_MIN_MODULUS, ORACLE_TOLERANCE,
                              CubicSurface, DegenerateSampleError, OracleVerdict, ShapeError,
-                             _compile_trial, _eliminate_with_solutions,
+                             _compile_trial, _eliminate_with_solutions, _power_local,
                              _power_statements, _reduced_sum_statements, derive_case,
                              oracle_identity, oracle_sampling, oracle_verify,
                              specialize_unit_cube_root, to_cubic_normal_form)
-from wildcv.polyring import LaurentPoly, _power_local, parse, var_id
+from wildcv.polyring import LaurentPoly, parse, var_id
 from wildcv.report import report_to_dict
 from wildcv.stokes import formal_monodromy
 

@@ -347,8 +347,9 @@ def _polys(draw, max_terms=6, max_exp=3):
 @given(_polys(), st.lists(_points, min_size=len(_EVAL_VARS),
                           max_size=len(_EVAL_VARS)))
 def test_evaluate_keeps_term_order_bit_for_bit(poly, points):
-    """The kept float form gives, on the first and on later calls, what an
-    independent walk over the terms in insertion order gives."""
+    """``evaluate`` gives, bit for bit and on each call, what an independent
+    walk over the terms in insertion order gives, and names a missing
+    variable."""
     values = {var_id(nm): z for nm, z in zip(_EVAL_VARS, points)}
     want = term_walk(poly, values)
     first, second = poly.evaluate(values), poly.evaluate(values)
@@ -360,8 +361,8 @@ def test_evaluate_keeps_term_order_bit_for_bit(poly, points):
 
 def test_evaluate_a_large_polynomial_bit_for_bit():
     """A polynomial of 6 125 terms in shuffled order, with negative and unit
-    exponents, gives the independent term walk's value on the first and on
-    later calls."""
+    exponents, gives the independent term walk's value bit for bit, each
+    time it is evaluated."""
     rng = random.Random(2025)
     ranges = [range(-3, 4) if var_id(nm).unit else range(5) for nm in _EVAL_VARS]
     monos = [Monomial(zip(map(var_id, _EVAL_VARS), ks)) for ks in itertools.product(*ranges)]

@@ -1,15 +1,16 @@
 """Static definitions of the six JKT cases.
 
-Each case is a frozen ``CaseSpec`` bundling the twist class, the divisor,
-the eigenvalue pair data that generates the Stokes directions, the schedule
-of Stokes matrices (which fresh variable sits at which direction and matrix
-position), the invariant-monomial generators, and the plans the pipeline
-executes verbatim: back substitutions, linear eliminations, affine changes of
-variables, and the expected cubic.  ``CubicSurface`` is the one cubic type:
-the cubic a derivation builds, and the cubic a case expects, whose free
-linear and constant coefficients are ``None``.  ``case_spec``, the one way to
-a case's data, runs ``validate_spec`` on it once per process and raises a
-``[spec]`` ``DerivationError`` on any violation.
+Each case is a ``CaseSpec``, an immutable record (``record.Record``) bundling
+the twist class, the divisor, the eigenvalue pair data that generates the
+Stokes directions, the schedule of Stokes matrices (which fresh variable sits
+at which direction and matrix position), the invariant-monomial generators,
+and the plans the pipeline executes verbatim: back substitutions, linear
+eliminations, affine changes of variables, and the expected cubic.
+``CubicSurface`` is the one cubic type: the cubic a derivation builds, and
+the cubic a case expects, whose free linear and constant coefficients are
+``None``.  ``case_spec``, the one way to a case's data, runs
+``validate_spec`` on it once per process and raises a ``[spec]``
+``DerivationError`` on any violation.
 
 The twist class, the divisor and the generators fix five more facts,
 derived, not stored:
@@ -39,7 +40,6 @@ Conventions used throughout (all polynomials exact over the rationals):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -47,6 +47,7 @@ from typing import Mapping, Optional
 
 from .invariants import NotInvariantError, generator_relation, weight_of
 from .polyring import LaurentPoly, Monomial, PolyError, parse, var_id
+from .record import Record
 from .stokes import RationalAngle, singular_directions
 
 
@@ -90,8 +91,7 @@ def torus_weight_of_position(twist: TwistClass, row: int, col: int) -> tuple:
     return tuple(a - b for a, b in zip(rows[row - 1], rows[col - 1]))
 
 
-@dataclass(frozen=True)
-class EigenvaluePairSpec:
+class EigenvaluePairSpec(Record):
     """One ordered eigenvalue pair: leading level of the difference and its
     exact argument offset (fixed by the allowed phase normalizations)."""
 
@@ -104,8 +104,7 @@ class EigenvaluePairSpec:
             raise ValueError("level >= 1 required")
 
 
-@dataclass(frozen=True)
-class StokesEntryLayout:
+class StokesEntryLayout(Record):
     direction: RationalAngle
     entries: tuple  # ((row, col, varname), ...) with row != col, 1-based
 
@@ -115,8 +114,7 @@ class StokesEntryLayout:
                 raise ValueError(f"diagonal entry ({row},{col})")
 
 
-@dataclass(frozen=True)
-class ClosureCondition:
+class ClosureCondition(Record):
     kind: str  # "identity" | "fixed_class"
     trace_symbols: tuple = ()
 
@@ -131,8 +129,7 @@ _NO_NORMALIZATION = MappingProxyType({})
 _ENTRIES = frozenset((i, j) for i in (1, 2, 3) for j in (1, 2, 3))
 
 
-@dataclass(frozen=True)
-class CovStep:
+class CovStep(Record):
     """One change-of-variables step: a simultaneous substitution or a
     division by a declared invertible term."""
 
@@ -149,8 +146,7 @@ _SLOT_MONOMIALS = {name: LaurentPoly.term(1, Monomial(zip(_XYZ_IDS, exps)))
                    for name, exps in _SLOTS.items()}
 
 
-@dataclass(frozen=True)
-class CubicSurface:
+class CubicSurface(Record):
     """xyz*XYZ + x2*X^2 + y2*Y^2 + z2*Z^2 + c1*X + c2*Y + c3*Z + c4 = 0,
     with coefficients that are exact polynomials in the parameters only: the
     unit variables and the trace parameters p and q.  Only
@@ -181,11 +177,10 @@ class CubicSurface:
                    LaurentPoly.zero())
 
     def coefficients(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self._fields}
 
 
-@dataclass(frozen=True)
-class OraclePlan:
+class OraclePlan(Record):
     """The Monte-Carlo oracle's two per-case choices; everything else it
     samples follows from the case data (``pipeline.oracle_sampling``)."""
 
@@ -195,8 +190,7 @@ class OraclePlan:
     xyz_map: tuple                 # ((name, LaurentPoly), ...) pushforward to X, Y, Z
 
 
-@dataclass(frozen=True)
-class CaseSpec:
+class CaseSpec(Record):
     name: str
     twist: TwistClass
     divisor: str                   # "{0}+2{inf}" | "3{inf}"
@@ -558,8 +552,7 @@ def case_spec(name: str) -> CaseSpec:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     kind: str
     detail: str
 

@@ -16,17 +16,16 @@ in full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .polyring import LaurentPoly, solve_in_order
+from .record import Record
 from .stokes import SymMat3
 from .model import CaseSpec
 from .invariants import rewrite_in_invariants
 
 
-@dataclass(frozen=True)
-class ClosureSystem:
+class ClosureSystem(Record):
     """The equations (each read as "= 0") cutting out the monodromy locus,
     plus enough context to replay how they were formed."""
 

@@ -53,12 +53,12 @@ import random
 import weakref
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
 from .polyring import (LaurentPoly, Monomial, NotLinearError, PolyError,
                        UnboundVariableError, solve_in_order, var_id)
+from .record import Record
 from .stokes import SymMat3, formal_monodromy, stokes_matrix
 from .model import _SLOTS, _XYZ_IDS, CaseSpec, CubicSurface, DerivationError, case_spec
 from .monodromy import (ClosureSystem, closure_equations, monodromy_factors,
@@ -134,8 +134,7 @@ def to_cubic_normal_form(residual: LaurentPoly, cov_steps, normalization) -> Cub
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(Record):
     seed: int
     trials: int
     max_residual: float
@@ -152,15 +151,13 @@ class OracleVerdict:
                 and self.max_dropped_residual < self.tolerance)
 
 
-@dataclass(frozen=True)
-class ExpectedComparison:
+class ExpectedComparison(Record):
     mode: str        # "exact" | "support"
     matched: bool
     mismatches: tuple
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(Record):
     """Full derivation trace for one case; every stage is replayable."""
 
     name: str
@@ -268,7 +265,7 @@ def derive_case(name: str, trials: int = DEFAULT_TRIALS,
     if run_oracle:
         with _stage("oracle"):
             verdict = oracle_verify(report, trials=trials, seed=seed)
-        report = replace(report, oracle=verdict)
+        report = report.replace(oracle=verdict)
     return report
 
 
@@ -277,8 +274,7 @@ def derive_case(name: str, trials: int = DEFAULT_TRIALS,
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleSampling:
+class OracleSampling(Record):
     """What every oracle trial of one report samples, solves and evaluates."""
 
     sample_units: tuple      # unit VarIds drawn at random, in registry order

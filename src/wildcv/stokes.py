@@ -11,11 +11,11 @@ normalized into [0, 2*pi).  Matrices are 3x3 over the exact polynomial ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .polyring import LaurentPoly
+from .record import Record
 
 
 # --------------------------------------------------------------------------
@@ -23,8 +23,7 @@ from .polyring import LaurentPoly
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class RationalAngle:
+class RationalAngle(Record):
     """An angle t*pi with t rational, reduced and normalized into [0, 2)."""
 
     turns: Fraction  # multiple of pi
@@ -36,6 +35,18 @@ class RationalAngle:
     def __post_init__(self):
         if not 0 <= self.turns < 2:
             raise ValueError(f"angle not normalized: {self.turns}*pi")
+
+    def __lt__(self, other):
+        return self.turns < other.turns if other.__class__ is RationalAngle else NotImplemented
+
+    def __le__(self, other):
+        return self.turns <= other.turns if other.__class__ is RationalAngle else NotImplemented
+
+    def __gt__(self, other):
+        return self.turns > other.turns if other.__class__ is RationalAngle else NotImplemented
+
+    def __ge__(self, other):
+        return self.turns >= other.turns if other.__class__ is RationalAngle else NotImplemented
 
     def __str__(self):
         t = self.turns

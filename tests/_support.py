@@ -1,6 +1,5 @@
 """Helpers shared by the test modules; pytest collects nothing here."""
 
-import dataclasses
 import signal
 from contextlib import contextmanager
 
@@ -53,8 +52,7 @@ def use_spec(monkeypatch, spec):
 def patch_expected(monkeypatch, name, **coefficients):
     """Make ``derive_case`` read the case with these expected coefficients."""
     spec = case_spec(name)
-    use_spec(monkeypatch, dataclasses.replace(
-        spec, expected=dataclasses.replace(spec.expected, **coefficients)))
+    use_spec(monkeypatch, spec.replace(expected=spec.expected.replace(**coefficients)))
 
 
 def term_walk(poly, values):

@@ -1,6 +1,5 @@
 """Command-line behaviour: determinism, formats, exit codes."""
 
-import dataclasses
 import errno
 import json
 import os
@@ -106,9 +105,9 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
 
     def broken(name, trials, seed):
         rep = real(name, trials=trials, seed=seed)
-        bad = dataclasses.replace(rep.expected, matched=False,
-                                  mismatches=("forced mismatch",))
-        return dataclasses.replace(rep, expected=bad)
+        bad = rep.expected.replace(matched=False,
+                                   mismatches=("forced mismatch",))
+        return rep.replace(expected=bad)
 
     monkeypatch.setattr(cli, "derive_case", broken)
     code, out = _run(capsys, "verify", "--case", "JKTI", "--trials", "5")
@@ -242,8 +241,7 @@ def _degenerate_trials(monkeypatch):
 
 def _mutated_oracle_plan(monkeypatch, name, **changes):
     spec = case_spec(name)
-    use_spec(monkeypatch, dataclasses.replace(
-        spec, oracle=dataclasses.replace(spec.oracle, **changes)))
+    use_spec(monkeypatch, spec.replace(oracle=spec.oracle.replace(**changes)))
     return name
 
 
@@ -304,8 +302,8 @@ _IVB = case_spec("JKTIVb")
     ({"divisor": "2{0}+{inf}"}, "divisor: unknown divisor '2{0}+{inf}'"),
     ({"cov_steps": (CovStep("scale"),)}, "cov_step: unknown kind 'scale'"),
     ({"schedule": _IVB.schedule[:-2] + (
-        dataclasses.replace(_IVB.schedule[-2], entries=((0, 1, "x11"),)),
-        dataclasses.replace(_IVB.schedule[-1], entries=((4, 2, "x12"),)))},
+        _IVB.schedule[-2].replace(entries=((0, 1, "x11"),)),
+        _IVB.schedule[-1].replace(entries=((4, 2, "x12"),)))},
      "stokes_entry: x11 at (0,1) is not an off-diagonal position of a 3x3 matrix; "
      "stokes_entry: x12 at (4,2) is not an off-diagonal position of a 3x3 matrix"),
     ({"residual_scale": LaurentPoly.zero(),
@@ -317,9 +315,9 @@ _IVB = case_spec("JKTIVb")
     ({"elimination_plan": ((0, "Q"), (1, "R"))},
      "elimination_plan: plan solves for 'Q', which is neither a generator nor a scheduled "
      "variable"),
-    ({"oracle": dataclasses.replace(_IVB.oracle, xyz_map=_IVB.oracle.xyz_map[:2])},
+    ({"oracle": _IVB.oracle.replace(xyz_map=_IVB.oracle.xyz_map[:2])},
      "oracle_plan: xyz_map binds ('X', 'Y'), not X, Y and Z once each"),
-    ({"oracle": dataclasses.replace(_IVB.oracle, xyz_map=_IVB.oracle.xyz_map[:2] + (
+    ({"oracle": _IVB.oracle.replace(xyz_map=_IVB.oracle.xyz_map[:2] + (
         ("Q", parse("x3*x6 + 1")),))},
      "oracle_plan: xyz_map binds ('X', 'Y', 'Q'), not X, Y and Z once each"),
     ({"cov_steps": (CovStep("subst", (("U", parse("X - 1")), ("Q", parse("Y - 1")),
@@ -340,7 +338,7 @@ def test_bad_case_data_exits_three(command, changes, line, capsys, monkeypatch):
     """Every command reads a case through the one check, so bad case data
     ends in one [spec] line before any command uses it; a row whose data
     would make a command run forever fails at the time limit."""
-    use_spec(monkeypatch, dataclasses.replace(_IVB, **changes))
+    use_spec(monkeypatch, _IVB.replace(**changes))
     with time_limit(2):
         code = cli.main([command, "--case", "JKTIVb"])
     captured = capsys.readouterr()
@@ -351,9 +349,8 @@ def test_bad_case_data_exits_three(command, changes, line, capsys, monkeypatch):
 
 def test_spec_line_splits_into_its_violations(capsys, monkeypatch):
     """"; " separates the violations and occurs in no detail."""
-    mutated = dataclasses.replace(
-        _IVB, back_sub_plan=_IVB.back_sub_plan[1:],
-        oracle=dataclasses.replace(_IVB.oracle, solve_targets=("x5",)))
+    mutated = _IVB.replace(back_sub_plan=_IVB.back_sub_plan[1:],
+                           oracle=_IVB.oracle.replace(solve_targets=("x5",)))
     use_spec(monkeypatch, mutated)
     assert cli.main(["derive", "--case", "JKTIVb"]) == 3
     err = capsys.readouterr().err
@@ -371,8 +368,7 @@ def test_divide_step_without_term_exits_three(capsys, monkeypatch):
     the normal form."""
     spec = case_spec("JKTVI")
     assert spec.cov_steps[-1].kind == "divide"
-    use_spec(monkeypatch, dataclasses.replace(
-        spec, cov_steps=spec.cov_steps[:-1] + (CovStep("divide"),)))
+    use_spec(monkeypatch, spec.replace(cov_steps=spec.cov_steps[:-1] + (CovStep("divide"),)))
     code = cli.main(["derive", "--case", "JKTVI"])
     captured = capsys.readouterr()
     assert code == 3
@@ -384,7 +380,7 @@ def test_divide_step_without_term_exits_three(capsys, monkeypatch):
 
 def test_direction_mismatch_prints_angles(capsys, monkeypatch):
     """The detail prints each angle as ``wildcv directions`` does."""
-    use_spec(monkeypatch, dataclasses.replace(case_spec("JKTI"), pair_specs=()))
+    use_spec(monkeypatch, case_spec("JKTI").replace(pair_specs=()))
     assert cli.main(["directions", "--case", "JKTI"]) == 3
     assert capsys.readouterr().err == (
         "error: [spec] invalid case data: direction_mismatch: schedule "
@@ -407,7 +403,7 @@ def test_direction_mismatch_prints_angles(capsys, monkeypatch):
 def test_swapped_schedule_exits_three(name, directions, capsys, monkeypatch):
     spec = case_spec(name)
     first, second, *rest = spec.schedule
-    use_spec(monkeypatch, dataclasses.replace(spec, schedule=(second, first, *rest)))
+    use_spec(monkeypatch, spec.replace(schedule=(second, first, *rest)))
     assert cli.main(["derive", "--case", name]) == 3
     assert capsys.readouterr().err == (
         f"error: [spec] invalid case data: schedule_order: directions [{directions}] "
@@ -421,7 +417,7 @@ def test_swapped_schedule_exits_three(name, directions, capsys, monkeypatch):
 def test_cubic_in_stokes_coefficients_exits_three(name, held, capsys, monkeypatch):
     """Without its change of variables, each residual is all constant term,
     in generators or Stokes coefficients: not a cubic in the parameters."""
-    use_spec(monkeypatch, dataclasses.replace(case_spec(name), cov_steps=()))
+    use_spec(monkeypatch, case_spec(name).replace(cov_steps=()))
     assert cli.main(["derive", "--case", name]) == 3
     assert capsys.readouterr().err == (
         f"error: [normal-form] cubic coefficients hold {held}, which are not parameters\n")

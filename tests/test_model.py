@@ -1,6 +1,5 @@
 """Static case data: schedules, generators, closure kinds, validation."""
 
-import dataclasses
 import sys
 
 import pytest
@@ -114,7 +113,7 @@ def test_validate_detects_wrong_schedule_length():
     for name in CASE_NAMES:
         spec = case_spec(name)
         for cut in (spec.schedule[1:], spec.schedule[:-1]):
-            mutated = dataclasses.replace(spec, schedule=cut)
+            mutated = spec.replace(schedule=cut)
             kinds = {v.kind for v in validate_spec(mutated)}
             assert "direction_mismatch" in kinds, name
 
@@ -123,7 +122,7 @@ def _with_generator(name, gname, text):
     spec = case_spec(name)
     defs = tuple((nm, parse(text).single_term()[1] if nm == gname else mono)
                  for nm, mono in spec.generator_defs)
-    return dataclasses.replace(spec, generator_defs=defs)
+    return spec.replace(generator_defs=defs)
 
 
 def test_validate_detects_generator_mismatch():
@@ -147,7 +146,7 @@ def test_validate_detects_two_relations():
 
 def test_unknown_divisor_rejected():
     """The one violation: every other check reads the closure the divisor fixes."""
-    spec = dataclasses.replace(case_spec("JKTI"), divisor="2{0}+{inf}")
+    spec = case_spec("JKTI").replace(divisor="2{0}+{inf}")
     assert validate_spec(spec) == [Violation("divisor", "unknown divisor '2{0}+{inf}'")]
 
 
@@ -179,9 +178,9 @@ _OTHER_DIVISOR = {"3{inf}": "{0}+2{inf}", "{0}+2{inf}": "3{inf}"}
 def test_wrong_divisor_or_twist_fails_derivation(name, mutant, monkeypatch):
     spec = case_spec(name)
     if mutant == "divisor":
-        mutated = dataclasses.replace(spec, divisor=_OTHER_DIVISOR[spec.divisor])
+        mutated = spec.replace(divisor=_OTHER_DIVISOR[spec.divisor])
     else:
-        mutated = dataclasses.replace(spec, twist=mutant)
+        mutated = spec.replace(twist=mutant)
     use_spec(monkeypatch, mutated)
     with pytest.raises(DerivationError) as exc:
         pipeline.derive_case(name, run_oracle=False)
@@ -215,7 +214,7 @@ def _closure_plan_mutants():
 
 @pytest.mark.parametrize("name,changes", _closure_plan_mutants())
 def test_closure_plan_mutants_fail_at_spec(name, changes, monkeypatch):
-    use_spec(monkeypatch, dataclasses.replace(case_spec(name), **changes))
+    use_spec(monkeypatch, case_spec(name).replace(**changes))
     with pytest.raises(DerivationError) as exc:
         pipeline.derive_case(name, run_oracle=False)
     assert str(exc.value).startswith("[spec]")
@@ -230,8 +229,8 @@ def test_oracle_plan_mutants_fail_at_spec(name, targets, monkeypatch):
     """Solve targets other than two distinct surviving coefficients of an
     identity closure, or any solve targets on a fixed-class closure."""
     spec = case_spec(name)
-    oracle = dataclasses.replace(spec.oracle, solve_targets=targets)
-    use_spec(monkeypatch, dataclasses.replace(spec, oracle=oracle))
+    oracle = spec.oracle.replace(solve_targets=targets)
+    use_spec(monkeypatch, spec.replace(oracle=oracle))
     with pytest.raises(DerivationError) as exc:
         pipeline.derive_case(name)
     assert str(exc.value).startswith("[spec]")

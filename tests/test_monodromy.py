@@ -273,10 +273,8 @@ def test_consumed_entries_vanish_after_back_substitution():
 
 
 def test_inconsistent_plan_raises():
-    import dataclasses
     spec = case_spec("JKTI")
     # solving entry (3,1) for x9 is not linear-with-unit-coefficient
-    bad = dataclasses.replace(
-        spec, back_sub_plan=(((2, 2), "x9"),) + spec.back_sub_plan[1:])
+    bad = spec.replace(back_sub_plan=(((2, 2), "x9"),) + spec.back_sub_plan[1:])
     with pytest.raises(Exception):
         solve_in_order(_entries(bad), bad.back_sub_plan)

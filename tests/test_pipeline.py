@@ -1,6 +1,5 @@
 """Elimination, cubic normal forms, full derivations, the numeric oracle."""
 
-import dataclasses
 import functools
 import gc
 import itertools
@@ -247,11 +246,9 @@ def test_oracle_rejects_bad_trials():
 
 
 def test_oracle_detects_a_wrong_cubic():
-    import dataclasses
     rep = _derived("JKTI")
-    broken = dataclasses.replace(
-        rep, cubic=CubicSurface(xyz=P("1"), x2=P("0"), y2=P("0"), z2=P("0"),
-                                c1=P("1"), c2=P("1"), c3=P("1"), c4=P("1")))
+    broken = rep.replace(cubic=CubicSurface(xyz=P("1"), x2=P("0"), y2=P("0"), z2=P("0"),
+                                            c1=P("1"), c2=P("1"), c3=P("1"), c4=P("1")))
     verdict = oracle_verify(broken, trials=20, seed=3)
     assert verdict.max_residual > 1e-3
 
@@ -380,9 +377,8 @@ def test_oracle_identity_rejects_flipped_xyz_map(name):
     rep = _derived(name)
     spec = rep.spec
     (nm, expr), *rest = spec.oracle.xyz_map
-    oracle = dataclasses.replace(spec.oracle, xyz_map=((nm, -expr), *rest))
-    broken = dataclasses.replace(
-        rep, spec=dataclasses.replace(spec, oracle=oracle))
+    oracle = spec.oracle.replace(xyz_map=((nm, -expr), *rest))
+    broken = rep.replace(spec=spec.replace(oracle=oracle))
     assert oracle_identity(broken, oracle_sampling(broken),
                            broken.cubic.reconstruct()) is False
     verdict = oracle_verify(broken, trials=10, seed=3)
@@ -394,8 +390,8 @@ def test_oracle_identity_rejects_flipped_xyz_map(name):
 @pytest.mark.parametrize("name", ["JKTIVb", "JKTII", "JKTI"])
 def test_oracle_identity_rejects_shifted_dropped_entry(name):
     rep = _derived(name)
-    closure = dataclasses.replace(rep.closure, dropped=rep.closure.dropped + 1)
-    broken = dataclasses.replace(rep, closure=closure)
+    closure = rep.closure.replace(dropped=rep.closure.dropped + 1)
+    broken = rep.replace(closure=closure)
     assert oracle_identity(broken, oracle_sampling(broken),
                            broken.cubic.reconstruct()) is False
     assert not oracle_verify(broken, trials=10, seed=3).passed
@@ -408,7 +404,7 @@ def test_oracle_identity_rejects_proportional_solve_rows(name):
     rep = _derived(name)
     sampling = oracle_sampling(rep)
     row = sampling.solve_rows[0]
-    singular = dataclasses.replace(sampling, solve_rows=(row, row))
+    singular = sampling.replace(solve_rows=(row, row))
     assert oracle_identity(rep, singular, rep.cubic.reconstruct()) is False
 
 
@@ -419,7 +415,7 @@ def test_compiled_trial_rejects_a_singular_pivot():
     rep = _derived("JKTI")
     sampling = oracle_sampling(rep)
     eq = sampling.solve_equations[0]
-    singular = dataclasses.replace(sampling, solve_equations=(eq, eq))
+    singular = sampling.replace(solve_equations=(eq, eq))
     trial = _compile_trial(rep, singular, rep.cubic.reconstruct())
     for seed in range(5):
         with pytest.raises(DegenerateSampleError, match="^singular 2x2 solve$") as exc:
@@ -442,7 +438,7 @@ def test_each_compiled_trial_keeps_its_own_source():
     eq = sampling.solve_equations[0]
     cubic = rep.cubic.reconstruct()
     trials = [_compile_trial(rep, sampling, cubic),
-              _compile_trial(rep, dataclasses.replace(sampling, solve_equations=(eq, eq)), cubic)]
+              _compile_trial(rep, sampling.replace(solve_equations=(eq, eq)), cubic)]
     names = [trial.__code__.co_filename for trial in trials]
     assert names[0] != names[1]
     assert all(name.startswith("<oracle trial JKTI #") for name in names)

@@ -1,0 +1,159 @@
+"""The immutable record base: parity with frozen dataclasses, validation on
+``replace``, the angle order, and a ``wildcv.cli`` import without
+``dataclasses``."""
+
+import copy
+import dataclasses
+import itertools
+import json
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+import wildcv
+from wildcv.model import CASE_NAMES, ClosureCondition, case_spec, validate_spec
+from wildcv.pipeline import derive_case, oracle_sampling
+from wildcv.record import Record
+from wildcv.stokes import RationalAngle
+
+_RECORD_TYPES = ("EigenvaluePairSpec", "StokesEntryLayout", "ClosureCondition", "CovStep",
+                 "CubicSurface", "OraclePlan", "CaseSpec", "Violation", "RationalAngle",
+                 "ClosureSystem", "OracleVerdict", "ExpectedComparison", "CaseReport",
+                 "OracleSampling")
+
+
+def _shipped_records():
+    """Every record reachable from the six specs, their reports and verdicts
+    and oracle samplings, plus a violation of a spec with a bad divisor."""
+    seen, out = set(), []
+
+    def walk(value):
+        if isinstance(value, Record):
+            if id(value) not in seen:
+                seen.add(id(value))
+                out.append(value)
+                for name in value._fields:
+                    walk(getattr(value, name))
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                walk(item)
+
+    for name in CASE_NAMES:
+        spec = case_spec(name)
+        report = derive_case(name, trials=20)
+        walk(report)
+        walk(spec.closure)
+        walk(oracle_sampling(report))
+        walk(validate_spec(spec.replace(divisor="2{0}+{inf}")))
+    return out
+
+
+@pytest.fixture(scope="module")
+def by_type():
+    out = {}
+    for record in _shipped_records():
+        out.setdefault(type(record).__name__, []).append(record)
+    return out
+
+
+def _twins(records):
+    """Each record as an instance of one frozen dataclass of the same name and
+    fields, with the same field values."""
+    cls = dataclasses.make_dataclass(type(records[0]).__name__, records[0]._fields,
+                                     frozen=True)
+    return [cls(*r._astuple()) for r in records]
+
+
+def test_every_record_type_is_shipped(by_type):
+    assert sorted(by_type) == sorted(_RECORD_TYPES)
+
+
+@pytest.mark.parametrize("name", _RECORD_TYPES)
+def test_record_matches_a_frozen_dataclass(by_type, name):
+    records = by_type[name]
+    twins = _twins(records)
+    for record, twin in zip(records, twins):
+        assert repr(record) == repr(twin)
+        assert hash(record) == hash(twin)
+        assert record == record.replace() and record.replace() is not record
+    for (a, ta), (b, tb) in itertools.product(zip(records, twins), repeat=2):
+        assert (a == b) == (ta == tb)
+        assert (a != b) == (ta != tb)
+
+
+def test_equality_with_another_record_type_is_not_implemented(by_type):
+    for name, other in zip(_RECORD_TYPES, _RECORD_TYPES[1:] + _RECORD_TYPES[:1]):
+        record, stranger = by_type[name][0], by_type[other][0]
+        assert record.__eq__(stranger) is NotImplemented
+        assert record != stranger
+
+
+@pytest.mark.parametrize("name", _RECORD_TYPES)
+def test_records_refuse_assignment_and_deletion(by_type, name):
+    record = by_type[name][0]
+    field = record._fields[0]
+    value = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert getattr(record, field) is value
+
+
+def test_replace_runs_the_validators_again():
+    spec = case_spec("JKTIVb")
+    layout, pair = spec.schedule[0], spec.pair_specs[0]
+    (_, col, name), *rest = layout.entries
+    with pytest.raises(ValueError, match="diagonal"):
+        layout.replace(entries=((col, col, name), *rest))
+    with pytest.raises(ValueError, match="level"):
+        pair.replace(level_l=0)
+    with pytest.raises(ValueError, match="not normalized"):
+        layout.direction.replace(turns=Fraction(2))
+    with pytest.raises(TypeError, match="unexpected"):
+        spec.replace(unknown=1)
+
+
+def test_angles_sort_by_turns(by_type):
+    angles = by_type["RationalAngle"]
+    assert sorted(angles) == sorted(angles, key=lambda a: a.turns)
+    for a, b in itertools.product(angles, repeat=2):
+        assert (a < b, a <= b, a > b, a >= b) == (a.turns < b.turns, a.turns <= b.turns,
+                                                  a.turns > b.turns, a.turns >= b.turns)
+    with pytest.raises(TypeError):
+        angles[0] < angles[0].turns
+
+
+def test_defaults_fill_the_trailing_fields():
+    assert ClosureCondition("identity") == ClosureCondition("identity", ())
+    with pytest.raises(TypeError, match="missing"):
+        ClosureCondition()
+    with pytest.raises(TypeError, match="takes 2 fields"):
+        ClosureCondition("identity", (), ())
+
+
+@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in 3.13")
+def test_copy_replace_makes_a_validated_variant():
+    angle = RationalAngle.of(1, 3)
+    assert copy.replace(angle, turns=Fraction(1, 2)) == RationalAngle.of(1, 2)
+    with pytest.raises(ValueError):
+        copy.replace(angle, turns=Fraction(-1))
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """``import wildcv.cli`` in a fresh interpreter adds neither module; the
+    modules ``site`` loaded before the import do not count."""
+    probe = ("import json, sys; before = set(sys.modules); import wildcv.cli; "
+             "print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(wildcv.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    added = json.loads(out)
+    assert "wildcv.cli" in added
+    assert not {"dataclasses", "inspect"} & set(added)

@@ -29,6 +29,14 @@ class UsageError(Exception):
     """Bad input found after argument parsing; reported as exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage error is one ``error:`` line, exit 2;
+    its subcommands' parsers are of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def _default_seed() -> int:
     raw = os.environ.get(ENV_SEED)
     if raw is None:
@@ -108,7 +116,7 @@ def _add_common(sub, with_format=True, with_oracle=True, case_default=None):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wildcv",
         description="Derive the affine cubic surfaces of the six rank-3 JKT "
                     "wild character varieties from their Stokes data.")

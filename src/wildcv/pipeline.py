@@ -21,14 +21,14 @@ variable a local.  A trial returns moduli and tests only moduli, so each
 polynomial is written with only the arithmetic its modulus needs
 (``_reduced_sum_statements``): no ``**`` (a power is CPython's own chain of
 products, ``_power_statements``), no +-1 coefficient, and the solve equations
-written out at each probe point with the terms that vanish there left out
-and each product they share computed once.  These change values only in the
-signs of their zero components, so every modulus is bit for bit that of
-``LaurentPoly.evaluate``'s term walk, the one float reference, as
-``_reduced_sum_statements`` argues.  The report keeps the function with its
-sampling and cubic (``compiled_oracle``), so every run of one report reuses
-them; the function's source is kept in ``linecache`` under a file name of its
-own, so a traceback from inside a trial shows its statement.
+written out at each probe point with the terms that vanish there left out.
+These change values only in the signs of their zero components, so every
+modulus is bit for bit that of ``LaurentPoly.evaluate``'s term walk, the one
+float reference, as ``_reduced_sum_statements`` argues.  The report keeps the
+function with its sampling and cubic (``compiled_oracle``), so every run of
+one report reuses them; the function's source is kept in ``linecache`` under
+a file name of its own, so a traceback from inside a trial shows its
+statement.
 Attempt ``a`` of trial ``t`` reads complex samples, each two draws of
 ``random.uniform(-1.0, 1.0)``, from the stream of
 ``random.Random(seed*1_000_003 + t*1_009 + a)``.  That key does not depend on
@@ -51,7 +51,6 @@ import itertools
 import linecache
 import random
 import weakref
-from collections import Counter
 from contextlib import contextmanager
 from functools import cached_property
 from typing import Optional
@@ -331,7 +330,10 @@ _POWI_CUTOFF = 100    # CPython's c_powi: beyond this |k|, complex ** takes exp 
 
 
 def _power_local(name: str, k: int) -> str:
-    """The local that holds ``name**k``: ``p2_v0``, or ``pm1_v0`` for k = -1."""
+    """The local that holds ``name**k``: ``name`` itself for k = 1, ``p2_v0``
+    for k = 2, ``pm1_v0`` for k = -1."""
+    if k == 1:
+        return name
     return f"p{k}_{name}" if k > 0 else f"pm{-k}_{name}"
 
 
@@ -356,45 +358,18 @@ def _power_statements(name: str, k: int, done: set) -> list:
     if abs(k) > _POWI_CUTOFF:
         return [f"{power} = {name}**{k}"]
     if k < 0:
-        return _power_statements(name, -k, done) + [f"{power} = 1/{_factor(name, -k)}"]
+        return _power_statements(name, -k, done) + [f"{power} = 1/{_power_local(name, -k)}"]
     h = 1 << (k.bit_length() - 1)
     low, high = (h // 2, h // 2) if k == h else (k - h, h)
     return (_power_statements(name, low, done) + _power_statements(name, high, done)
-            + [f"{power} = {_factor(name, low)}*{_factor(name, high)}"])
-
-
-def _factor(name: str, k: int) -> str:
-    """The local that holds ``name**k``: ``name`` itself for k = 1."""
-    return name if k == 1 else _power_local(name, k)
-
-
-def _reduced_terms(terms: dict, local, powers: dict, fixed: dict, lines: list):
-    """Yield (coefficient, product) for each term of ``terms`` that
-    ``fixed`` leaves, in term order: the product is its factors' locals
-    joined by ``*`` (empty if it has none), a power 1 the variable's own
-    local and every other power a power local, whose statements go to
-    ``lines`` before the term is yielded.  ``_reduced_sum_statements`` says
-    what ``local``, ``powers`` and ``fixed`` are."""
-    for m, c in terms.items():
-        names = [local(v) for v, _ in m.exps]
-        if any(fixed.get(v) == 0 for v, _ in m.exps):
-            continue
-        factors = []
-        for (v, k), name in zip(m.exps, names):
-            if v in fixed:
-                continue
-            if k != 1:
-                lines += _power_statements(name, k, powers.setdefault(v, set()))
-                name = _power_local(name, k)
-            factors.append(name)
-        yield c, "*".join(factors)
+            + [f"{power} = {_power_local(name, low)}*{_power_local(name, high)}"])
 
 
 def _reduced_sum_statements(terms: dict, local, coefs: list, powers: dict,
-                            fixed: dict, target: str, shared: Optional[dict] = None) -> list:
+                            fixed: dict, target: str) -> list:
     """The statements that leave the sum of ``terms`` in ``target``, for code
     that reads only its modulus: the term walk of ``LaurentPoly.evaluate``,
-    in the same term order, with the same products, less four kinds of
+    in the same term order, with the same products, less three kinds of
     arithmetic.
 
     - A power 1 reads the variable's own local.  Every other power is
@@ -412,9 +387,6 @@ def _reduced_sum_statements(terms: dict, local, coefs: list, powers: dict,
       holding a power (a positive one: the variables fixed are Stokes
       coefficients) of one fixed at 0 is dropped, and one fixed at 1 is left
       out of its product.  No local of a fixed variable is read.
-    - ``shared`` ({product: local}) names products that the caller has
-      already computed into a local: a term with a +-1 coefficient whose
-      product is one of them reads the local, the same float.
 
     ``local(v)`` names the local that holds VarId v.  It is called for every
     factor of every term, in term order, before a term is dropped, so the
@@ -432,12 +404,20 @@ def _reduced_sum_statements(terms: dict, local, coefs: list, powers: dict,
     computed from it, is bit for bit that of the full walk.  The complex
     value is not: ``evaluate``, whose callers read the value, keeps the
     walk's signed zeros, and ``x**1``, which overflows at infinity."""
-    shared = shared or {}
     lines: list = []
     assigned = False
-    for c, product in _reduced_terms(terms, local, powers, fixed, lines):
+    for m, c in terms.items():
+        names = [local(v) for v, _ in m.exps]
+        if any(fixed.get(v) == 0 for v, _ in m.exps):
+            continue
+        factors = []
+        for (v, k), name in zip(m.exps, names):
+            if v not in fixed:
+                lines += _power_statements(name, k, powers.setdefault(v, set()))
+                factors.append(_power_local(name, k))
+        product = "*".join(factors)
         if c == 1 or c == -1:
-            product = shared.get(product, product) or "1+0j"
+            product = product or "1+0j"
         else:
             product = f"C[{len(coefs)}]" + (f"*{product}" if product else "")
             coefs.append(complex(c))
@@ -463,12 +443,9 @@ def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentP
     overwrites the local.  The solve equations are written out at the
     targets' three probe points, (0, 0), (1, 0) and (0, 1), with the
     targets' values fixed in the source, into ``c1, c2``, ``u1, u2`` and
-    ``w1, w2``, whose differences give the 2x2 system for Cramer's rule.
-    Their powers come first, then each product that more than one of their
-    terms multiplies, once, into a local ``q<i>`` that those terms read:
-    the same factors in the same order, so the same float.  A variable read
-    before any step binds it raises ``UnboundVariableError`` here, the first
-    one in term order.
+    ``w1, w2``, whose differences give the 2x2 system for Cramer's rule.  A
+    variable read before any step binds it raises ``UnboundVariableError``
+    here, the first one in term order.
 
     Each polynomial is written by ``_reduced_sum_statements``, and the
     trial returns moduli and tests only moduli, so by that function's
@@ -491,10 +468,8 @@ def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentP
             raise UnboundVariableError(f"unbound variable {v.name}")
         return f"v_{v.name}"
 
-    def value_of(poly: LaurentPoly, target: str = "total", fixed: Optional[dict] = None,
-                 shared: Optional[dict] = None) -> list:
-        return _reduced_sum_statements(poly.terms, local, coefs, powers, fixed or {}, target,
-                                       shared)
+    def value_of(poly: LaurentPoly, target: str = "total", fixed: Optional[dict] = None) -> list:
+        return _reduced_sum_statements(poly.terms, local, coefs, powers, fixed or {}, target)
 
     def assigned(v) -> None:
         powers[v] = set()
@@ -523,19 +498,10 @@ def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentP
         assigned(t1)    # at the probe points' fixed values, then at the solution
         assigned(t2)
         eq1, eq2 = sampling.solve_equations
-        probes = [(f"{sums}{i}", eq, dict(zip((t1, t2), point)))
-                  for sums, point in (("c", (0, 0)), ("u", (1, 0)), ("w", (0, 1)))
-                  for i, eq in ((1, eq1), (2, eq2))]
-        # their powers first, then each product that more than one of their
-        # terms multiplies (a +-1 coefficient's), once, into a local
-        written = Counter(product for _, eq, fixed in probes
-                          for c, product in _reduced_terms(eq.terms, local, powers, fixed, lines)
-                          if (c == 1 or c == -1) and "*" in product)
-        shared = {product: f"q{i}" for i, product in
-                  enumerate(product for product, count in written.items() if count > 1)}
-        lines += [f"{name} = {product}" for product, name in shared.items()]
-        for sums, eq, fixed in probes:
-            lines += value_of(eq, sums, fixed, shared)
+        for sums, point in (("c", (0, 0)), ("u", (1, 0)), ("w", (0, 1))):
+            fixed = dict(zip((t1, t2), point))
+            for i, eq in ((1, eq1), (2, eq2)):
+                lines += value_of(eq, f"{sums}{i}", fixed)
         lines += ["a11 = u1 - c1", "a21 = u2 - c2", "a12 = w1 - c1", "a22 = w2 - c2",
                   "det = a11*a22 - a12*a21",
                   f"if abs(det) < {_PIVOT_FLOOR!r}:",

@@ -109,6 +109,10 @@ class VarId:
     def __repr__(self):
         return f"VarId({self.name})"
 
+    def __reduce__(self):
+        # a copy or an unpickled VarId is the interned one, which lookups compare by identity
+        return var_id, (self.name,)
+
     def __lt__(self, other: "VarId"):
         return self.index < other.index
 
@@ -219,6 +223,10 @@ class Monomial(int):
         return "*".join(_factor_texts(self)) or "1"
 
     __repr__ = __str__
+
+    def __reduce__(self):
+        # rebuilt from the packed int: ``__new__`` takes (VarId, k) pairs
+        return _new_int, (Monomial, int(self))
 
 
 _new_int = int.__new__

@@ -1,8 +1,9 @@
 """Hypothesis profiles for the test suite.
 
 ``ci`` derandomizes every property test, so a failure in CI replays with the
-same examples locally, and prints the blob that reproduces it; select it with
-``pytest --hypothesis-profile=ci``.  ``ring`` is ``ci`` with 1000 examples per
+same examples locally, under the hypothesis version that CI pins (the one in
+pyproject's ``test`` extra), and prints the blob that reproduces it; select it
+with ``pytest --hypothesis-profile=ci``.  ``ring`` is ``ci`` with 1000 examples per
 property test, for a deeper run of ``tests/test_polyring.py``, of the
 compiled oracle trial against its reference walk, of the trial's reduced sums
 against the unreduced term walk, of its power chains against ``**``, and of

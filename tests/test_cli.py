@@ -123,6 +123,22 @@ def test_verify_prints_a_real_expected_mismatch(capsys, monkeypatch):
     assert "exact:MISMATCH" in out and "FAILED: JKTI" in out
 
 
+def test_derive_reports_a_real_expected_mismatch_with_exit_one(capsys, monkeypatch):
+    """A derivation whose cubic misses the expected one exits 1 from
+    ``derive``, for the case alone and among all six, and its JSON report
+    says it did not pass."""
+    patch_expected(monkeypatch, "JKTI", c3=parse("1"))
+    code, out = _run(capsys, "derive", "--case", "JKTI", "--format", "json",
+                     "--trials", "5")
+    assert code == 1
+    assert json.loads(out)["verification"]["passed"] is False
+    code, out = _run(capsys, "derive", "--case", "all", "--format", "json",
+                     "--trials", "5")
+    assert code == 1
+    passed = {doc["case"]: doc["verification"]["passed"] for doc in json.loads(out)}
+    assert passed == {name: name != "JKTI" for name in CASE_NAMES}
+
+
 def test_dump_spec(capsys):
     code, out = _run(capsys, "dump-spec", "--case", "JKTV")
     assert code == 0
@@ -190,12 +206,22 @@ def test_json_polynomials_use_the_text_grammar(capsys):
     ("derive", "--case", "JKTI", "--trials", "-3"),
     ("verify", "--trials", "0"),
     ("verify", "--trials=-1"),
+    ("verify", "--no-such-flag"),
+    ("dump-spec",),
 ])
 def test_nonpositive_trials_is_usage_error(argv, capsys):
+    """A bad --trials, an unknown flag or a missing --case exits 2 with one
+    ``error:`` line that names the flag."""
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
     assert exc.value.code == 2
-    assert "--trials" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: wildcv")
+    # the flag at fault is the last one given, or the missing --case
+    flag = ([arg.split("=")[0] for arg in argv if arg.startswith("--")] or ["--case"])[-1]
+    assert flag in line
 
 
 def test_bad_env_seed_is_usage_error(capsys, monkeypatch):
@@ -214,13 +240,30 @@ def test_output_into_missing_directory_is_usage_error(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(cli, "derive_case", never)
     missing = tmp_path / "missing" / "report.json"
-    for target, code in ((missing, errno.ENOENT), (tmp_path, errno.EISDIR)):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    for target, code in ((missing, errno.ENOENT), (tmp_path, errno.EISDIR),
+                         (plain / "report.json", errno.ENOTDIR)):
         for argv in (("dump-spec", "--case", "JKTI"), ("derive", "--case", "all"),
                      ("verify",)):
             assert cli.main([*argv, "--output", str(target)]) == 2
             err = capsys.readouterr().err
             assert err == f"error: cannot write {target}: {os.strerror(code)}\n"
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [plain]
+
+
+def test_failed_write_is_usage_error(tmp_path, capsys, monkeypatch):
+    """A write that fails after --output was checked, a full disk say, ends in
+    one ``error:`` line and exit 2."""
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "open", full, raising=False)
+    target = tmp_path / "spec.json"
+    assert cli.main(["dump-spec", "--case", "JKTI", "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
 
 
 def _failing_derivation(monkeypatch):

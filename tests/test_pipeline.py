@@ -609,7 +609,7 @@ def test_power_chains_keep_every_modulus(exponents, data):
     assert "**" not in "".join(lines)
     assigned = [line.split(" = ")[0] for line in lines]
     assert sorted(assigned) == sorted(_power_local("v", k) for k in done)
-    locals_ = ", ".join("v" if k == 1 else _power_local("v", k) for k in exponents)
+    locals_ = ", ".join(_power_local("v", k) for k in exponents)
     source = "def powers(v):\n" + "".join(f" {line}\n" for line in lines) + (
         f" return ({locals_},)\n")
     namespace = {}
@@ -781,7 +781,6 @@ def test_draw_memo_holds_the_last_seed_up_to_its_cap(monkeypatch):
 
 _POWER_LOCAL = re.compile(r"p(m?)(\d+)_(v_\w+)")    # p2_v_x1 holds v_x1**2, pm1_v_x1 v_x1**-1
 _POWER = re.compile(r"(pm?\d+_v_\w+) = (.+)")
-_SHARED = re.compile(r"(q\d+) = (.+)")
 # a sum's statement: its first term assigned, negated or not, or a later one
 # added or subtracted; probe sums go to c1, c2, u1, u2, w1, w2
 _SUM = re.compile(r"(total|[cuw][12]) (?:= -\((.+)\)|[-+]?= (.+))")
@@ -821,10 +820,8 @@ def test_compiled_trial_computes_each_power_once(name):
     binding.  No power is 1, a unit power being the variable's own local; no
     coefficient in ``C`` is +-1, and each is read once, in order.  The
     statements of the solve equations at the probe points read no local of a
-    solve target, and write no product of two or more variables twice: each
-    that more than one of their terms multiplies is computed once, into a
-    ``q<i>`` local.  The source is the one ``linecache`` holds for the
-    trial's own file name."""
+    solve target.  The source is the one ``linecache`` holds for the trial's
+    own file name."""
     rep = _derived(name)
     sampling, cubic, trial = rep.compiled_oracle
     source = "".join(linecache.getlines(trial.__code__.co_filename))
@@ -836,23 +833,14 @@ def test_compiled_trial_computes_each_power_once(name):
 
     lines = [line.strip() for line in source.splitlines()[1:]]
     probes = [i for i, text in enumerate(lines)
-              if (term := _SUM.fullmatch(text)) and term[1] != "total"
-              or _SHARED.fullmatch(text)]
+              if (term := _SUM.fullmatch(text)) and term[1] != "total"]
     assert bool(probes) == bool(sampling.solve_targets)
     if probes:
         targets = re.compile("|".join(rf"v_{t.name}\b" for t in sampling.solve_targets))
-        products = []
         for text in lines[probes[0]:probes[-1] + 1]:
             assert not targets.search(text), text
-            if term := _SHARED.fullmatch(text):
-                products.append(term[2])
-            elif term := _SUM.fullmatch(text):
-                products.append(term[2] or term[3])
-        products = [p for p in products if "*" in p and not _COEF.search(p)]
-        assert len(products) == len(set(products)), products
 
     computed: dict = {}    # variable local -> exponents computed since its last binding
-    shared: set = set()    # q locals
     for text in lines:
         if power := _POWER.fullmatch(text):
             v, k = _power_of(power[1])
@@ -863,11 +851,7 @@ def test_compiled_trial_computes_each_power_once(name):
                        for factor in operands), text
             computed[v].add(k)
             continue
-        if term := _SHARED.fullmatch(text):
-            assert term[1] not in shared, text
-            shared.add(term[1])
-            product = term[2]
-        elif term := _SUM.fullmatch(text):
+        if term := _SUM.fullmatch(text):
             product = term[2] or term[3]
             if product in ("0j", "1+0j"):
                 continue
@@ -876,14 +860,10 @@ def test_compiled_trial_computes_each_power_once(name):
                 computed[assigned[1]] = set()
             continue
         for factor in product.split("*"):
-            if _COEF.fullmatch(factor) or factor in shared:
-                continue
-            if factor in computed:
-                continue    # a power 1: the variable's own local, bound
+            if _COEF.fullmatch(factor) or factor in computed:
+                continue    # a coefficient, or a power 1: the variable's own local, bound
             v, k = _power_of(factor)
             assert k in computed.get(v, ()), text
-    for q in shared:
-        assert len(re.findall(rf"\b{q}\b", source)) > 2, q    # assigned once, read twice or more
 
 
 class _CentreDraws(random.Random):

@@ -8,6 +8,7 @@ import itertools
 import json
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,6 +18,7 @@ import pytest
 import wildcv
 from wildcv.model import CASE_NAMES, ClosureCondition, case_spec, validate_spec
 from wildcv.pipeline import derive_case, oracle_sampling
+from wildcv.polyring import var_id
 from wildcv.record import Record
 from wildcv.stokes import RationalAngle
 
@@ -136,6 +138,20 @@ def test_defaults_fill_the_trailing_fields():
         ClosureCondition()
     with pytest.raises(TypeError, match="takes 2 fields"):
         ClosureCondition("identity", (), ())
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_specs_deep_copy_and_reports_pickle(name):
+    """A deep copy of a case spec and a pickle round trip of its report equal
+    the originals: a Monomial is rebuilt from its packed int, and a VarId is
+    the interned one, which the polynomials' lookups compare by identity."""
+    spec = case_spec(name)
+    assert copy.deepcopy(spec) == spec
+    report = derive_case(name, trials=20)
+    assert pickle.loads(pickle.dumps(report)) == report
+    x1 = var_id("x1")
+    assert copy.deepcopy(x1) is x1
+    assert pickle.loads(pickle.dumps(x1)) is x1
 
 
 @pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in 3.13")

@@ -99,19 +99,10 @@ class EigenvaluePairSpec(Record):
     level_l: int
     arg_offset: RationalAngle
 
-    def __post_init__(self):
-        if self.level_l < 1:
-            raise ValueError("level >= 1 required")
-
 
 class StokesEntryLayout(Record):
     direction: RationalAngle
     entries: tuple  # ((row, col, varname), ...) with row != col, 1-based
-
-    def __post_init__(self):
-        for row, col, _ in self.entries:
-            if row == col:
-                raise ValueError(f"diagonal entry ({row},{col})")
 
 
 class ClosureCondition(Record):
@@ -613,14 +604,18 @@ def validate_spec(spec: CaseSpec) -> list:
         if name not in covered:
             out.append(Violation("uncovered_variable", name))
 
-    # schedule directions agree with the computed union of pair directions
-    sched_dirs = {layout.direction for layout in spec.schedule}
-    pair_dirs = set()
-    for pair in spec.pair_specs:
-        pair_dirs.update(singular_directions(pair, spec.twist.ramification_index))
-    if sched_dirs != pair_dirs:
-        out.append(Violation("direction_mismatch", f"schedule {_angles(sched_dirs)} "
-                             f"vs pairs {_angles(pair_dirs)}"))
+    # schedule directions agree with the union of pair directions, which divide by levels
+    low = [pair for pair in spec.pair_specs if pair.level_l < 1]
+    out += [Violation("pair_level", f"pair {pair.label} has level {pair.level_l}, "
+                      "not at least 1") for pair in low]
+    if not low:
+        sched_dirs = {layout.direction for layout in spec.schedule}
+        pair_dirs = set()
+        for pair in spec.pair_specs:
+            pair_dirs.update(singular_directions(pair, spec.twist.ramification_index))
+        if sched_dirs != pair_dirs:
+            out.append(Violation("direction_mismatch", f"schedule {_angles(sched_dirs)} "
+                                 f"vs pairs {_angles(pair_dirs)}"))
     # positive orientation: the directions increase around the circle once,
     # less than a full turn, so the cyclic sequence descends exactly once
     turns = [layout.direction.turns for layout in spec.schedule]

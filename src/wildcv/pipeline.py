@@ -17,11 +17,12 @@ X, Y, Z into the same slots that a case's expected cubic and
 The oracle compiles one straight-line function per report that runs a whole
 trial (``_compile_trial``): the samples, the derived units, the 2x2 solve,
 the trace parameters, the dropped entry, ``xyz_map`` and the cubic, each
-variable a local.  A trial returns moduli and tests only moduli, so each
-polynomial is written with only the arithmetic its modulus needs
-(``_reduced_sum_statements``): no ``**`` (a power is CPython's own chain of
-products, ``_power_statements``), no +-1 coefficient, and the solve equations
-written out at each probe point with the terms that vanish there left out.
+variable a local and each polynomial one statement.  A trial returns moduli
+and tests only moduli, so each polynomial is written with only the arithmetic
+its modulus needs (``_reduced_sum_statements``): no ``**`` (a power is
+CPython's own chain of products, ``_power_statements``), no +-1 coefficient,
+and the solve equations written out at each probe point with the terms that
+vanish there left out.
 These change values only in the signs of their zero components, so every
 modulus is bit for bit that of ``LaurentPoly.evaluate``'s term walk, the one
 float reference, as ``_reduced_sum_statements`` argues.  The report keeps the
@@ -327,6 +328,7 @@ def oracle_sampling(report: CaseReport) -> OracleSampling:
 
 _TRIAL_FILES = itertools.count(1)    # numbers each compiled trial's file name, per process
 _POWI_CUTOFF = 100    # CPython's c_powi: beyond this |k|, complex ** takes exp and log
+_SUM_TERMS = 256    # per statement: CPython's compiler recurses once per operator
 
 
 def _power_local(name: str, k: int) -> str:
@@ -365,24 +367,23 @@ def _power_statements(name: str, k: int, done: set) -> list:
             + [f"{power} = {_power_local(name, low)}*{_power_local(name, high)}"])
 
 
-def _reduced_sum_statements(terms: dict, local, coefs: list, powers: dict,
-                            fixed: dict, target: str) -> list:
-    """The statements that leave the sum of ``terms`` in ``target``, for code
-    that reads only its modulus: the term walk of ``LaurentPoly.evaluate``,
-    in the same term order, with the same products, less three kinds of
-    arithmetic.
+def _reduced_sum_statements(terms: dict, local, powers: dict, fixed: dict) -> tuple:
+    """(statements, expression) whose expression, after the statements, is
+    the sum of ``terms`` for code that reads only its modulus: the term walk
+    of ``LaurentPoly.evaluate``, adding left to right in the same term order
+    with the same products, less three kinds of arithmetic.  A sum of more
+    than ``_SUM_TERMS`` terms goes on from a local ``total`` that statements
+    of that many terms each assign.
 
     - A power 1 reads the variable's own local.  Every other power is
       computed once, without ``**`` (``_power_statements``), into a local
-      (``p<k>_v``, ``pm<k>_v`` for k < 0) just before the first term that
-      reads it, and reused for as long as ``powers`` ({VarId: set of
-      exponents whose power local is assigned}) holds it; a caller that
-      binds v again drops ``powers[v]``.
+      (``p<k>_v``, ``pm<k>_v`` for k < 0) by the statements, and reused for
+      as long as ``powers`` ({VarId: set of exponents whose power local is
+      assigned}) holds it; a caller that binds v again drops ``powers[v]``.
     - A coefficient of +-1 is not multiplied: its term is the product alone,
-      added with ``+=`` or ``-=``, or ``1+0j`` if it has no factor.  The
-      first term is assigned (``total = t`` or ``total = -(t)``), and a sum
-      with no term is ``total = 0j``.  Any other coefficient is appended to
-      ``coefs`` as a complex constant and read back as ``C[i]``.
+      added with ``+`` or ``-``, or ``(1+0j)`` if it has no factor; a first
+      term whose coefficient is -1 is ``-(t)``, and a sum with no term is
+      ``0j``.  Any other coefficient is its complex literal, the same value.
     - ``fixed`` ({VarId: 0 or 1}) gives variables a known value: a term
       holding a power (a positive one: the variables fixed are Stokes
       coefficients) of one fixed at 0 is dropped, and one fixed at 1 is left
@@ -405,30 +406,28 @@ def _reduced_sum_statements(terms: dict, local, coefs: list, powers: dict,
     value is not: ``evaluate``, whose callers read the value, keeps the
     walk's signed zeros, and ``x**1``, which overflows at infinity."""
     lines: list = []
-    assigned = False
+    expr = ""
+    added = 0
     for m, c in terms.items():
-        names = [local(v) for v, _ in m.exps]
-        if any(fixed.get(v) == 0 for v, _ in m.exps):
+        exps = m.exps
+        names = [local(v) for v, _ in exps]
+        if any(fixed.get(v) == 0 for v, _ in exps):
             continue
-        factors = []
-        for (v, k), name in zip(m.exps, names):
+        factors = [] if c == 1 or c == -1 else [repr(complex(c))]
+        for (v, k), name in zip(exps, names):
             if v not in fixed:
                 lines += _power_statements(name, k, powers.setdefault(v, set()))
                 factors.append(_power_local(name, k))
-        product = "*".join(factors)
-        if c == 1 or c == -1:
-            product = product or "1+0j"
+        product = "*".join(factors) or "(1+0j)"
+        if not expr:
+            expr = f"-({product})" if c == -1 else product
+        elif added % _SUM_TERMS:
+            expr += f" {'-' if c == -1 else '+'} {product}"
         else:
-            product = f"C[{len(coefs)}]" + (f"*{product}" if product else "")
-            coefs.append(complex(c))
-        if assigned:
-            lines.append(f"{target} {'-' if c == -1 else '+'}= {product}")
-        else:
-            lines.append(f"{target} = -({product})" if c == -1 else f"{target} = {product}")
-            assigned = True
-    if not assigned:
-        lines.append(f"{target} = 0j")
-    return lines
+            lines.append(f"total = {expr}")
+            expr = f"total {'-' if c == -1 else '+'} {product}"
+        added += 1
+    return lines, expr or "0j"
 
 
 def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentPoly):
@@ -447,8 +446,8 @@ def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentP
     variable read before any step binds it raises ``UnboundVariableError``
     here, the first one in term order.
 
-    Each polynomial is written by ``_reduced_sum_statements``, and the
-    trial returns moduli and tests only moduli, so by that function's
+    Each polynomial is one statement that ``_reduced_sum_statements`` writes,
+    and the trial returns moduli and tests only moduli, so by that function's
     argument every (|cubic|, |dropped|) and every verdict is bit for bit
     that of ``LaurentPoly.evaluate`` at the same bindings.  The argument
     needs every operand finite, and the sampling keeps it so: a sample has
@@ -460,7 +459,6 @@ def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentP
     compiled later for the same case keeps its own, and dropped with the
     function.
     """
-    coefs: list = []
     powers: dict = {}    # bound VarId -> exponents whose power local is of this binding
 
     def local(v) -> str:
@@ -468,14 +466,15 @@ def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentP
             raise UnboundVariableError(f"unbound variable {v.name}")
         return f"v_{v.name}"
 
-    def value_of(poly: LaurentPoly, target: str = "total", fixed: Optional[dict] = None) -> list:
-        return _reduced_sum_statements(poly.terms, local, coefs, powers, fixed or {}, target)
+    def value_of(poly: LaurentPoly, statement: str, fixed: Optional[dict] = None) -> list:
+        lines, expr = _reduced_sum_statements(poly.terms, local, powers, fixed or {})
+        return lines + [statement.format(expr)]
 
     def assigned(v) -> None:
         powers[v] = set()
 
     def bind(v, poly: LaurentPoly) -> list:
-        lines = value_of(poly) + [f"v_{v.name} = total"]
+        lines = value_of(poly, f"v_{v.name} = {{}}")
         assigned(v)
         return lines
 
@@ -501,7 +500,7 @@ def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentP
         for sums, point in (("c", (0, 0)), ("u", (1, 0)), ("w", (0, 1))):
             fixed = dict(zip((t1, t2), point))
             for i, eq in ((1, eq1), (2, eq2)):
-                lines += value_of(eq, f"{sums}{i}", fixed)
+                lines += value_of(eq, f"{sums}{i} = {{}}", fixed)
         lines += ["a11 = u1 - c1", "a21 = u2 - c2", "a12 = w1 - c1", "a22 = w2 - c2",
                   "det = a11*a22 - a12*a21",
                   f"if abs(det) < {_PIVOT_FLOOR!r}:",
@@ -514,16 +513,16 @@ def _compile_trial(report: CaseReport, sampling: OracleSampling, cubic: LaurentP
     if report.closure.dropped is None:
         lines.append("dropped = 0.0")
     else:
-        lines += value_of(report.closure.dropped) + ["dropped = abs(total)"]
+        lines += value_of(report.closure.dropped, "dropped = abs({})")
     for v, expr in sampling.xyz_map:
         lines += bind(v, expr)
-    lines += value_of(cubic) + ["return abs(total), dropped"]
+    lines += value_of(cubic, "return abs({}), dropped")
 
     source = "def trial(r):\n" + "".join(f" {line}\n" for line in lines)
     filename = f"<oracle trial {report.name} #{next(_TRIAL_FILES)}>"
     # kept where a traceback looks up its lines; no mtime, so never checked stale
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"C": tuple(coefs), "DegenerateSampleError": DegenerateSampleError}
+    namespace = {"DegenerateSampleError": DegenerateSampleError}
     exec(compile(source, filename, "exec"), namespace)
     trial = namespace["trial"]
     weakref.finalize(trial, linecache.cache.pop, filename, None)

@@ -56,6 +56,10 @@ class Record:
         state = self.__dict__
         return tuple([state[name] for name in self._fields])
 
+    def __reduce__(self):
+        # a copy or an unpickled record is built anew, without cached values
+        return type(self), self._astuple()
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

@@ -206,6 +206,7 @@ def test_json_polynomials_use_the_text_grammar(capsys):
     ("derive", "--case", "JKTI", "--trials", "-3"),
     ("verify", "--trials", "0"),
     ("verify", "--trials=-1"),
+    ("verify", "--trials", "x"),
     ("verify", "--no-such-flag"),
     ("dump-spec",),
 ])
@@ -349,6 +350,11 @@ _IVB = case_spec("JKTIVb")
         _IVB.schedule[-1].replace(entries=((4, 2, "x12"),)))},
      "stokes_entry: x11 at (0,1) is not an off-diagonal position of a 3x3 matrix; "
      "stokes_entry: x12 at (4,2) is not an off-diagonal position of a 3x3 matrix"),
+    ({"schedule": (_IVB.schedule[0].replace(entries=((2, 2, "x1"),)),) + _IVB.schedule[1:]},
+     "stokes_entry: x1 at (2,2) is not an off-diagonal position of a 3x3 matrix"),
+    # unchecked, the pair directions would divide by the level
+    ({"pair_specs": (_IVB.pair_specs[0].replace(level_l=0),) + _IVB.pair_specs[1:]},
+     "pair_level: pair (0, 1) has level 0, not at least 1"),
     ({"residual_scale": LaurentPoly.zero(),
       "residual_entries": (((3, 3), parse("gamma + 1")), _IVB.residual_entries[1])},
      "scale: residual_scale 0 is not a single term in unit variables; "
@@ -374,7 +380,8 @@ _IVB = case_spec("JKTIVb")
     ({"generator_defs": (("U", Monomial()),) + _IVB.generator_defs[1:]},
      "generator_mismatch: U is the constant monomial"),
 ], ids=["plan-entry-removed", "unknown-divisor", "unknown-cov-step", "stokes-entry-position",
-        "zero-scale", "non-unit-scale", "unknown-plan-name", "xyz-map-without-z",
+        "stokes-entry-diagonal", "pair-level-zero", "zero-scale", "non-unit-scale",
+        "unknown-plan-name", "xyz-map-without-z",
         "xyz-map-unknown-name", "subst-unknown-name", "divide-non-unit", "divide-by-zero",
         "constant-generator"])
 def test_bad_case_data_exits_three(command, changes, line, capsys, monkeypatch):

@@ -102,6 +102,8 @@ def test_trivial_weights_bound_one():
     w = torus_weights(case_spec("JKTIVa"))
     assert invariant_monomials(w, 1) == {_mono(s) for s in
                                          ("x1", "x2", "x3", "x4")}
+    with pytest.raises(ValueError, match="at least 1"):
+        invariant_monomials(w, 0)
 
 
 def test_every_generator_definition_is_zero_weight():

@@ -9,6 +9,7 @@ import pathlib
 import random
 import re
 import traceback
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -22,7 +23,7 @@ from wildcv.pipeline import (_PIVOT_FLOOR, _UNIT_MIN_MODULUS, ORACLE_TOLERANCE,
                              _power_statements, _reduced_sum_statements, derive_case,
                              oracle_identity, oracle_sampling, oracle_verify,
                              specialize_unit_cube_root, to_cubic_normal_form)
-from wildcv.polyring import LaurentPoly, parse, var_id
+from wildcv.polyring import LaurentPoly, Monomial, parse, var_id
 from wildcv.report import report_to_dict
 from wildcv.stokes import formal_monodromy
 
@@ -649,20 +650,45 @@ def test_reduced_sum_keeps_every_modulus(poly, data):
         else:
             fixed[v], values[v] = fix, complex(fix)
     names = {v: f"v{i}" for i, v in enumerate(values)}
-    met, coefs = [], []
+    met = []
 
     def local(v):
         met.append(v)
         return names[v]
 
-    lines = _reduced_sum_statements(poly.terms, local, coefs, {}, fixed, "total")
+    lines, expr = _reduced_sum_statements(poly.terms, local, {}, fixed)
     assert met == [v for m in poly.terms for v, _ in m.exps]
-    source = f"def reduced({', '.join(names.values())}):\n" + "".join(
-        f" {line}\n" for line in lines + ["return total"])
-    namespace = {"C": tuple(coefs)}
+    got = _run_sum(lines, expr, names.values(),
+                   [None if v in fixed else z for v, z in values.items()])
+    assert repr(abs(got)) == repr(abs(term_walk(poly, values))), (lines, expr)
+
+
+def _run_sum(lines, expr, params, args):
+    """The sum that a writer's statements and expression give at ``args``."""
+    source = f"def reduced({', '.join(params)}):\n" + "".join(
+        f" {line}\n" for line in lines + [f"return {expr}"])
+    namespace = {}
     exec(compile(source, "<reduced sum>", "exec"), namespace)
-    got = namespace["reduced"](*(None if v in fixed else z for v, z in values.items()))
-    assert repr(abs(got)) == repr(abs(term_walk(poly, values))), source
+    return namespace["reduced"](*args)
+
+
+def test_reduced_sum_adds_a_long_sum_over_statements():
+    """A sum of 3000 terms, more than CPython's compiler takes in one
+    expression on 3.10 to 3.12, is added left to right over statements of at
+    most ``_SUM_TERMS`` terms each, through ``total``; it compiles, and its
+    modulus is the term walk's by repr."""
+    x1, x2 = var_id("x1"), var_id("x2")
+    poly = LaurentPoly.from_terms(
+        (Monomial(((x1, a), (x2, b))), Fraction(a - b, 7) or (-1) ** a)
+        for a in range(60) for b in range(50))
+    assert len(poly.terms) == 3000
+    lines, expr = _reduced_sum_statements(poly.terms, lambda v: f"v_{v.name}", {}, {})
+    sums = [line for line in lines if line.startswith("total = ")] + [expr]
+    assert len(sums) == 12 and expr.startswith("total ")
+    assert max(len(re.findall(" [-+] ", text)) for text in sums) == pipeline._SUM_TERMS
+    values = {x1: 0.9 + 0.3j, x2: -0.7 + 0.5j}
+    got = _run_sum(lines, expr, ["v_x1", "v_x2"], list(values.values()))
+    assert repr(abs(got)) == repr(abs(term_walk(poly, values)))
 
 
 def _reference_verify(report, trials, seed):
@@ -781,10 +807,11 @@ def test_draw_memo_holds_the_last_seed_up_to_its_cap(monkeypatch):
 
 _POWER_LOCAL = re.compile(r"p(m?)(\d+)_(v_\w+)")    # p2_v_x1 holds v_x1**2, pm1_v_x1 v_x1**-1
 _POWER = re.compile(r"(pm?\d+_v_\w+) = (.+)")
-# a sum's statement: its first term assigned, negated or not, or a later one
-# added or subtracted; probe sums go to c1, c2, u1, u2, w1, w2
-_SUM = re.compile(r"(total|[cuw][12]) (?:= -\((.+)\)|[-+]?= (.+))")
-_COEF = re.compile(r"C\[(\d+)\]")
+# a polynomial's statement: a binding or a probe sum (c1, c2, u1, u2, w1,
+# w2) assigned, the dropped entry's modulus, or the cubic's returned
+_SUM = re.compile(r"(v_\w+|[cuw][12]) = (.+)|dropped = abs\((.+)\)|return abs\((.+)\), dropped")
+# the statements that bind a variable but write no polynomial: a draw, a solve
+_DRAW_OR_SOLVE = re.compile(r"v_\w+ = (?:r\(\)|\(.+\)/det)")
 _ASSIGNED = re.compile(r"(v_\w+) = ")
 
 
@@ -817,31 +844,46 @@ def test_compiled_trial_computes_each_power_once(name):
     ``pm<k>`` for k < 0) is assigned at most once per binding of its
     variable, as ``c_powi``'s split of it (``_powi_step``), from locals of
     the same binding; and each term multiplies only locals of the current
-    binding.  No power is 1, a unit power being the variable's own local; no
-    coefficient in ``C`` is +-1, and each is read once, in order.  The
-    statements of the solve equations at the probe points read no local of a
-    solve target.  The source is the one ``linecache`` holds for the trial's
-    own file name."""
+    binding.  No power is 1, a unit power being the variable's own local.
+    Each polynomial is one statement, and no ``total`` or ``C`` is left: the
+    coefficient literals, in source order, are the polynomials' coefficients
+    other than +-1 in term order, less the terms that a probe point's zero
+    drops.  The statements of the solve equations at the probe points read
+    no local of a solve target.  The source is the one ``linecache`` holds
+    for the trial's own file name."""
     rep = _derived(name)
     sampling, cubic, trial = rep.compiled_oracle
     source = "".join(linecache.getlines(trial.__code__.co_filename))
     assert source.startswith("def trial(r):\n")
-    assert "**" not in source
-    coefs = trial.__globals__["C"]
-    assert not [c for c in coefs if c in (1, -1)]
-    assert [int(i) for i in _COEF.findall(source)] == list(range(len(coefs)))
+    assert "**" not in source and "total" not in source
+    assert "C" not in trial.__globals__
+
+    polys = [(expr, ()) for _, expr in sampling.derived_units]
+    if sampling.solve_targets:
+        t1, t2 = sampling.solve_targets
+        polys += [(eq, zero) for zero in ((t1, t2), (t2,), (t1,))
+                  for eq in sampling.solve_equations]
+    polys += [(trace, ()) for _, trace in sampling.trace_params]
+    if rep.closure.dropped is not None:
+        polys.append((rep.closure.dropped, ()))
+    polys += [(expr, ()) for _, expr in sampling.xyz_map] + [(cubic, ())]
+    want = [repr(complex(c)) for poly, zero in polys for m, c in poly.terms.items()
+            if c not in (1, -1) and not any(v in zero for v, _ in m.exps)]
 
     lines = [line.strip() for line in source.splitlines()[1:]]
-    probes = [i for i, text in enumerate(lines)
-              if (term := _SUM.fullmatch(text)) and term[1] != "total"]
-    assert bool(probes) == bool(sampling.solve_targets)
+    sums = [i for i, text in enumerate(lines)
+            if _SUM.fullmatch(text) and not _DRAW_OR_SOLVE.fullmatch(text)]
+    assert len(sums) == len(polys)
+    probes = [i for i in sums if re.match("[cuw][12] = ", lines[i])]
+    assert len(probes) == (6 if sampling.solve_targets else 0)
     if probes:
         targets = re.compile("|".join(rf"v_{t.name}\b" for t in sampling.solve_targets))
         for text in lines[probes[0]:probes[-1] + 1]:
             assert not targets.search(text), text
 
+    coefs = []
     computed: dict = {}    # variable local -> exponents computed since its last binding
-    for text in lines:
+    for i, text in enumerate(lines):
         if power := _POWER.fullmatch(text):
             v, k = _power_of(power[1])
             assert v in computed and k != 1 and k not in computed[v], text
@@ -851,19 +893,23 @@ def test_compiled_trial_computes_each_power_once(name):
                        for factor in operands), text
             computed[v].add(k)
             continue
-        if term := _SUM.fullmatch(text):
-            product = term[2] or term[3]
-            if product in ("0j", "1+0j"):
-                continue
-        else:
-            if assigned := _ASSIGNED.match(text):
-                computed[assigned[1]] = set()
-            continue
-        for factor in product.split("*"):
-            if _COEF.fullmatch(factor) or factor in computed:
-                continue    # a coefficient, or a power 1: the variable's own local, bound
-            v, k = _power_of(factor)
-            assert k in computed.get(v, ()), text
+        if i in sums:
+            statement = _SUM.fullmatch(text)
+            first, *rest = re.split(" [-+] ", statement[2] or statement[3] or statement[4])
+            if first.startswith("-("):
+                first = first[2:-1]
+            for product in [first, *rest]:
+                if product in ("0j", "(1+0j)"):
+                    continue
+                for factor in product.split("*"):
+                    if factor.startswith("("):
+                        coefs.append(repr(complex(factor)))
+                    elif factor not in computed:    # a power 1 is the variable's own local
+                        v, k = _power_of(factor)
+                        assert k in computed.get(v, ()), text
+        if assigned := _ASSIGNED.match(text):
+            computed[assigned[1]] = set()
+    assert coefs == want
 
 
 class _CentreDraws(random.Random):

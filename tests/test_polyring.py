@@ -48,6 +48,8 @@ def test_negative_exponent_only_on_units():
     assert P("alpha^-1") * P("alpha") == P("1")
     with pytest.raises(Exception):
         Monomial(((var_id("x1"), -1),))
+    with pytest.raises(ValueError, match="nonnegative integer powers"):
+        P("alpha") ** -1
 
 
 def test_cube_root_symbol_is_an_ordinary_unit():
@@ -134,6 +136,8 @@ def test_ring_axioms_on_1000_random_triples():
 def test_constant_embedding_is_a_homomorphism(x, y, z):
     cx, cy, cz = map(LaurentPoly.constant, (x, y, z))
     assert cx * (cy + cz) == LaurentPoly.constant(x * (y + z))
+    assert x - cy == LaurentPoly.constant(x - y)
+    assert cx == x and cx != x + 1
 
 
 # --------------------------------------------------------------------------

@@ -116,13 +116,6 @@ def test_stokes_matrix_two_entry_and_empty():
     assert stokes_matrix(empty) == SymMat3.identity()
 
 
-def test_stokes_matrix_rejects_diagonal():
-    """A layout is checked when it is built, so stokes_matrix never sees a
-    diagonal entry."""
-    with pytest.raises(Exception):
-        StokesEntryLayout(RationalAngle.of(0), ((1, 1, "x1"),))
-
-
 def test_every_scheduled_stokes_matrix_is_unipotent():
     ident = SymMat3.identity()
     for name in CASE_NAMES:
@@ -144,6 +137,10 @@ def test_formal_monodromies():
     h3 = formal_monodromy(3)
     assert h3.det() == P("1")
     assert h3 * h3 * h3 == SymMat3.identity()
+    with pytest.raises(ValueError, match="unknown formal monodromy kind 4"):
+        formal_monodromy(4)
+    with pytest.raises(ValueError, match="3x3"):
+        SymMat3([[P("1")] * 3] * 2)
 
 
 def test_inverse_via_adjugate():

@@ -4,8 +4,11 @@ Each case is a ``CaseSpec``, an immutable record (``record.Record``) bundling
 the twist class, the divisor, the eigenvalue pair data that generates the
 Stokes directions, the schedule of Stokes matrices (which fresh variable sits
 at which direction and matrix position), the invariant-monomial generators,
-and the plans the pipeline executes verbatim: back substitutions, linear
-eliminations, affine changes of variables, and the expected cubic.
+the plans the pipeline executes verbatim (back substitutions, linear
+eliminations, affine changes of variables), the expected cubic, and the
+oracle's two choices: the pushforward to X, Y, Z and the coefficients it
+solves from the closure equations (``pipeline.oracle_sampling`` derives the
+rest of its sampling from the case data).
 ``CubicSurface`` is the one cubic type: the cubic a derivation builds, and
 the cubic a case expects, whose free linear and constant coefficients are
 ``None``.  ``case_spec``, the one way to a case's data, runs
@@ -26,9 +29,10 @@ derived, not stored:
   alpha*beta*gamma = 1) exactly for the untwisted cases (JKTVI, JKTIVb), as
   one read-only ``{VarId: LaurentPoly}`` map that every consumer substitutes.
 
-The plan of the identity closure M = I fixes two more, both ``None`` without
-a plan: the split (the first layout holding a back-substituted coefficient)
-and the dropped entry (the one entry of M = I that the plan leaves unread).
+The plan of the identity closure M = I fixes three more: the coefficients
+it solves (``back_substituted``, empty without a plan), the split (the first
+layout holding one of them) and the dropped entry (the one entry of M = I
+that the plan leaves unread), both ``None`` without a plan.
 
 Conventions used throughout (all polynomials exact over the rationals):
 
@@ -57,9 +61,6 @@ class UnknownCaseError(PolyError):
 
 class DerivationError(PolyError):
     """A pipeline stage failed; the message carries the stage label."""
-
-
-CASE_NAMES = ("JKTVI", "JKTV", "JKTIVa", "JKTIVb", "JKTII", "JKTI")
 
 
 class TwistClass(enum.Enum):
@@ -171,16 +172,6 @@ class CubicSurface(Record):
         return {name: getattr(self, name) for name in self._fields}
 
 
-class OraclePlan(Record):
-    """The Monte-Carlo oracle's two per-case choices; everything else it
-    samples follows from the case data (``pipeline.oracle_sampling``)."""
-
-    solve_targets: tuple           # coefficients solved from the closure equations
-    # Written independently of cov_steps, not inverted from them, so that the
-    # oracle still catches a wrong change of variables.
-    xyz_map: tuple                 # ((name, LaurentPoly), ...) pushforward to X, Y, Z
-
-
 class CaseSpec(Record):
     name: str
     twist: TwistClass
@@ -191,10 +182,13 @@ class CaseSpec(Record):
     elimination_plan: tuple        # ((equation index, varname), ...)
     cov_steps: tuple
     expected: CubicSurface
-    oracle: OraclePlan
+    # Written independently of cov_steps, not inverted from them, so that the
+    # oracle still catches a wrong change of variables.
+    xyz_map: tuple                 # ((name, LaurentPoly), ...) pushforward to X, Y, Z
     back_sub_plan: tuple = ()      # (((i, j), varname), ...)
     residual_entries: tuple = ()   # (((i, j), scale LaurentPoly), ...)
     residual_scale: LaurentPoly = LaurentPoly.constant(1)
+    solve_targets: tuple = ()      # coefficients the oracle solves from M = I
 
     @property
     def closure(self) -> ClosureCondition:
@@ -216,9 +210,14 @@ class CaseSpec(Record):
                 else _NO_NORMALIZATION)
 
     @property
+    def back_substituted(self) -> tuple:
+        """The coefficients the plan solves, in plan order (a repeat kept)."""
+        return tuple(name for _, name in self.back_sub_plan)
+
+    @property
     def split_index(self) -> Optional[int]:
         """Index of the first layout holding a back-substituted coefficient."""
-        solved = {name for _, name in self.back_sub_plan}
+        solved = self.back_substituted
         return next((k for k, layout in enumerate(self.schedule)
                      if any(nm in solved for _, _, nm in layout.entries)), None)
 
@@ -236,7 +235,7 @@ class CaseSpec(Record):
     def first_half_variables(self) -> tuple:
         """Variables that survive the identity-condition back substitution
         (all schedule variables for the two-point cases)."""
-        solved = {name for _, name in self.back_sub_plan}
+        solved = self.back_substituted
         return tuple(nm for nm in self.schedule_variables() if nm not in solved)
 
 
@@ -273,6 +272,13 @@ def _defs(**named: str) -> tuple:
 _UNTWISTED_CYCLE = ((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2))
 
 
+def _cyclic_schedule(count: int, den: int) -> tuple:
+    """``count`` layouts, layout k at k*pi/den holding x<k> at the k-th
+    position of the untwisted cycle (repeated every six)."""
+    return _layouts([((k, den), [(*_UNTWISTED_CYCLE[(k - 1) % 6], f"x{k}")])
+                     for k in range(1, count + 1)])
+
+
 def _subst(**named: str) -> CovStep:
     return CovStep("subst", tuple((k, parse(expr)) for k, expr in named.items()))
 
@@ -287,10 +293,6 @@ def _divide(term: str) -> CovStep:
 
 
 def _build_jktvi() -> CaseSpec:
-    schedule = _layouts([
-        ((k, 3), [(_UNTWISTED_CYCLE[k - 1][0], _UNTWISTED_CYCLE[k - 1][1], f"x{k}")])
-        for k in range(1, 7)
-    ])
     return CaseSpec(
         name="JKTVI",
         twist=TwistClass.UNTWISTED,
@@ -303,7 +305,7 @@ def _build_jktvi() -> CaseSpec:
             ((2, 0), 1, (1, 6)),
             ((2, 1), 1, (1, 2)),
         ]),
-        schedule=schedule,
+        schedule=_cyclic_schedule(6, 3),
         generator_defs=_defs(U="x1*x4", V="x2*x5", W="x3*x6",
                              R="x1*x3*x5", T="x2*x4*x6"),
         elimination_plan=((0, "U"), (1, "R")),
@@ -318,12 +320,9 @@ def _build_jktvi() -> CaseSpec:
         ),
         expected=CubicSurface(xyz=parse("gamma"), x2=parse("alpha"),
                               y2=parse("beta"), z2=parse("gamma")),
-        oracle=OraclePlan(
-            solve_targets=(),
-            xyz_map=(("X", parse("-x3*x6 - beta*gamma^-1 - 1")),
-                     ("Y", parse("-x2*x5 - alpha*gamma^-1 - 1")),
-                     ("Z", parse("-x2*x5 - x3*x6 - x2*x4*x6 - 1 + p*gamma^-1"))),
-        ),
+        xyz_map=(("X", parse("-x3*x6 - beta*gamma^-1 - 1")),
+                 ("Y", parse("-x2*x5 - alpha*gamma^-1 - 1")),
+                 ("Z", parse("-x2*x5 - x3*x6 - x2*x4*x6 - 1 + p*gamma^-1"))),
     )
 
 
@@ -351,12 +350,9 @@ def _build_jktv() -> CaseSpec:
         ),
         expected=CubicSurface(xyz=parse("1"), x2=parse("1"),
                               y2=parse("1"), z2=parse("0")),
-        oracle=OraclePlan(
-            solve_targets=(),
-            xyz_map=(("X", parse("x3*x5 + r^-2")),
-                     ("Y", parse("r*x3*x6 + r")),
-                     ("Z", parse("r*x1"))),
-        ),
+        xyz_map=(("X", parse("x3*x5 + r^-2")),
+                 ("Y", parse("r*x3*x6 + r")),
+                 ("Z", parse("r*x1"))),
     )
 
 
@@ -385,19 +381,11 @@ def _build_jktiva() -> CaseSpec:
                               y2=parse("0"), z2=parse("0"),
                               c1=parse("-p"), c2=parse("1"), c3=parse("1"),
                               c4=parse("1/2*p^2 - 1/2*q")),
-        oracle=OraclePlan(
-            solve_targets=(),
-            xyz_map=(("X", parse("x3")), ("Y", parse("x2")), ("Z", parse("x4"))),
-        ),
+        xyz_map=(("X", parse("x3")), ("Y", parse("x2")), ("Z", parse("x4"))),
     )
 
 
 def _build_jktivb() -> CaseSpec:
-    schedule = _layouts([
-        ((k, 6), [(_UNTWISTED_CYCLE[(k - 1) % 6][0],
-                   _UNTWISTED_CYCLE[(k - 1) % 6][1], f"x{k}")])
-        for k in range(1, 13)
-    ])
     return CaseSpec(
         name="JKTIVb",
         twist=TwistClass.UNTWISTED,
@@ -410,7 +398,7 @@ def _build_jktivb() -> CaseSpec:
             ((2, 0), 2, (7, 6)),
             ((2, 1), 2, (3, 2)),
         ]),
-        schedule=schedule,
+        schedule=_cyclic_schedule(12, 6),
         generator_defs=_defs(U="x1*x4", V="x2*x5", W="x3*x6",
                              R="x1*x3*x5", T="x2*x4*x6"),
         back_sub_plan=(((2, 3), "x9"), ((3, 2), "x12"), ((3, 1), "x11"),
@@ -424,12 +412,10 @@ def _build_jktivb() -> CaseSpec:
                               c2=parse("-alpha - gamma^-1 - 1"),
                               c3=parse("-alpha"),
                               c4=parse("alpha*gamma^-1 + alpha + gamma^-1")),
-        oracle=OraclePlan(
-            solve_targets=("x5", "x6"),
-            xyz_map=(("X", parse("x1*x4 + 1")),
-                     ("Y", parse("x2*x5 + 1")),
-                     ("Z", parse("x3*x6 + 1"))),
-        ),
+        xyz_map=(("X", parse("x1*x4 + 1")),
+                 ("Y", parse("x2*x5 + 1")),
+                 ("Z", parse("x3*x6 + 1"))),
+        solve_targets=("x5", "x6"),
     )
 
 
@@ -468,21 +454,14 @@ def _build_jktii() -> CaseSpec:
                               y2=parse("0"), z2=parse("0"),
                               c1=parse("-1"), c2=parse("-alpha^-1"),
                               c3=parse("-1"), c4=parse("1 + alpha^-1")),
-        oracle=OraclePlan(
-            solve_targets=("x5", "x6"),
-            xyz_map=(("X", parse("x2*x5 + 1")),
-                     ("Y", parse("alpha*x3*x6 + alpha")),
-                     ("Z", parse("x1"))),
-        ),
+        xyz_map=(("X", parse("x2*x5 + 1")),
+                 ("Y", parse("alpha*x3*x6 + alpha")),
+                 ("Z", parse("x1"))),
+        solve_targets=("x5", "x6"),
     )
 
 
 def _build_jkti() -> CaseSpec:
-    cycle = _UNTWISTED_CYCLE
-    schedule = _layouts([
-        ((k, 5), [(cycle[(k - 1) % 6][0], cycle[(k - 1) % 6][1], f"x{k}")])
-        for k in range(1, 11)
-    ])
     return CaseSpec(
         name="JKTI",
         twist=TwistClass.MAXIMALLY_TWISTED,
@@ -495,7 +474,7 @@ def _build_jkti() -> CaseSpec:
             ((2, 0), 5, (7, 6)),
             ((2, 1), 5, (3, 2)),
         ]),
-        schedule=schedule,
+        schedule=_cyclic_schedule(10, 5),
         generator_defs=_defs(U="x1*x4", V="x2", W="x3", R="x1*x3", T="x2*x4"),
         back_sub_plan=(((2, 1), "x9"), ((2, 2), "x10"), ((1, 3), "x7"),
                        ((1, 1), "x8"), ((3, 3), "x6"), ((3, 2), "x5")),
@@ -506,10 +485,8 @@ def _build_jkti() -> CaseSpec:
                               y2=parse("0"), z2=parse("0"),
                               c1=parse("1"), c2=parse("1"),
                               c3=parse("0"), c4=parse("1")),
-        oracle=OraclePlan(
-            solve_targets=("x1", "x3"),
-            xyz_map=(("X", parse("-x1")), ("Y", parse("x2")), ("Z", parse("-x4"))),
-        ),
+        xyz_map=(("X", parse("-x1")), ("Y", parse("x2")), ("Z", parse("-x4"))),
+        solve_targets=("x1", "x3"),
     )
 
 
@@ -521,6 +498,7 @@ _BUILDERS = {
     "JKTII": _build_jktii,
     "JKTI": _build_jkti,
 }
+CASE_NAMES = tuple(_BUILDERS)
 
 
 @lru_cache(maxsize=None)
@@ -598,8 +576,9 @@ def validate_spec(spec: CaseSpec) -> list:
         out.append(Violation("tautological_relation", str(exc)))
 
     # every schedule variable is either in a generator or eliminated
+    solved = spec.back_substituted
     covered = {v.name for _, mono in spec.generator_defs for v in mono.variables()}
-    covered |= {name for _, name in spec.back_sub_plan}
+    covered.update(solved)
     for name in spec.schedule_variables():
         if name not in covered:
             out.append(Violation("uncovered_variable", name))
@@ -628,10 +607,9 @@ def validate_spec(spec: CaseSpec) -> list:
     # the plan solves exactly the coefficients from the split on
     read = [entry for entry, _ in spec.back_sub_plan + spec.residual_entries]
     if spec.closure.kind == "identity":
-        solved = sorted(nm for _, nm in spec.back_sub_plan)
         tail = sorted(nm for layout in spec.schedule[spec.split_index:]
                       for _, _, nm in layout.entries)
-        sound = (solved and solved == tail
+        sound = (solved and sorted(solved) == tail
                  and len(set(read)) == len(read) == 8 and set(read) <= _ENTRIES)
     else:
         sound = not read
@@ -679,7 +657,7 @@ def validate_spec(spec: CaseSpec) -> list:
 
     # the oracle solves M = I for two surviving coefficients; a fixed-class
     # closure holds the trace parameters, which a trial sets only after solving
-    targets = spec.oracle.solve_targets
+    targets = spec.solve_targets
     if spec.closure.kind == "identity":
         sound = len(set(targets)) == len(targets) == 2 and set(targets) <= first_half
     else:
@@ -689,7 +667,7 @@ def validate_spec(spec: CaseSpec) -> list:
                              f"targets {targets}: an identity closure needs two distinct "
                              "surviving coefficients, a fixed-class closure none"))
     # the cubic reads X, Y and Z, and a trial binds them from xyz_map alone
-    bound = tuple(name for name, _ in spec.oracle.xyz_map)
+    bound = tuple(name for name, _ in spec.xyz_map)
     if sorted(bound) != ["X", "Y", "Z"]:
         out.append(Violation("oracle_plan", f"xyz_map binds {bound}, not X, Y and Z "
                              "once each"))

@@ -306,7 +306,7 @@ def oracle_sampling(report: CaseReport) -> OracleSampling:
     H = report.formal_monodromy.substitute(_resolve(derived))
     units = tuple(sorted({v for row in H.rows for e in row for v in e.variables()
                           if v.unit}))
-    targets = tuple(var_id(nm) for nm in spec.oracle.solve_targets)
+    targets = tuple(var_id(nm) for nm in spec.solve_targets)
     free = tuple(sorted({var_id(nm) for nm in spec.first_half_variables()}
                         - set(targets)))
     equations = tuple(eq for eq in report.closure.raw_equations
@@ -323,7 +323,7 @@ def oracle_sampling(report: CaseReport) -> OracleSampling:
         sample_units=units, derived_units=tuple(derived), free_xvars=free,
         solve_targets=targets, solve_equations=equations, solve_rows=tuple(rows),
         trace_params=tuple(zip(map(var_id, spec.closure.trace_symbols), traces)),
-        xyz_map=tuple((var_id(nm), expr) for nm, expr in spec.oracle.xyz_map))
+        xyz_map=tuple((var_id(nm), expr) for nm, expr in spec.xyz_map))
 
 
 _TRIAL_FILES = itertools.count(1)    # numbers each compiled trial's file name, per process

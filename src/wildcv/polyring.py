@@ -293,9 +293,7 @@ def _coerce_scalar(c) -> Scalar:
     is not 1."""
     if not _is_scalar(c):
         raise TypeError(f"not an exact scalar: {c!r}")
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    return int(c)
+    return _canonical(c)
 
 
 def _canonical(c: Scalar) -> Scalar:

@@ -228,9 +228,7 @@ def test_closure_plan_mutants_fail_at_spec(name, changes, monkeypatch):
 def test_oracle_plan_mutants_fail_at_spec(name, targets, monkeypatch):
     """Solve targets other than two distinct surviving coefficients of an
     identity closure, or any solve targets on a fixed-class closure."""
-    spec = case_spec(name)
-    oracle = spec.oracle.replace(solve_targets=targets)
-    use_spec(monkeypatch, spec.replace(oracle=oracle))
+    use_spec(monkeypatch, case_spec(name).replace(solve_targets=targets))
     with pytest.raises(DerivationError) as exc:
         pipeline.derive_case(name)
     assert str(exc.value).startswith("[spec]")

@@ -260,7 +260,7 @@ def test_oracle_constraints_are_affine_in_solve_targets():
     for name in ("JKTIVb", "JKTII", "JKTI"):
         spec = case_spec(name)
         system = case_closure(spec)
-        targets = [var_id(nm) for nm in spec.oracle.solve_targets]
+        targets = [var_id(nm) for nm in spec.solve_targets]
         for eq in system.raw_equations:
             assert eq.split(targets).keys() <= {(0, 0), (1, 0), (0, 1)}
 
@@ -289,11 +289,11 @@ def test_oracle_sampling_is_pinned(name):
            tuple(v.name for v in sampling.free_xvars),
            tuple(v.name for v, _ in sampling.trace_params))
     assert got == _SAMPLING[name]
-    assert tuple(v.name for v in sampling.solve_targets) == rep.spec.oracle.solve_targets
+    assert tuple(v.name for v in sampling.solve_targets) == rep.spec.solve_targets
     assert len(sampling.solve_equations) == len(sampling.solve_targets)
     assert tuple(poly for _, poly in sampling.trace_params) == (
         rep.closure.trace_polys or ())
-    assert tuple((v.name, e) for v, e in sampling.xyz_map) == rep.spec.oracle.xyz_map
+    assert tuple((v.name, e) for v, e in sampling.xyz_map) == rep.spec.xyz_map
     # each solve row (a1, a2, b) is its equation as a1*t1 + a2*t2 + b
     targets = [LaurentPoly.variable(v.name) for v in sampling.solve_targets]
     assert len(sampling.solve_rows) == len(sampling.solve_equations)
@@ -377,9 +377,8 @@ def test_oracle_identity_holds(name):
 def test_oracle_identity_rejects_flipped_xyz_map(name):
     rep = _derived(name)
     spec = rep.spec
-    (nm, expr), *rest = spec.oracle.xyz_map
-    oracle = spec.oracle.replace(xyz_map=((nm, -expr), *rest))
-    broken = rep.replace(spec=spec.replace(oracle=oracle))
+    (nm, expr), *rest = spec.xyz_map
+    broken = rep.replace(spec=spec.replace(xyz_map=((nm, -expr), *rest)))
     assert oracle_identity(broken, oracle_sampling(broken),
                            broken.cubic.reconstruct()) is False
     verdict = oracle_verify(broken, trials=10, seed=3)
@@ -1074,7 +1073,7 @@ def test_pushforward_inverts_the_change_of_variables():
         spec = rep.spec
         norm = spec.parameter_normalization
         push = {var_id(nm): poly.substitute(norm)
-                for nm, poly in spec.oracle.xyz_map}
+                for nm, poly in spec.xyz_map}
         right = rep.cubic.reconstruct().substitute(push)
         for step in spec.cov_steps:
             if step.kind == "divide":
@@ -1116,8 +1115,8 @@ def test_exact_rational_point_lies_on_the_surface(name):
     for v, expr in spec.parameter_normalization.items():
         bind[v] = expr.substitute(bind)
 
-    if spec.oracle.solve_targets:
-        t1, t2 = (var_id(nm) for nm in spec.oracle.solve_targets)
+    if spec.solve_targets:
+        t1, t2 = (var_id(nm) for nm in spec.solve_targets)
         eqs = [eq.substitute(bind) for eq in rep.closure.raw_equations
                if set(eq.variables()) & {t1, t2}][:2]
         first = eqs[0] if t1 in eqs[0].variables() else eqs[1]
@@ -1137,6 +1136,6 @@ def test_exact_rational_point_lies_on_the_surface(name):
             bind[var_id(nm)] = expr.substitute(bind)
         assert rep.closure.dropped.substitute(bind).is_zero()
 
-    for nm, expr in spec.oracle.xyz_map:
+    for nm, expr in spec.xyz_map:
         bind[var_id(nm)] = expr.substitute(bind)
     assert rep.cubic.reconstruct().substitute(bind).is_zero()

@@ -23,7 +23,7 @@ from wildcv.record import Record
 from wildcv.stokes import RationalAngle
 
 _RECORD_TYPES = ("EigenvaluePairSpec", "StokesEntryLayout", "ClosureCondition", "CovStep",
-                 "CubicSurface", "OraclePlan", "CaseSpec", "Violation", "RationalAngle",
+                 "CubicSurface", "CaseSpec", "Violation", "RationalAngle",
                  "ClosureSystem", "OracleVerdict", "ExpectedComparison", "CaseReport",
                  "OracleSampling")
 

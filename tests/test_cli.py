@@ -100,6 +100,21 @@ def test_verify_seed_246776331_passes(capsys):
     assert "all cases PASS" in out
 
 
+def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
+    real = cli.derive_case
+
+    def broken(name, trials, seed):
+        rep = real(name, trials=trials, seed=seed)
+        bad = rep.expected.replace(matched=False,
+                                   mismatches=("forced mismatch",))
+        return rep.replace(expected=bad)
+
+    monkeypatch.setattr(cli, "derive_case", broken)
+    code, out = _run(capsys, "verify", "--case", "JKTI", "--trials", "5")
+    assert code == 1
+    assert "FAIL" in out
+
+
 def test_verify_prints_a_real_expected_mismatch(capsys, monkeypatch):
     patch_expected(monkeypatch, "JKTI", c3=parse("1"))
     code, out = _run(capsys, "verify", "--case", "JKTI", "--trials", "5")

@@ -2,18 +2,19 @@
 
 The exponential torus acts on Stokes coefficients by conjugation; a monomial
 in the coefficients is invariant exactly when its weights sum to zero.  The
-closure equations are rewritten in the case's generators U, V, W, R, T; the
+closure equations are rewritten in the case's generators U, V, W, R, T, on
+the packed monomials of ``polyring`` (int masks and sums, no decoding); the
 tests check that these are the minimal zero-weight monomials up to degree 3
 (in the 6- and the 12-variable rings), which proves no degree bound.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import gcd
 
-from .polyring import LaurentPoly, Monomial, PolyError, var_id
+from .polyring import (_FIELD, _NONUNIT_SIGNS, _OFFSET, LaurentPoly, Monomial, PolyError,
+                       _accumulate, _new_int, _poly, var_id)
 
 
 class NotInvariantError(PolyError):
@@ -79,28 +80,27 @@ def generator_relation(defs) -> LaurentPoly:
 # --------------------------------------------------------------------------
 
 
-def _factorizations(mono: Monomial, gens: tuple, start: int = 0):
-    """Yield exponent tuples (e_0, ..., e_{n-1}) with prod gens[i]^e_i == mono.
+def _factorizations(x: int, gens: tuple) -> list:
+    """The exponent tuples (e_0, ..., e_{n-1}) with sum e_i * gens[i] == x,
+    for x and each generator a packed monomial in non-unit variables: each
+    generator in turn is subtracted while every non-unit field of the rest
+    stays nonnegative.
 
-    Every generator has positive degree (``validate_spec`` rejects a
-    constant one), so each division lowers the degree of ``current`` and the
-    recursion ends: at most deg(mono) divisions per generator."""
-    if not mono:    # the constant monomial
-        yield (0,) * (len(gens) - start)
-        return
-    if start >= len(gens):
-        return
-    _, gmono = gens[start]
-    current = mono
-    e = 0
-    while True:
-        for tail in _factorizations(current, gens, start + 1):
-            yield (e,) + tail
-        nxt = current.divide(gmono)
-        if nxt is None:
-            break
-        current = nxt
-        e += 1
+    Every generator has positive degree in scheduled coefficients
+    (``validate_spec`` rejects a constant one), so each subtraction lowers
+    the degree of the rest and the loop ends: at most deg(x) subtractions per
+    generator."""
+    partial = [((), x + _OFFSET)]    # biased, as _checked reads the fields
+    for g in gens:
+        grown = []
+        for exps, rest in partial:
+            e = 0
+            while rest & _NONUNIT_SIGNS == _NONUNIT_SIGNS:
+                grown.append((exps + (e,), rest))
+                rest -= g
+                e += 1
+        partial = grown
+    return [exps for exps, rest in partial if rest == _OFFSET]
 
 
 def rewrite_in_invariants(eq: LaurentPoly, defs) -> LaurentPoly:
@@ -111,24 +111,28 @@ def rewrite_in_invariants(eq: LaurentPoly, defs) -> LaurentPoly:
     makes this harmless), the factorization with the fewest generator factors
     wins, ties broken by the lexicographically least sorted generator tuple
     in the order U < V < W < R < T.
+
+    Each term's Stokes-coefficient part is read off its packed monomial with
+    one mask, as ``LaurentPoly.split`` reads it, and replaced by the chosen
+    product as one int sum; the terms are added in eq's order, so the result
+    is the sum of each rewritten term in turn.  A part's product is chosen
+    once per call.
     """
-    gens = tuple(defs)
-    ids = [var_id(name) for name, _ in gens]
-    xnames = {v.name for _, mono in gens for v in mono.variables()}
-
-    @lru_cache(maxsize=None)
-    def best(mono: Monomial) -> Monomial:
-        options = []
-        for exps in _factorizations(mono, gens):
-            count = sum(exps)
-            signature = tuple(i for i, e in enumerate(exps) for _ in range(e))
-            options.append(((count, signature), exps))
-        if not options:
-            raise NotInvariantError(f"{mono} is not a product of the generators")
-        return Monomial(zip(ids, min(options)[1]))
-
+    gens = tuple(mono for _, mono in defs)
+    names = [1 << var_id(name).shift for name, _ in defs]    # U, V, ... packed
+    mask = sum(_FIELD << v.shift for v in {v for mono in gens for v in mono.variables()})
+    offset = _OFFSET & mask
+    chosen: dict = {}    # a term's Stokes-coefficient part -> its product of generators
     terms = []
-    for mono, coef in eq.terms.items():
-        xpart = Monomial((v, k) for v, k in mono.exps if v.name in xnames)
-        terms.append((mono.divide(xpart) * best(xpart), coef))
-    return LaurentPoly.from_terms(terms)
+    for m, c in eq.terms.items():
+        x = ((m + _OFFSET) & mask) - offset
+        product = chosen.get(x)
+        if product is None:
+            best = min(_factorizations(x, gens), default=None, key=lambda exps: (
+                sum(exps), tuple(i for i, e in enumerate(exps) for _ in range(e))))
+            if best is None:
+                raise NotInvariantError(
+                    f"{_new_int(Monomial, x)} is not a product of the generators")
+            product = chosen[x] = sum(e * g for e, g in zip(best, names))
+        terms.append((m - x + product, c))
+    return _poly(_accumulate({}, terms))

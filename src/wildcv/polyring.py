@@ -477,8 +477,10 @@ class LaurentPoly:
         """Simultaneous substitution; unbound variables pass through.
 
         Each term's image is its coefficient times the product of the bound
-        powers' images, taken in registry order, shifted by the term's
-        unbound part as one monomial; the images are summed in term order.
+        powers' images, taken in registry order from the first of them (a
+        power 1 is the binding itself), shifted by the term's unbound part as
+        one monomial; the images are summed in term order, a single-term
+        image added as its one term.
 
         A variable occurring with a negative exponent can only be replaced by
         a single term in unit variables, otherwise SubstitutionDomainError.
@@ -499,10 +501,15 @@ class LaurentPoly:
                 for v in bound:
                     k = ((biased >> v.shift) & _FIELD) - _BIAS
                     if k:
-                        image = image * _power_image(v, k, bindings[v])
+                        power = _power_image(v, k, bindings[v])
+                        image = power if image is _ONE else image * power
                 image = images[part] = image.terms
             rest = m - part
-            _accumulate(out, ((mi + rest, ci * c) for mi, ci in image.items()))
+            if len(image) == 1:
+                ((mi, ci),) = image.items()
+                _accumulate(out, ((mi + rest, ci * c),))
+            else:
+                _accumulate(out, ((mi + rest, ci * c) for mi, ci in image.items()))
         return _poly(out)
 
     def evaluate(self, values: Mapping[VarId, complex]) -> complex:
@@ -534,9 +541,9 @@ _ONE = LaurentPoly.constant(1)
 
 
 def _power_image(v: VarId, k: int, b: LaurentPoly) -> LaurentPoly:
-    """v^k with v bound to b."""
+    """v^k with v bound to b; v^1 is b itself."""
     if k > 0:
-        return b ** k
+        return b if k == 1 else b ** k
     try:
         inverse = b.inverse_term()
     except PolyError as exc:

@@ -80,11 +80,18 @@ def singular_directions(pair, ramification: int) -> tuple:
 # --------------------------------------------------------------------------
 
 
+_ZERO, _ONE = LaurentPoly.zero(), LaurentPoly.constant(1)
+
+
 def _dot(row, col) -> LaurentPoly:
-    """Sum of row[k] * col[k], skipping the products with a zero factor: adding
-    an empty polynomial leaves the sum's terms and their order unchanged."""
-    return sum((a * b for a, b in zip(row, col) if not (a.is_zero() or b.is_zero())),
-               LaurentPoly.zero())
+    """Sum of row[k] * col[k], added in turn to zero, skipping the products
+    with a zero factor: adding an empty polynomial leaves the sum's terms and
+    their order unchanged."""
+    total = _ZERO
+    for a, b in zip(row, col):
+        if a.terms and b.terms:
+            total = total + a * b
+    return total
 
 
 class SymMat3:
@@ -100,8 +107,7 @@ class SymMat3:
 
     @classmethod
     def identity(cls) -> "SymMat3":
-        one, zero = LaurentPoly.constant(1), LaurentPoly.zero()
-        return cls([[one, zero, zero], [zero, one, zero], [zero, zero, one]])
+        return cls([[_ONE, _ZERO, _ZERO], [_ZERO, _ONE, _ZERO], [_ZERO, _ZERO, _ONE]])
 
     def entry(self, i: int, j: int) -> LaurentPoly:
         """1-based entry access, matching the written matrix displays."""
@@ -168,8 +174,7 @@ class SymMat3:
 
 def stokes_matrix(layout) -> SymMat3:
     """Identity plus the scheduled strictly off-diagonal fresh variables."""
-    rows = [[LaurentPoly.constant(1 if i == j else 0) for j in range(3)]
-            for i in range(3)]
+    rows = [[_ONE if i == j else _ZERO for j in range(3)] for i in range(3)]
     for row, col, name in layout.entries:
         rows[row - 1][col - 1] = LaurentPoly.variable(name)
     return SymMat3(rows)
@@ -186,7 +191,7 @@ def formal_monodromy(kind: int) -> SymMat3:
     kind 3 (maximally twisted): the cyclic permutation matrix.
     """
     P = LaurentPoly
-    zero, one = P.zero(), P.constant(1)
+    zero, one = _ZERO, _ONE
     if kind == 1:
         return SymMat3([[P.variable("alpha"), zero, zero],
                         [zero, P.variable("beta"), zero],

@@ -3,6 +3,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wildcv.invariants import (NotInvariantError, invariant_monomials,
                                rewrite_in_invariants)
@@ -158,6 +159,99 @@ def test_rewrite_rejects_non_invariant():
     defs = case_spec("JKTVI").generator_defs
     with pytest.raises(NotInvariantError):
         rewrite_in_invariants(P("x1"), defs)
+    with pytest.raises(NotInvariantError, match=r"^x1\*x2 is not a product of the generators$"):
+        rewrite_in_invariants(P("x1*x4 + 2*alpha*x1*x2"), defs)
+
+
+def _monomial_factorizations(mono, gens, start=0):
+    """Exponent tuples (e_0, ..., e_{n-1}) with prod gens[i]^e_i == mono, by
+    Monomial division, generator by generator."""
+    if not mono:    # the constant monomial
+        yield (0,) * (len(gens) - start)
+        return
+    if start >= len(gens):
+        return
+    _, gmono = gens[start]
+    current = mono
+    e = 0
+    while True:
+        for tail in _monomial_factorizations(current, gens, start + 1):
+            yield (e,) + tail
+        nxt = current.divide(gmono)
+        if nxt is None:
+            break
+        current = nxt
+        e += 1
+
+
+def _monomial_rewrite(eq, defs):
+    """The reference rewrite on Monomial objects: each term's
+    Stokes-coefficient part, decoded by name, is divided out and replaced by
+    its chosen product of generators, and the terms are added in order by
+    ``from_terms``."""
+    gens = tuple(defs)
+    ids = [var_id(name) for name, _ in gens]
+    xnames = {v.name for _, mono in gens for v in mono.variables()}
+    best = {}
+    terms = []
+    for mono, coef in eq.terms.items():
+        xpart = Monomial((v, k) for v, k in mono.exps if v.name in xnames)
+        if xpart not in best:
+            options = []
+            for exps in _monomial_factorizations(xpart, gens):
+                signature = tuple(i for i, e in enumerate(exps) for _ in range(e))
+                options.append(((sum(exps), signature), exps))
+            if not options:
+                raise NotInvariantError(f"{xpart} is not a product of the generators")
+            best[xpart] = Monomial(zip(ids, min(options)[1]))
+        terms.append((mono.divide(xpart) * best[xpart], coef))
+    return LaurentPoly.from_terms(terms)
+
+
+_REWRITE_DEFS = sorted({case_spec(name).generator_defs for name in CASE_NAMES
+                        if case_spec(name).use_invariant_rewrite})
+_PARAMETERS = ("alpha", "beta", "gamma", "r", "p", "q", "lam", "mu", "e")
+
+
+@st.composite
+def _rewrite_inputs(draw):
+    """A torus case's generators and a sum of terms, each a product of the
+    generators times unit or parameter powers; some terms also carry stray
+    powers of the Stokes coefficients that the generators use, which may
+    leave them no product of the generators."""
+    defs = draw(st.sampled_from(_REWRITE_DEFS))
+    xvars = sorted({v for _, mono in defs for v in mono.variables()})
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        powers = [(v, k * e) for (_, mono), e in zip(defs, draw(
+                      st.lists(st.integers(0, 3), min_size=len(defs), max_size=len(defs))))
+                  for v, k in mono.exps]
+        if draw(st.integers(0, 7)) == 0:
+            powers += [(v, draw(st.integers(0, 2))) for v in xvars]
+        for name in draw(st.lists(st.sampled_from(_PARAMETERS), unique=True, max_size=3)):
+            v = var_id(name)
+            powers.append((v, draw(st.integers(-2 if v.unit else 0, 2))))
+        coef = draw(st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(bool))
+        terms.append((Monomial(powers), coef))
+    return defs, LaurentPoly.from_terms(terms)
+
+
+@given(_rewrite_inputs())
+def test_rewrite_matches_the_monomial_reference(inputs):
+    """The packed rewrite gives the reference's terms, in its order, with the
+    same coefficient types; where a term is no product of the generators,
+    both raise NotInvariantError with the same message."""
+    defs, eq = inputs
+    try:
+        want = _monomial_rewrite(eq, defs)
+    except NotInvariantError as exc:
+        with pytest.raises(NotInvariantError) as got:
+            rewrite_in_invariants(eq, defs)
+        assert str(got.value) == str(exc)
+        return
+    got = rewrite_in_invariants(eq, defs)
+    assert [(m, type(m), c, type(c)) for m, c in got.terms.items()] == \
+        [(m, type(m), c, type(c)) for m, c in want.terms.items()]
 
 
 def test_rewrite_roundtrip_on_every_closure_equation():

@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import hashlib
 import itertools
 import json
 import linecache
@@ -959,6 +960,38 @@ def test_golden_derivation(name):
     got.pop("verification")
     want = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
     assert got == want
+
+
+def _report_polys(report):
+    """Every polynomial a report holds, in a fixed order."""
+    closure = report.closure
+    yield from (e for row in report.topological_monodromy.rows for e in row)
+    yield from closure.equations
+    yield from closure.raw_equations
+    yield from (expr for _, expr in closure.back_subs or ())
+    if closure.dropped is not None:
+        yield closure.dropped
+    yield from closure.trace_polys or ()
+    yield from report.normalized_equations
+    yield from (expr for _, expr in report.eliminated)
+    yield report.residual
+    yield from (c for c in report.cubic.coefficients().values() if c is not None)
+
+
+def test_derivation_term_order_is_pinned():
+    """The terms of every derived polynomial, in their dict order.  The
+    goldens print sorted terms, so they cannot see the order, but the
+    oracle's floats are summed in it."""
+    digests = {}
+    for name in CASE_NAMES:
+        h = hashlib.sha256()
+        for poly in _report_polys(_derived(name)):
+            h.update(repr(list(poly.terms.items())).encode())
+        digests[name] = h.hexdigest()[:16]
+    assert digests == {
+        "JKTVI": "d255cc8dbe01a0b7", "JKTV": "e7b5fd551bccd2e1",
+        "JKTIVa": "66b5cfeda82668bb", "JKTIVb": "f647de88893e68be",
+        "JKTII": "837978fb36c6717e", "JKTI": "5dc2ecedbec28851"}
 
 
 # --------------------------------------------------------------------------

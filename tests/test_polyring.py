@@ -776,6 +776,39 @@ def test_fast_paths_match_the_general_path(p, data):
     _same(p * term, _general_product(p, term))
 
 
+def _general_substitute(p, bindings):
+    """Term by term: each term's image is the general product of its bound
+    powers in registry order, from 1, each power formed by ``**``; its terms,
+    shifted by the term's unbound part and scaled by its coefficient, are
+    added in order by ``from_terms``."""
+    pairs = []
+    for m, c in p.terms.items():
+        image, rest = LaurentPoly.constant(1), Monomial()
+        for v, k in m.exps:
+            b = bindings.get(v)
+            if b is None:
+                rest = rest * Monomial(((v, k),))
+            else:
+                image = _general_product(image, b ** k if k > 0 else b.inverse_term() ** -k)
+        pairs += [(mi * rest, ci * c) for mi, ci in image.terms.items()]
+    return LaurentPoly.from_terms(pairs)
+
+
+@given(st.sampled_from([1, 3]).flatmap(lambda e: _polys(max_exp=e)), st.data())
+def test_substitute_fast_paths_match_the_general_path(p, data):
+    """substitute's shortcuts (a power 1 is the binding itself, an image
+    starts from its first power, a single-term image is added as one term)
+    give the general path's terms, order and coefficient types; exponents of
+    1 are common, unit variables may have negative exponents, and images may
+    be single terms."""
+    bindings = {}
+    for nm in data.draw(st.lists(st.sampled_from(_EVAL_VARS), unique=True)):
+        v = var_id(nm)
+        bindings[v] = data.draw(_unit_terms() if v.unit
+                                else _polys(max_terms=1) | _polys(max_terms=3))
+    _same(p.substitute(bindings), _general_substitute(p, bindings))
+
+
 def test_fast_paths_keep_coefficients_canonical():
     half = P("1/2*x1 + 1/2*x2")
     _same(half * P("2*alpha"), P("x1*alpha + x2*alpha"))

@@ -19,7 +19,8 @@ monomials hash, compare and sort as ints.  Every exponent lies in
 [-EXP_LIMIT, EXP_LIMIT) = [-8192, 8191]; an operation whose result leaves that
 range raises ``ExponentOverflowError`` and never wraps.  Products with a
 constant-1 factor return the other factor, products with a single-term factor
-map the other's terms one to one, and sums with zero return the other summand.
+map the other's terms one to one, sums with zero return the other summand, and
+a substitution that binds none of a polynomial's variables returns it.
 
 Polynomials print deterministically (terms sorted by exponent vector in
 registry order) in a small text grammar, and ``parse`` round-trips it::
@@ -304,13 +305,22 @@ def _canonical(c: Scalar) -> Scalar:
 def _accumulate(out: dict, pairs: Iterable[tuple[int, Scalar]]) -> dict:
     """Add each (monomial, coefficient) pair into out, in order: a new
     monomial goes last, a sum is kept canonical, and a zero sum is removed.
-    A monomial may come as the plain int sum of two; it is checked and
-    packed only when it is new to out."""
+    A monomial may come as the plain int sum of two; it is range-checked and
+    packed only when it is new to out.  The mask test and the canonical form
+    are ``_checked``'s and ``_canonical``'s, written inline."""
     for m, c in pairs:
         s = out.get(m)
-        c = _canonical(c if s is None else s + c)
+        if s is not None:
+            c = s + c
+        if type(c) is not int and c.denominator == 1:
+            c = c.numerator
         if c:
-            out[m if s is not None or type(m) is Monomial else _checked(m)] = c
+            if s is not None or type(m) is Monomial:
+                out[m] = c
+            else:
+                if (m + _OFFSET) & _GUARD != _IN_RANGE:
+                    _checked(m)
+                out[_new_int(Monomial, m)] = c
         elif s is not None:
             del out[m]
     return out
@@ -325,8 +335,18 @@ def _poly(terms: dict) -> "LaurentPoly":
 
 def _shifted(terms: dict, mono: int, coef: Scalar) -> dict:
     """terms times the single term coef*mono: a one-to-one map, so the
-    terms keep their order and no two of them meet."""
-    return {_checked(m + mono): _canonical(c * coef) for m, c in terms.items()}
+    terms keep their order and no two of them meet.  The mask test and the
+    canonical form are written inline, as in ``_accumulate``."""
+    out = {}
+    for m, c in terms.items():
+        m += mono
+        if (m + _OFFSET) & _GUARD != _IN_RANGE:
+            _checked(m)
+        c *= coef
+        if type(c) is not int and c.denominator == 1:
+            c = c.numerator
+        out[_new_int(Monomial, m)] = c
+    return out
 
 
 class LaurentPoly:
@@ -352,6 +372,8 @@ class LaurentPoly:
 
     @classmethod
     def variable(cls, name: str, exponent: int = 1) -> "LaurentPoly":
+        if type(exponent) is int and exponent == 1:
+            return _poly({_new_int(Monomial, 1 << var_id(name).shift): 1})
         return cls({Monomial(((var_id(name), exponent),)): 1})
 
     @classmethod
@@ -381,7 +403,14 @@ class LaurentPoly:
         return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-_lift(other))
+        """self + (-other), in one pass."""
+        other = _lift(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
+        return _poly(_accumulate(dict(self.terms),
+                                 ((m, -c) for m, c in other.terms.items())))
 
     def __rsub__(self, other):
         return _lift(other) + (-self)
@@ -427,7 +456,14 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # equal to a scalar's hash where __eq__ equates the two: a constant
+        # hashes as its coefficient, and zero as 0
+        terms = self.terms
+        if not terms:
+            return 0
+        if len(terms) == 1 and _MONOMIAL_ONE in terms:
+            return hash(terms[_MONOMIAL_ONE])
+        return hash(frozenset(terms.items()))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -490,6 +526,11 @@ class LaurentPoly:
         bound = sorted(bindings, key=attrgetter("index"))
         mask = sum(_FIELD << v.shift for v in bound)
         offset = _OFFSET & mask
+        for m in self.terms:
+            if (m + _OFFSET) & mask != offset:
+                break
+        else:
+            return self    # no term holds a bound variable
         out: dict = {}
         images: dict = {}    # a term's bound part -> the image of that part
         for m, c in self.terms.items():
@@ -573,8 +614,8 @@ def solve_linear(eq: LaurentPoly, target: VarId) -> LaurentPoly:
     """
     parts = eq.split((target,))
     if not parts.keys() <= {(0,), (1,)} or (1,) not in parts:
-        deg = max((k for (k,) in parts), default=0)
-        raise NotLinearError(f"degree in {target.name} is {deg}, need exactly 1")
+        found = ", ".join(str(k) for k in sorted(k for (k,) in parts))
+        raise NotLinearError(f"exponents of {target.name} are {{{found}}}, need {{1}} or {{0, 1}}")
     coeff = parts[(1,)]
     rest = parts.get((0,), LaurentPoly.zero())
     try:

@@ -84,14 +84,14 @@ _ZERO, _ONE = LaurentPoly.zero(), LaurentPoly.constant(1)
 
 
 def _dot(row, col) -> LaurentPoly:
-    """Sum of row[k] * col[k], added in turn to zero, skipping the products
-    with a zero factor: adding an empty polynomial leaves the sum's terms and
-    their order unchanged."""
-    total = _ZERO
+    """Sum of row[k] * col[k], added in turn, skipping the products with a
+    zero factor: adding an empty polynomial leaves the sum's terms and their
+    order unchanged, and the first product is the sum of itself and zero."""
+    total = None
     for a, b in zip(row, col):
         if a.terms and b.terms:
-            total = total + a * b
-    return total
+            total = a * b if total is None else total + a * b
+    return _ZERO if total is None else total
 
 
 class SymMat3:
@@ -114,8 +114,14 @@ class SymMat3:
         return self.rows[i - 1][j - 1]
 
     def __mul__(self, other: "SymMat3") -> "SymMat3":
+        """The product.  A unit row of self (the shared one at i, zeros
+        elsewhere) takes other's row i as it is, whose entries have the terms
+        that ``_dot`` would give: 1*b and 0 + b have b's terms."""
         cols = tuple(zip(*other.rows))
-        return SymMat3([[_dot(row, col) for col in cols] for row in self.rows])
+        return SymMat3([other.rows[i]
+                        if row[i] is _ONE and not (row[i - 1].terms or row[i - 2].terms)
+                        else [_dot(row, col) for col in cols]
+                        for i, row in enumerate(self.rows)])
 
     def product_trace(self, other: "SymMat3") -> LaurentPoly:
         """Tr(self * other) from the product's diagonal alone, each entry and

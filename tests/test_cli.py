@@ -271,7 +271,7 @@ def test_failed_write_is_usage_error(tmp_path, capsys, monkeypatch):
 
 def _failing_derivation(monkeypatch):
     def failing(*args, **kwargs):
-        raise DerivationError("[eliminate] degree in x5 is 2, need exactly 1")
+        raise DerivationError("[eliminate] exponents of x5 are {0, 2}, need {1} or {0, 1}")
 
     monkeypatch.setattr(cli, "derive_case", failing)
     return "JKTI"
@@ -314,7 +314,7 @@ def _one_solve_target(monkeypatch):
 
 @pytest.mark.parametrize("command", ["derive", "verify"])
 @pytest.mark.parametrize("patch,line", [
-    (_failing_derivation, "error: [eliminate] degree in x5 is 2, need exactly 1"),
+    (_failing_derivation, "error: [eliminate] exponents of x5 are {0, 2}, need {1} or {0, 1}"),
     (_degenerate_trials, "error: [oracle] trial 0: resample budget exhausted"),
     (_unbound_xyz_map, "error: [oracle] unbound variable lam"),
     (_non_affine_targets, "error: [oracle] solve equations are not affine in x1, x2"),

@@ -284,6 +284,18 @@ def test_solve_linear_rejects_wrong_degree():
         solve_linear(P("x2 + 1"), var_id("x1"))
 
 
+def test_solve_linear_names_the_exponents_that_occur():
+    """One line naming every exponent of the target, whether the equation
+    lacks the linear term, or has a higher or a negative power."""
+    cases = [("alpha^-1*x1 + alpha", "alpha", "{-1, 1}"),
+             ("alpha^-1 + 1", "alpha", "{-1, 0}"),
+             ("x1^2 + x2", "x1", "{0, 2}"), ("x2 + 1", "x1", "{0}"), ("0", "x1", "{}")]
+    for text, name, found in cases:
+        with pytest.raises(NotLinearError) as info:
+            solve_linear(P(text), var_id(name))
+        assert str(info.value) == f"exponents of {name} are {found}, need {{1}} or {{0, 1}}"
+
+
 def test_solve_linear_roundtrip_200_random_equations():
     rng = random.Random(777)
     units = ("alpha", "beta", "gamma", "r")
@@ -809,6 +821,69 @@ def test_substitute_fast_paths_match_the_general_path(p, data):
     _same(p.substitute(bindings), _general_substitute(p, bindings))
 
 
+@given(_polys(), _polys(), _coefs)
+def test_subtraction_matches_adding_the_negation(p, q, c):
+    """p - q, formed in one pass, gives p + (-q)'s terms, order and
+    coefficient types, with a scalar or zero on either side."""
+    zero = LaurentPoly.zero()
+    _same(p - q, p + (-q))
+    _same(p - c, p + (-LaurentPoly.constant(c)))
+    _same(c - p, LaurentPoly.constant(c) + (-p))
+    _same(zero - p, -p)
+    assert p - zero is p
+
+
+@given(_polys(), st.data())
+def test_substitute_binding_nothing_returns_the_polynomial(p, data):
+    """A substitution that binds none of p's variables returns p itself,
+    whose terms are the general path's."""
+    free = [v for v in _ALL_VARS if v not in p.variables()]
+    bindings = {v: data.draw(_unit_terms() if v.unit else _polys(max_terms=3))
+                for v in data.draw(st.lists(st.sampled_from(free), unique=True,
+                                            min_size=1, max_size=4))}
+    assert p.substitute(bindings) is p
+    _same(p, _general_substitute(p, bindings))
+
+
+def test_variable_matches_the_validating_constructor():
+    """variable(name) for each registry name has the one term that the
+    validating Monomial constructor builds, keyed by a Monomial."""
+    for name in _REGISTRY_NAMES:
+        v = var_id(name)
+        for k in (1, 2) + ((-1,) if v.unit else ()):
+            got = LaurentPoly.variable(name, k)
+            _same(got, LaurentPoly.term(1, Monomial(((v, k),))))
+            assert [type(m) for m in got.terms] == [Monomial]
+    with pytest.raises(UnknownVariableError):
+        LaurentPoly.variable("delta")
+
+
+@given(_exponent_dicts(), _exponent_dicts(), st.booleans())
+@example({var_id("x1"): EXP_LIMIT - 1}, {var_id("x1"): 1}, False)
+@example({var_id("alpha"): -EXP_LIMIT}, {var_id("alpha"): -1}, False)
+@example({var_id("alpha"): -EXP_LIMIT + 1, var_id("e"): EXP_LIMIT - 2},
+         {var_id("alpha"): -1, var_id("e"): 1}, False)
+def test_term_products_raise_at_both_field_edges(a, b, cancel):
+    """The single-term map and the general product's accumulation give the
+    packed product of two monomials while every exponent stays in range, and
+    raise ExponentOverflowError, never a wrapped monomial, when one leaves it."""
+    if cancel:    # b's unit exponents then cancel a's to zero
+        b = {**b, **{v: -k for v, k in a.items() if v.unit and k != -EXP_LIMIT}}
+    ma, mb = Monomial(a.items()), Monomial(b.items())
+    ta, tb = LaurentPoly.term(2, ma), LaurentPoly.term(Fraction(1, 2), mb)
+    products = (lambda: ta * tb, lambda: ta * (tb + 1), lambda: (tb + 1) * ta,
+                lambda: (ta + 1) * (tb + 1))
+    want = _ref_combine(a, b, 1)
+    for product in products:
+        if not _in_range(want):
+            with pytest.raises(ExponentOverflowError):
+                product()
+            continue
+        got = product()
+        assert Monomial(want.items()) in got.terms
+        assert all(type(m) is Monomial for m in got.terms)
+
+
 def test_fast_paths_keep_coefficients_canonical():
     half = P("1/2*x1 + 1/2*x2")
     _same(half * P("2*alpha"), P("x1*alpha + x2*alpha"))
@@ -825,3 +900,15 @@ def test_a_monomial_is_not_a_scalar():
         with pytest.raises(TypeError):
             bad()
     assert (p == m) is False and (P("1") == Monomial(())) is False
+
+
+def test_constants_hash_as_their_scalars():
+    """A constant equals its scalar, and so hashes as it: a set or dict
+    finds either by the other; zero hashes as 0."""
+    for c in (3, -1, 0, Fraction(1, 2), Fraction(-7, 3), Fraction(4, 2)):
+        poly = LaurentPoly.constant(c)
+        assert poly == c and hash(poly) == hash(c)
+        assert c in {poly} and poly in {c}
+        assert {poly: "found"}[c] == "found" and {c: "found"}[poly] == "found"
+    assert hash(LaurentPoly.zero()) == hash(0) == 0 and 0 in {LaurentPoly.zero()}
+    assert P("x1") in {P("x1")} and P("x1 + 1") not in {P("x1"), 1}

@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wildcv.model import CASE_NAMES, StokesEntryLayout, case_spec
-from wildcv.polyring import parse
-from wildcv.stokes import (RationalAngle, SymMat3, formal_monodromy,
+from wildcv.polyring import LaurentPoly, parse
+from wildcv.stokes import (_ONE, _ZERO, RationalAngle, SymMat3, formal_monodromy,
                            singular_directions, stokes_matrix)
 
 P = parse
@@ -125,6 +126,50 @@ def test_every_scheduled_stokes_matrix_is_unipotent():
             n = SymMat3([[s.rows[i][j] - ident.rows[i][j] for j in range(3)]
                          for i in range(3)])
             assert (n * n).rows == SymMat3([[P("0")] * 3] * 3).rows
+
+
+_ENTRIES = st.sampled_from(["x1", "x2 + 1", "-1/2*alpha^-1", "x1*x3 - x4 + 2",
+                             "3", "1"]).map(P)
+
+
+@st.composite
+def _rows(draw, i):
+    """Row i: a unit row (the shared one at i, zeros elsewhere), the same with
+    a distinct constant-1 object, or with one more entry off the diagonal,
+    or any entries; zeros are the shared or fresh ones."""
+    zero = draw(st.sampled_from([_ZERO, LaurentPoly.zero()]))
+    kind = draw(st.sampled_from(["unit", "distinct one", "unit and one more", "any"]))
+    if kind == "any":
+        return [draw(_ENTRIES | st.just(zero)) for _ in range(3)]
+    row = [zero] * 3
+    row[i] = LaurentPoly.constant(1) if kind == "distinct one" else _ONE
+    if kind == "unit and one more":
+        row[draw(st.sampled_from([j for j in range(3) if j != i]))] = draw(_ENTRIES)
+    return row
+
+
+_MATRICES = st.builds(lambda *rows: SymMat3(rows), _rows(0), _rows(1), _rows(2))
+
+
+def _dot_reference(row, col):
+    """Every product added in turn to zero, zero factors included."""
+    total = LaurentPoly.zero()
+    for a, b in zip(row, col):
+        total = total + a * b
+    return total
+
+
+@given(_MATRICES, _MATRICES)
+def test_product_matches_the_dot_reference(a, b):
+    """Each entry of a * b has, in the same order and with the same
+    coefficient types, the terms of the reference dot product of its row and
+    column, whichever rows of a are unit rows."""
+    got = a * b
+    for i in range(3):
+        for j in range(3):
+            want = _dot_reference(a.rows[i], [b.rows[k][j] for k in range(3)])
+            assert [(m, c, type(c)) for m, c in got.rows[i][j].terms.items()] == \
+                [(m, c, type(c)) for m, c in want.terms.items()]
 
 
 def test_formal_monodromies():

@@ -128,11 +128,12 @@ def rewrite_in_invariants(eq: LaurentPoly, defs) -> LaurentPoly:
         x = ((m + _OFFSET) & mask) - offset
         product = chosen.get(x)
         if product is None:
-            best = min(_factorizations(x, gens), default=None, key=lambda exps: (
-                sum(exps), tuple(i for i, e in enumerate(exps) for _ in range(e))))
-            if best is None:
+            found = _factorizations(x, gens)
+            if not found:
                 raise NotInvariantError(
                     f"{_new_int(Monomial, x)} is not a product of the generators")
+            best = found[0] if len(found) == 1 else min(found, key=lambda exps: (
+                sum(exps), tuple(i for i, e in enumerate(exps) for _ in range(e))))
             product = chosen[x] = sum(e * g for e, g in zip(best, names))
         terms.append((m - x + product, c))
     return _poly(_accumulate({}, terms))

@@ -21,6 +21,11 @@ range raises ``ExponentOverflowError`` and never wraps.  Products with a
 constant-1 factor return the other factor, products with a single-term factor
 map the other's terms one to one, sums with zero return the other summand, and
 a substitution that binds none of a polynomial's variables returns it.
+Otherwise a sum, difference, product or substitution adds its terms into one
+dict by ``_accumulate``'s rules: a new monomial goes last, a sum is kept
+canonical, and a zero sum is removed.  The general product, ``-`` and
+``substitute`` each do so in a loop of their own, written inline, with no
+generator between a term and its sum.
 
 Polynomials print deterministically (terms sorted by exponent vector in
 registry order) in a small text grammar, and ``parse`` round-trips it::
@@ -304,10 +309,17 @@ def _canonical(c: Scalar) -> Scalar:
 
 def _accumulate(out: dict, pairs: Iterable[tuple[int, Scalar]]) -> dict:
     """Add each (monomial, coefficient) pair into out, in order: a new
-    monomial goes last, a sum is kept canonical, and a zero sum is removed.
-    A monomial may come as the plain int sum of two; it is range-checked and
-    packed only when it is new to out.  The mask test and the canonical form
-    are ``_checked``'s and ``_canonical``'s, written inline."""
+    monomial goes last, a sum is kept canonical, and a zero sum is removed,
+    so a monomial that comes back later goes last.  A monomial may come as
+    the plain int sum of two; it is range-checked and packed only when it is
+    new to out.  The mask test and the canonical form are ``_checked``'s and
+    ``_canonical``'s, written inline.
+
+    ``__add__``, ``from_terms`` and the invariant rewrite add through this
+    loop.  ``_products`` (the general product), ``substitute`` and
+    ``__sub__`` each add their terms in an inlined copy of it, with the same
+    rules; there each term product or image is nonzero, so only a sum can
+    vanish."""
     for m, c in pairs:
         s = out.get(m)
         if s is not None:
@@ -349,6 +361,33 @@ def _shifted(terms: dict, mono: int, coef: Scalar) -> dict:
     return out
 
 
+def _products(a: dict, b: dict) -> dict:
+    """The sum of every term product of a and b, a's terms outermost, each
+    added as ``_accumulate`` adds it."""
+    out: dict = {}
+    b = b.items()
+    for m1, c1 in a.items():
+        for m2, c2 in b:
+            m = m1 + m2
+            s = out.get(m)
+            if s is None:
+                c = c1 * c2
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                if (m + _OFFSET) & _GUARD != _IN_RANGE:
+                    _checked(m)
+                out[_new_int(Monomial, m)] = c
+            else:
+                c = s + c1 * c2
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+    return out
+
+
 class LaurentPoly:
     """Immutable canonical polynomial: map monomial -> nonzero rational, an
     ``int`` when its denominator is 1 and a ``Fraction`` otherwise."""
@@ -356,6 +395,9 @@ class LaurentPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar]):
+        for m in terms:
+            if type(m) is not Monomial:
+                raise TypeError(f"not a monomial: {m!r}")
         coerced = ((m, _coerce_scalar(c)) for m, c in terms.items())
         self.terms = {m: c for m, c in coerced if c}
 
@@ -390,7 +432,8 @@ class LaurentPoly:
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
-        other = _lift(other)
+        if type(other) is not LaurentPoly:
+            other = _lift(other)
         if not other.terms:
             return self
         if not self.terms:
@@ -403,14 +446,28 @@ class LaurentPoly:
         return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        """self + (-other), in one pass."""
-        other = _lift(other)
+        """self + (-other), in one pass: each of other's terms is negated as
+        it is added, as ``_accumulate`` adds it."""
+        if type(other) is not LaurentPoly:
+            other = _lift(other)
         if not other.terms:
             return self
         if not self.terms:
             return -other
-        return _poly(_accumulate(dict(self.terms),
-                                 ((m, -c) for m, c in other.terms.items())))
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            s = out.get(m)
+            if s is None:
+                out[m] = -c
+            else:
+                c = s - c
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+        return _poly(out)
 
     def __rsub__(self, other):
         return _lift(other) + (-self)
@@ -420,7 +477,8 @@ class LaurentPoly:
         product, self's terms outermost; a constant-1 factor returns the
         other one, and a single-term factor maps the other's terms one to
         one."""
-        other = _lift(other)
+        if type(other) is not LaurentPoly:
+            other = _lift(other)
         a, b = self.terms, other.terms
         if len(b) == 1:
             if b.get(_MONOMIAL_ONE) == 1:
@@ -432,9 +490,7 @@ class LaurentPoly:
                 return other
             ((m, c),) = a.items()
             return _poly(_shifted(b, m, c))
-        b = b.items()
-        return _poly(_accumulate({}, ((m1 + m2, c1 * c2)
-                                      for m1, c1 in a.items() for m2, c2 in b)))
+        return _poly(_products(a, b))
 
     __rmul__ = __mul__
 
@@ -515,8 +571,8 @@ class LaurentPoly:
         Each term's image is its coefficient times the product of the bound
         powers' images, taken in registry order from the first of them (a
         power 1 is the binding itself), shifted by the term's unbound part as
-        one monomial; the images are summed in term order, a single-term
-        image added as its one term.
+        one monomial; the images' terms are added in term order into one
+        dict, as ``_accumulate`` adds them.
 
         A variable occurring with a negative exponent can only be replaced by
         a single term in unit variables, otherwise SubstitutionDomainError.
@@ -546,11 +602,24 @@ class LaurentPoly:
                         image = power if image is _ONE else image * power
                 image = images[part] = image.terms
             rest = m - part
-            if len(image) == 1:
-                ((mi, ci),) = image.items()
-                _accumulate(out, ((mi + rest, ci * c),))
-            else:
-                _accumulate(out, ((mi + rest, ci * c) for mi, ci in image.items()))
+            for mi, ci in image.items():    # each added as _accumulate adds it
+                mi += rest
+                s = out.get(mi)
+                if s is None:
+                    ci *= c
+                    if type(ci) is not int and ci.denominator == 1:
+                        ci = ci.numerator
+                    if (mi + _OFFSET) & _GUARD != _IN_RANGE:
+                        _checked(mi)
+                    out[_new_int(Monomial, mi)] = ci
+                else:
+                    ci = s + ci * c
+                    if type(ci) is not int and ci.denominator == 1:
+                        ci = ci.numerator
+                    if ci:
+                        out[mi] = ci
+                    else:
+                        del out[mi]
         return _poly(out)
 
     def evaluate(self, values: Mapping[VarId, complex]) -> complex:

@@ -122,6 +122,8 @@ def spec_to_dict(spec: CaseSpec) -> dict:
         "change_of_variables": _cov_steps(spec.cov_steps),
         "expected_cubic": {k: None if v is None else str(v)
                            for k, v in spec.expected.coefficients().items()},
+        "xyz_map": {nm: str(poly) for nm, poly in spec.xyz_map},
+        "solve_targets": list(spec.solve_targets),
     }
 
 

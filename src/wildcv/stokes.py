@@ -116,12 +116,16 @@ class SymMat3:
     def __mul__(self, other: "SymMat3") -> "SymMat3":
         """The product.  A unit row of self (the shared one at i, zeros
         elsewhere) takes other's row i as it is, whose entries have the terms
-        that ``_dot`` would give: 1*b and 0 + b have b's terms."""
-        cols = tuple(zip(*other.rows))
-        return SymMat3([other.rows[i]
-                        if row[i] is _ONE and not (row[i - 1].terms or row[i - 2].terms)
-                        else [_dot(row, col) for col in cols]
-                        for i, row in enumerate(self.rows)])
+        that ``_dot`` would give: 1*b and 0 + b have b's terms.  The rows are
+        3-tuples of entries, so the product skips ``__init__``'s check."""
+        rows = other.rows
+        c0, c1, c2 = zip(*rows)
+        product = object.__new__(SymMat3)
+        product.rows = tuple([rows[i]
+                              if row[i] is _ONE and not (row[i - 1].terms or row[i - 2].terms)
+                              else (_dot(row, c0), _dot(row, c1), _dot(row, c2))
+                              for i, row in enumerate(self.rows)])
+        return product
 
     def product_trace(self, other: "SymMat3") -> LaurentPoly:
         """Tr(self * other) from the product's diagonal alone, each entry and

@@ -157,6 +157,22 @@ def test_dump_spec_all_matches_golden(capsys):
     assert out == (GOLDEN / "dump_spec_all.json").read_text(encoding="utf-8")
 
 
+def test_dump_spec_shows_the_oracle_choices(capsys):
+    """Every case's dump holds its pushforward to X, Y and Z and its solve
+    targets, as the case data state them."""
+    code, out = _run(capsys, "dump-spec", "--case", "all")
+    assert code == 0
+    docs = json.loads(out)
+    assert [doc["name"] for doc in docs] == list(CASE_NAMES)
+    for doc in docs:
+        spec = case_spec(doc["name"])
+        assert doc["xyz_map"] == {nm: str(poly) for nm, poly in spec.xyz_map}
+        assert list(doc["xyz_map"]) == ["X", "Y", "Z"]
+        assert doc["solve_targets"] == list(spec.solve_targets)
+    assert docs[CASE_NAMES.index("JKTI")]["solve_targets"] == ["x1", "x3"]
+    assert docs[CASE_NAMES.index("JKTIVa")]["xyz_map"] == {"X": "x3", "Y": "x2", "Z": "x4"}
+
+
 def test_unknown_case_is_usage_error(capsys):
     code, _ = _run(capsys, "derive", "--case", "JKTXX")
     assert code == 2

@@ -912,3 +912,93 @@ def test_constants_hash_as_their_scalars():
         assert {poly: "found"}[c] == "found" and {c: "found"}[poly] == "found"
     assert hash(LaurentPoly.zero()) == hash(0) == 0 and 0 in {LaurentPoly.zero()}
     assert P("x1") in {P("x1")} and P("x1 + 1") not in {P("x1"), 1}
+
+
+# --------------------------------------------------------------------------
+# the inlined accumulation loops against from_terms over their term streams
+# --------------------------------------------------------------------------
+
+
+def _same_or_overflow(got, want):
+    """got() gives want()'s terms, order and coefficient types, all keyed
+    by Monomials, or both raise ExponentOverflowError."""
+    try:
+        expected = want()
+    except ExponentOverflowError:
+        with pytest.raises(ExponentOverflowError):
+            got()
+        return
+    result = got()
+    _same(result, expected)
+    assert all(type(m) is Monomial for m in result.terms)
+
+
+_L = EXP_LIMIT
+
+
+@given(_polys().filter(lambda p: len(p.terms) > 1), _polys().filter(lambda p: len(p.terms) > 1))
+# x1*x2 cancels at the fifth product and comes back at the last, so it goes last
+@example(P("x1 + x2 + alpha"), P("x2 - x1 + x1*x2*alpha^-1"))
+# a Fraction sum that becomes an int, and a new Fraction product that is one
+@example(P("1/2*x1 + 1/2*x2"), P("x2 + x1"))
+@example(P("2/3*x1 + x2"), P("3/2*x1 + x2"))
+# both field edges: the products reach x1^(L-1), then x1^L and alpha^(-L-1)
+@example(P(f"x1^{_L - 2} + x2"), P("x1 + X"))
+@example(P(f"x1^{_L - 1} + x2"), P("x1 + X"))
+@example(P(f"alpha^-{_L} + x2"), P("alpha^-1 + X"))
+def test_general_product_adds_as_from_terms(a, b):
+    """The general product (both factors of two or more terms) gives the
+    terms, order and coefficient types of from_terms over every term
+    product, a's terms outermost, or raises ExponentOverflowError as it
+    does."""
+    _same_or_overflow(lambda: a * b, lambda: _general_product(a, b))
+
+
+@st.composite
+def _bindings(draw):
+    out = {}
+    for nm in draw(st.lists(st.sampled_from(_EVAL_VARS), unique=True, min_size=1)):
+        v = var_id(nm)
+        out[v] = draw(_unit_terms() if v.unit else _polys(max_terms=1) | _polys(max_terms=3))
+    return out
+
+
+@given(_polys(), _bindings())
+# x2 from the first term's image cancels at the second and comes back at the third
+@example(P("x1 - x2 + x2*alpha"), {var_id("x1"): P("x2 + X"), var_id("alpha"): P("1")})
+# a Fraction sum that becomes an int, and a new Fraction image term that is one
+@example(P("1/2*x1 + 1/2*x2"), {var_id("x1"): P("x1 + X"), var_id("x2"): P("x1 + x2")})
+@example(P("2/3*x1*x2"), {var_id("x1"): P("3/2*X + 1/3*x2")})
+# both field edges: the images reach X^(L-1), then X^L and alpha^(-L-1)
+@example(P(f"x1*X^{_L - 2}"), {var_id("x1"): P("X + 1")})
+@example(P(f"x1*X^{_L - 1}"), {var_id("x1"): P("X + 1")})
+@example(P(f"x1*alpha^-{_L}"), {var_id("x1"): P("alpha^-1 + x2")})
+def test_substitute_adds_images_as_from_terms(p, bindings):
+    """substitute gives the terms, order and coefficient types of from_terms
+    over every term of every term's image (``_general_substitute``), or
+    raises ExponentOverflowError as it does."""
+    _same_or_overflow(lambda: p.substitute(bindings), lambda: _general_substitute(p, bindings))
+
+
+@given(_polys(), _polys())
+# x1 cancels, so it is deleted, not kept with a zero coefficient
+@example(P("x1 + x2"), P("x1 - X"))
+# a Fraction difference that becomes an int
+@example(P("1/2*x1 + x2"), P("-1/2*x1 + X"))
+# terms at both field edges pass through as they are
+@example(P(f"x1^{_L - 1} + alpha^-{_L}"), P(f"alpha^-{_L} - x1^{_L - 1} + 1"))
+def test_subtraction_adds_as_from_terms(p, q):
+    """p - q gives the terms, order and coefficient types of from_terms over
+    p's terms and then q's negated."""
+    _same_or_overflow(lambda: p - q, lambda: _general_sum(p, -q))
+
+
+def test_constructor_rejects_a_key_that_is_not_a_monomial():
+    """A plain int key is refused in one line, as a coefficient that is not
+    a scalar is, and never stored."""
+    for terms in ({5: 1}, {Monomial(): 1, 5: 2}, {"x1": 1}):
+        with pytest.raises(TypeError, match=r"^not a monomial: \S+$"):
+            LaurentPoly(terms)
+    with pytest.raises(TypeError, match="^not a monomial: 5$"):
+        LaurentPoly.term(1, 5)
+    _same(LaurentPoly({Monomial(((var_id("x1"), 2),)): 3}), P("3*x1^2"))

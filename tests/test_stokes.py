@@ -172,6 +172,17 @@ def test_product_matches_the_dot_reference(a, b):
                 [(m, c, type(c)) for m, c in want.terms.items()]
 
 
+@given(_MATRICES, _MATRICES)
+def test_product_is_the_matrix_the_constructor_builds(a, b):
+    """a * b, built without ``__init__``, holds its rows as three 3-tuples,
+    and equals and hashes as the same entries passed through SymMat3(...)."""
+    got = a * b
+    assert type(got) is SymMat3 and type(got.rows) is tuple and len(got.rows) == 3
+    assert all(type(row) is tuple and len(row) == 3 for row in got.rows)
+    built = SymMat3([list(row) for row in got.rows])
+    assert got == built and hash(got) == hash(built)
+
+
 def test_formal_monodromies():
     h1 = formal_monodromy(1)
     assert h1.rows[0][0] == P("alpha") and h1.rows[2][2] == P("gamma")

@@ -19,7 +19,7 @@ import sys
 
 from .model import CASE_NAMES, UnknownCaseError, case_spec
 from .pipeline import DEFAULT_SEED, DEFAULT_TRIALS, DerivationError, derive_case
-from .report import (report_to_dict, report_to_latex, report_to_text,
+from .report import (entries_text, report_to_dict, report_to_latex, report_to_text,
                      spec_to_dict)
 
 ENV_SEED = "WCV_SEED"
@@ -158,8 +158,7 @@ def _cmd_directions(args) -> int:
         spec = case_spec(name)
         lines.append(f"== {name} ==")
         for k, layout in enumerate(spec.schedule, start=1):
-            entries = ", ".join(f"({r},{c})={nm}" for r, c, nm in layout.entries)
-            lines.append(f"S{k}: phi = {layout.direction}  [{entries}]")
+            lines.append(f"S{k}: phi = {layout.direction}  [{entries_text(layout.entries)}]")
         lines.append("")
     _emit("\n".join(lines), args.output)
     return 0

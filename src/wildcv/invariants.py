@@ -2,9 +2,10 @@
 
 The exponential torus acts on Stokes coefficients by conjugation; a monomial
 in the coefficients is invariant exactly when its weights sum to zero.  The
-closure equations are rewritten in the case's generators U, V, W, R, T, on
-the packed monomials of ``polyring`` (int masks and sums, no decoding); the
-tests check that these are the minimal zero-weight monomials up to degree 3
+closure equations are rewritten in the case's generators U, V, W, R, T by
+``LaurentPoly.in_products``, which works on ``polyring``'s packed monomials;
+this module only picks among a monomial's factorizations.  The tests check
+that these generators are the minimal zero-weight monomials up to degree 3
 (in the 6- and the 12-variable rings), which proves no degree bound.
 """
 
@@ -13,8 +14,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from math import gcd
 
-from .polyring import (_FIELD, _NONUNIT_SIGNS, _OFFSET, LaurentPoly, Monomial, PolyError,
-                       _accumulate, _new_int, _poly, var_id)
+from .polyring import LaurentPoly, Monomial, PolyError, var_id
 
 
 class NotInvariantError(PolyError):
@@ -80,29 +80,6 @@ def generator_relation(defs) -> LaurentPoly:
 # --------------------------------------------------------------------------
 
 
-def _factorizations(x: int, gens: tuple) -> list:
-    """The exponent tuples (e_0, ..., e_{n-1}) with sum e_i * gens[i] == x,
-    for x and each generator a packed monomial in non-unit variables: each
-    generator in turn is subtracted while every non-unit field of the rest
-    stays nonnegative.
-
-    Every generator has positive degree in scheduled coefficients
-    (``validate_spec`` rejects a constant one), so each subtraction lowers
-    the degree of the rest and the loop ends: at most deg(x) subtractions per
-    generator."""
-    partial = [((), x + _OFFSET)]    # biased, as _checked reads the fields
-    for g in gens:
-        grown = []
-        for exps, rest in partial:
-            e = 0
-            while rest & _NONUNIT_SIGNS == _NONUNIT_SIGNS:
-                grown.append((exps + (e,), rest))
-                rest -= g
-                e += 1
-        partial = grown
-    return [exps for exps, rest in partial if rest == _OFFSET]
-
-
 def rewrite_in_invariants(eq: LaurentPoly, defs) -> LaurentPoly:
     """Rewrite every Stokes-coefficient monomial of eq as a product of the
     generators U, V, W, R, T; parameter factors pass through.
@@ -110,30 +87,15 @@ def rewrite_in_invariants(eq: LaurentPoly, defs) -> LaurentPoly:
     When a monomial factors in more than one way (the tautological relation
     makes this harmless), the factorization with the fewest generator factors
     wins, ties broken by the lexicographically least sorted generator tuple
-    in the order U < V < W < R < T.
-
-    Each term's Stokes-coefficient part is read off its packed monomial with
-    one mask, as ``LaurentPoly.split`` reads it, and replaced by the chosen
-    product as one int sum; the terms are added in eq's order, so the result
-    is the sum of each rewritten term in turn.  A part's product is chosen
-    once per call.
+    in the order U < V < W < R < T.  The packed rewrite itself is
+    ``LaurentPoly.in_products``.
     """
-    gens = tuple(mono for _, mono in defs)
-    names = [1 << var_id(name).shift for name, _ in defs]    # U, V, ... packed
-    mask = sum(_FIELD << v.shift for v in {v for mono in gens for v in mono.variables()})
-    offset = _OFFSET & mask
-    chosen: dict = {}    # a term's Stokes-coefficient part -> its product of generators
-    terms = []
-    for m, c in eq.terms.items():
-        x = ((m + _OFFSET) & mask) - offset
-        product = chosen.get(x)
-        if product is None:
-            found = _factorizations(x, gens)
-            if not found:
-                raise NotInvariantError(
-                    f"{_new_int(Monomial, x)} is not a product of the generators")
-            best = found[0] if len(found) == 1 else min(found, key=lambda exps: (
-                sum(exps), tuple(i for i, e in enumerate(exps) for _ in range(e))))
-            product = chosen[x] = sum(e * g for e, g in zip(best, names))
-        terms.append((m - x + product, c))
-    return _poly(_accumulate({}, terms))
+    names, monos = zip(*defs) if defs else ((), ())
+    return eq.in_products(tuple(zip(map(var_id, names), monos)), _fewest_factors)
+
+
+def _fewest_factors(part: Monomial, found: list) -> tuple:
+    if not found:
+        raise NotInvariantError(f"{part} is not a product of the generators")
+    return min(found, key=lambda exps: (
+        sum(exps), tuple(i for i, e in enumerate(exps) for _ in range(e))))

@@ -11,8 +11,10 @@ solves from the closure equations (``pipeline.oracle_sampling`` derives the
 rest of its sampling from the case data).
 ``CubicSurface`` is the one cubic type: the cubic a derivation builds, and
 the cubic a case expects, whose free linear and constant coefficients are
-``None``.  ``case_spec``, the one way to a case's data, runs
-``validate_spec`` on it once per process and raises a ``[spec]``
+``None``.  This module owns the cubic's shape (its slots and X, Y, Z): a
+polynomial becomes a cubic by ``CubicSurface.from_polynomial`` and back by
+``CubicSurface.reconstruct``.  ``case_spec``, the one way to a case's data,
+runs ``validate_spec`` on it once per process and raises a ``[spec]``
 ``DerivationError`` on any violation.
 
 The twist class, the divisor and the generators fix five more facts,
@@ -63,6 +65,11 @@ class DerivationError(PolyError):
     """A pipeline stage failed; the message carries the stage label."""
 
 
+class ShapeError(PolyError):
+    """Stray monomials survived the change of variables, or a coefficient
+    holds more than the parameters."""
+
+
 class TwistClass(enum.Enum):
     UNTWISTED = "untwisted"
     MINIMALLY_TWISTED = "minimally twisted"
@@ -111,8 +118,9 @@ class ClosureCondition(Record):
     trace_symbols: tuple = ()
 
 
+_TRACE_SYMBOLS = ("p", "q")    # Tr M and Tr M^2 of a fixed-class closure
 _CLOSURE_BY_DIVISOR = {
-    "{0}+2{inf}": ClosureCondition("fixed_class", ("p", "q")),
+    "{0}+2{inf}": ClosureCondition("fixed_class", _TRACE_SYMBOLS),
     "3{inf}": ClosureCondition("identity"),
 }
 
@@ -153,6 +161,27 @@ class CubicSurface(Record):
     c2: Optional[LaurentPoly] = None
     c3: Optional[LaurentPoly] = None
     c4: Optional[LaurentPoly] = None
+
+    @classmethod
+    def from_polynomial(cls, poly: LaurentPoly) -> "CubicSurface":
+        """The cubic whose ``reconstruct`` is poly: its part at each slot's
+        X, Y, Z exponents.  ShapeError when poly holds any other power
+        product of X, Y, Z, or a variable that is none of X, Y, Z, a unit and
+        the trace parameters."""
+        parts = poly.split(_XYZ_IDS)
+        stray = [str(LaurentPoly.term(c, m * Monomial(zip(_XYZ_IDS, exps))))
+                 for exps, coef in parts.items() if exps not in _SLOTS.values()
+                 for m, c in coef.terms.items()]
+        if stray:
+            raise ShapeError("stray monomials after change of variables: "
+                             + ", ".join(sorted(stray)))
+        loose = sorted(v for v in poly.variables()
+                       if not (v.unit or v.name in _TRACE_SYMBOLS or v in _XYZ_IDS))
+        if loose:
+            raise ShapeError("cubic coefficients hold " + ", ".join(v.name for v in loose)
+                             + ", which are not parameters")
+        return cls(**{name: parts.get(exps, LaurentPoly.zero())
+                      for name, exps in _SLOTS.items()})
 
     def reconstruct(self) -> LaurentPoly:
         """The cubic as one polynomial, built on the first call and kept: the
@@ -279,6 +308,15 @@ def _cyclic_schedule(count: int, den: int) -> tuple:
                      for k in range(1, count + 1)])
 
 
+def _cyclic_pairs(level: int, first: Fraction, count: int = 6) -> tuple:
+    """``count`` eigenvalue pairs at ``level``: pair k (from 0) labelled by
+    the k-th position of the untwisted cycle, made 0-based, with offset
+    (first + k/3)*pi."""
+    return tuple(EigenvaluePairSpec((i - 1, j - 1), level,
+                                    RationalAngle.of(first + Fraction(k, 3)))
+                 for k, (i, j) in enumerate(_UNTWISTED_CYCLE[:count]))
+
+
 def _subst(**named: str) -> CovStep:
     return CovStep("subst", tuple((k, parse(expr)) for k, expr in named.items()))
 
@@ -297,14 +335,7 @@ def _build_jktvi() -> CaseSpec:
         name="JKTVI",
         twist=TwistClass.UNTWISTED,
         divisor="{0}+2{inf}",
-        pair_specs=_pairs([
-            ((0, 1), 1, (5, 6)),
-            ((0, 2), 1, (7, 6)),
-            ((1, 2), 1, (3, 2)),
-            ((1, 0), 1, (11, 6)),
-            ((2, 0), 1, (1, 6)),
-            ((2, 1), 1, (1, 2)),
-        ]),
+        pair_specs=_cyclic_pairs(1, Fraction(5, 6)),
         schedule=_cyclic_schedule(6, 3),
         generator_defs=_defs(U="x1*x4", V="x2*x5", W="x3*x6",
                              R="x1*x3*x5", T="x2*x4*x6"),
@@ -361,12 +392,7 @@ def _build_jktiva() -> CaseSpec:
         name="JKTIVa",
         twist=TwistClass.MAXIMALLY_TWISTED,
         divisor="{0}+2{inf}",
-        pair_specs=_pairs([
-            ((0, 1), 2, (11, 6)),
-            ((0, 2), 2, (1, 6)),
-            ((1, 2), 2, (1, 2)),
-            ((1, 0), 2, (5, 6)),
-        ]),
+        pair_specs=_cyclic_pairs(2, Fraction(11, 6), 4),
         schedule=_layouts([
             ((1, 2), [(1, 2, "x1")]),
             ((1, 1), [(1, 3, "x2")]),
@@ -390,14 +416,7 @@ def _build_jktivb() -> CaseSpec:
         name="JKTIVb",
         twist=TwistClass.UNTWISTED,
         divisor="3{inf}",
-        pair_specs=_pairs([
-            ((0, 1), 2, (11, 6)),
-            ((0, 2), 2, (1, 6)),
-            ((1, 2), 2, (1, 2)),
-            ((1, 0), 2, (5, 6)),
-            ((2, 0), 2, (7, 6)),
-            ((2, 1), 2, (3, 2)),
-        ]),
+        pair_specs=_cyclic_pairs(2, Fraction(11, 6)),
         schedule=_cyclic_schedule(12, 6),
         generator_defs=_defs(U="x1*x4", V="x2*x5", W="x3*x6",
                              R="x1*x3*x5", T="x2*x4*x6"),
@@ -466,14 +485,7 @@ def _build_jkti() -> CaseSpec:
         name="JKTI",
         twist=TwistClass.MAXIMALLY_TWISTED,
         divisor="3{inf}",
-        pair_specs=_pairs([
-            ((0, 1), 5, (11, 6)),
-            ((0, 2), 5, (1, 6)),
-            ((1, 2), 5, (1, 2)),
-            ((1, 0), 5, (5, 6)),
-            ((2, 0), 5, (7, 6)),
-            ((2, 1), 5, (3, 2)),
-        ]),
+        pair_specs=_cyclic_pairs(5, Fraction(11, 6)),
         schedule=_cyclic_schedule(10, 5),
         generator_defs=_defs(U="x1*x4", V="x2", W="x3", R="x1*x3", T="x2*x4"),
         back_sub_plan=(((2, 1), "x9"), ((2, 2), "x10"), ((1, 3), "x7"),
@@ -668,7 +680,7 @@ def validate_spec(spec: CaseSpec) -> list:
                              "surviving coefficients, a fixed-class closure none"))
     # the cubic reads X, Y and Z, and a trial binds them from xyz_map alone
     bound = tuple(name for name, _ in spec.xyz_map)
-    if sorted(bound) != ["X", "Y", "Z"]:
+    if sorted(bound) != [v.name for v in _XYZ_IDS]:
         out.append(Violation("oracle_plan", f"xyz_map binds {bound}, not X, Y and Z "
                              "once each"))
 

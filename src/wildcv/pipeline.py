@@ -9,10 +9,9 @@ which has already checked it, so a derivation does not check it again.  The
 report's ``det_is_one`` (JSON ``determinant_is_one``) is det R * det L of the
 monodromy's factors M = R * L: det M as the same exact polynomial, without
 expanding the determinant of the full product (the test suite still expands
-det M itself).  The cubic's type, ``CubicSurface``, and its shape table live
-in ``model``: the normal form reads the residual with ``LaurentPoly.split`` in
-X, Y, Z into the same slots that a case's expected cubic and
-``CubicSurface.reconstruct`` use.
+det M itself).  The cubic's type, ``CubicSurface``, and its shape live in
+``model``: the normal form ends with ``CubicSurface.from_polynomial``, the
+inverse of ``CubicSurface.reconstruct``.
 
 The oracle compiles one straight-line function per report that runs a whole
 trial (``_compile_trial``): the samples, the derived units, the 2x2 solve,
@@ -56,11 +55,11 @@ from contextlib import contextmanager
 from functools import cached_property
 from typing import Optional
 
-from .polyring import (LaurentPoly, Monomial, NotLinearError, PolyError,
-                       UnboundVariableError, solve_in_order, var_id)
+from .polyring import (LaurentPoly, NotLinearError, PolyError, UnboundVariableError,
+                       solve_in_order, var_id)
 from .record import Record
 from .stokes import SymMat3, formal_monodromy, stokes_matrix
-from .model import _SLOTS, _XYZ_IDS, CaseSpec, CubicSurface, DerivationError, case_spec
+from .model import CaseSpec, CubicSurface, DerivationError, case_spec
 from .monodromy import (ClosureSystem, closure_equations, monodromy_factors,
                         topological_monodromy)
 
@@ -71,12 +70,6 @@ _UNIT_MIN_MODULUS = 0.1
 _PIVOT_FLOOR = 1e-8
 _MAX_RESAMPLES = 60
 _AFFINE_KEYS = ((1, 0), (0, 1), (0, 0))   # a solve row's t1, t2 and constant keys
-_TRACE_PARAMETERS = frozenset(map(var_id, ("p", "q")))
-
-
-class ShapeError(PolyError):
-    """Stray monomials survived the change of variables, or a coefficient
-    holds more than the parameters."""
 
 
 class DegenerateSampleError(PolyError):
@@ -86,24 +79,6 @@ class DegenerateSampleError(PolyError):
 # --------------------------------------------------------------------------
 # elimination and normal form
 # --------------------------------------------------------------------------
-
-
-def _decompose_cubic(poly: LaurentPoly) -> CubicSurface:
-    parts = poly.split(_XYZ_IDS)
-    stray = [str(LaurentPoly.term(c, m * Monomial(zip(_XYZ_IDS, exps))))
-             for exps, coef in parts.items() if exps not in _SLOTS.values()
-             for m, c in coef.terms.items()]
-    if stray:
-        raise ShapeError("stray monomials after change of variables: "
-                         + ", ".join(sorted(stray)))
-    # a coefficient may hold the unit variables and the trace parameters only
-    loose = sorted(v for v in poly.variables()
-                   if not (v.unit or v in _TRACE_PARAMETERS or v in _XYZ_IDS))
-    if loose:
-        raise ShapeError("cubic coefficients hold " + ", ".join(v.name for v in loose)
-                         + ", which are not parameters")
-    return CubicSurface(**{name: parts.get(exps, LaurentPoly.zero())
-                           for name, exps in _SLOTS.items()})
 
 
 def _eliminate_with_solutions(equations, plan, scale):
@@ -119,14 +94,15 @@ def _eliminate_with_solutions(equations, plan, scale):
 
 def to_cubic_normal_form(residual: LaurentPoly, cov_steps, normalization) -> CubicSurface:
     """Apply the change of variables, each step's mapping and divisor taken
-    under the parameter normalization, and decompose into the cubic shape."""
+    under the parameter normalization, and read the result as a cubic
+    (``CubicSurface.from_polynomial``)."""
     for step in cov_steps:
         if step.kind == "subst":
             residual = residual.substitute(
                 {var_id(nm): poly.substitute(normalization) for nm, poly in step.mapping})
         else:
             residual = residual * step.term.substitute(normalization).inverse_term()
-    return _decompose_cubic(residual)
+    return CubicSurface.from_polynomial(residual)
 
 
 # --------------------------------------------------------------------------

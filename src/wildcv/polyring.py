@@ -17,15 +17,18 @@ variable, x1 most significant, in the manner of Monagan and Pearce's packed
 exponent vectors (CASC 2007): a monomial product is one integer addition, and
 monomials hash, compare and sort as ints.  Every exponent lies in
 [-EXP_LIMIT, EXP_LIMIT) = [-8192, 8191]; an operation whose result leaves that
-range raises ``ExponentOverflowError`` and never wraps.  Products with a
-constant-1 factor return the other factor, products with a single-term factor
-map the other's terms one to one, sums with zero return the other summand, and
-a substitution that binds none of a polynomial's variables returns it.
-Otherwise a sum, difference, product or substitution adds its terms into one
-dict by ``_accumulate``'s rules: a new monomial goes last, a sum is kept
-canonical, and a zero sum is removed.  The general product, ``-`` and
-``substitute`` each do so in a loop of their own, written inline, with no
-generator between a term and its sum.
+range raises ``ExponentOverflowError`` and never wraps.  Only this module
+reads the packed format; the invariant rewrite's masks and int sums are
+``LaurentPoly.in_products``.
+
+Products with a constant-1 factor return the other factor, products with a
+single-term factor map the other's terms one to one, sums with zero return
+the other summand, and a substitution that binds none of a polynomial's
+variables returns it.  Otherwise a sum, difference, product or substitution
+adds its terms into one dict by ``_accumulate``'s rules: a new monomial goes
+last, a sum is kept canonical, and a zero sum is removed.  The general
+product, ``-`` and ``substitute`` each do so in a loop of their own, written
+inline, with no generator between a term and its sum.
 
 Polynomials print deterministically (terms sorted by exponent vector in
 registry order) in a small text grammar, and ``parse`` round-trips it::
@@ -315,7 +318,7 @@ def _accumulate(out: dict, pairs: Iterable[tuple[int, Scalar]]) -> dict:
     new to out.  The mask test and the canonical form are ``_checked``'s and
     ``_canonical``'s, written inline.
 
-    ``__add__``, ``from_terms`` and the invariant rewrite add through this
+    ``__add__``, ``from_terms`` and ``in_products`` add through this
     loop.  ``_products`` (the general product), ``substitute`` and
     ``__sub__`` each add their terms in an inlined copy of it, with the same
     rules; there each term product or image is nonzero, so only a sum can
@@ -558,6 +561,30 @@ class LaurentPoly:
         c, m = self.single_term()
         return LaurentPoly({m.inverse(): Fraction(1, c)})
 
+    def in_products(self, gens, choose) -> "LaurentPoly":
+        """self with each term's part in the variables of ``gens``, a
+        sequence of (VarId, Monomial) pairs, replaced by a product of the
+        VarIds: a part with one factorization into the Monomials takes it,
+        any other the exponent tuple that ``choose(part, found)`` picks from
+        ``found``, every factorization (none when it is empty).  Each part is
+        masked off as in ``split``, factored once per call and replaced by one
+        int sum; the terms are added in self's order by ``_accumulate``."""
+        ids, monos = zip(*gens) if gens else ((), ())
+        names = [1 << v.shift for v in ids]
+        mask = sum(_FIELD << v.shift for v in {v for mono in monos for v in mono.variables()})
+        offset = _OFFSET & mask
+        chosen: dict = {}    # a term's part -> its product of the VarIds
+        terms = []
+        for m, c in self.terms.items():
+            x = ((m + _OFFSET) & mask) - offset
+            product = chosen.get(x)
+            if product is None:
+                found = _factorizations(x, monos)
+                exps = found[0] if len(found) == 1 else choose(_new_int(Monomial, x), found)
+                product = chosen[x] = sum(e * g for e, g in zip(exps, names))
+            terms.append((m - x + product, c))
+        return _poly(_accumulate({}, terms))
+
     def sorted_terms(self) -> list:
         """The terms, highest monomial first: by the packed int, which orders
         as the exponent vector in registry order."""
@@ -659,6 +686,25 @@ def _power_image(v: VarId, k: int, b: LaurentPoly) -> LaurentPoly:
     except PolyError as exc:
         raise SubstitutionDomainError(f"cannot invert binding of {v.name}: {b}") from exc
     return inverse ** -k
+
+
+def _factorizations(x: int, gens: tuple) -> list:
+    """The exponent tuples (e_0, ..., e_{n-1}) with sum e_i * gens[i] == x,
+    for x and each generator a packed monomial in non-unit variables: each
+    generator in turn is subtracted while every non-unit field of the rest
+    stays nonnegative.  A generator must hold a non-unit variable, as
+    ``validate_spec`` checks, or the loop does not end."""
+    partial = [((), x + _OFFSET)]    # biased, as _checked reads the fields
+    for g in gens:
+        grown = []
+        for exps, rest in partial:
+            e = 0
+            while rest & _NONUNIT_SIGNS == _NONUNIT_SIGNS:
+                grown.append((exps + (e,), rest))
+                rest -= g
+                e += 1
+        partial = grown
+    return [exps for exps, rest in partial if rest == _OFFSET]
 
 
 def _lift(x) -> LaurentPoly:

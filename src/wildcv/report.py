@@ -36,6 +36,11 @@ def _cov_steps(steps) -> list:
     return out
 
 
+def entries_text(entries) -> str:
+    """A layout's (row, col, name) entries as ``(1,2)=x1, (1,3)=x2``."""
+    return ", ".join(f"({r},{c})={nm}" for r, c, nm in entries)
+
+
 def _schedule(spec: CaseSpec) -> list:
     return [{"phi": str(layout.direction),
              "entries": [[r, c, nm] for r, c, nm in layout.entries]}
@@ -140,8 +145,7 @@ def report_to_text(report: CaseReport) -> str:
     lines.append("")
     lines.append("Stokes directions and entries:")
     for k, layout in enumerate(d["directions"], start=1):
-        entries = ", ".join(f"({r},{c})={nm}" for r, c, nm in layout["entries"])
-        lines.append(f"  S{k} at phi = {layout['phi']}: {entries}")
+        lines.append(f"  S{k} at phi = {layout['phi']}: {entries_text(layout['entries'])}")
     lines.append("")
     lines.append("Topological monodromy M = H * S_m...S_1:")
     width = max(len(c) for row in d["topological_monodromy"] for c in row)

@@ -12,6 +12,7 @@ normalized into [0, 2*pi).  Matrices are 3x3 over the exact polynomial ring.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterable
 
 from .polyring import LaurentPoly
@@ -23,6 +24,7 @@ from .record import Record
 # --------------------------------------------------------------------------
 
 
+@total_ordering
 class RationalAngle(Record):
     """An angle t*pi with t rational, reduced and normalized into [0, 2)."""
 
@@ -38,15 +40,6 @@ class RationalAngle(Record):
 
     def __lt__(self, other):
         return self.turns < other.turns if other.__class__ is RationalAngle else NotImplemented
-
-    def __le__(self, other):
-        return self.turns <= other.turns if other.__class__ is RationalAngle else NotImplemented
-
-    def __gt__(self, other):
-        return self.turns > other.turns if other.__class__ is RationalAngle else NotImplemented
-
-    def __ge__(self, other):
-        return self.turns >= other.turns if other.__class__ is RationalAngle else NotImplemented
 
     def __str__(self):
         t = self.turns

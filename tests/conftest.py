@@ -4,10 +4,9 @@
 same examples locally, under the hypothesis version that CI pins (the one in
 pyproject's ``test`` extra), and prints the blob that reproduces it; select it
 with ``pytest --hypothesis-profile=ci``.  ``ring`` is ``ci`` with 1000 examples per
-property test, for a deeper run of ``tests/test_polyring.py``, of the
-compiled oracle trial against its reference walk, of the trial's reduced sums
-against the unreduced term walk, of its power chains against ``**``, and of
-the shared-draw oracle verdicts against a generator reseeded per attempt.  The default profile is
+property test, for a deeper run of the tests marked ``deep`` (registered in
+pyproject; all of ``tests/test_polyring.py`` carries it):
+``pytest -m deep --hypothesis-profile=ring``.  The default profile is
 untouched.
 """
 

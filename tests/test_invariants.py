@@ -236,6 +236,7 @@ def _rewrite_inputs(draw):
     return defs, LaurentPoly.from_terms(terms)
 
 
+@pytest.mark.deep
 @given(_rewrite_inputs())
 def test_rewrite_matches_the_monomial_reference(inputs):
     """The packed rewrite gives the reference's terms, in its order, with the

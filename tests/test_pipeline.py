@@ -16,10 +16,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from wildcv import pipeline
-from wildcv.model import CASE_NAMES, case_spec
+from wildcv.model import CASE_NAMES, ShapeError, case_spec
 from wildcv.monodromy import monodromy_factors
 from wildcv.pipeline import (_PIVOT_FLOOR, _UNIT_MIN_MODULUS, ORACLE_TOLERANCE,
-                             CubicSurface, DegenerateSampleError, OracleVerdict, ShapeError,
+                             CubicSurface, DegenerateSampleError, OracleVerdict,
                              _compile_trial, _eliminate_with_solutions, _power_local,
                              _power_statements, _reduced_sum_statements, derive_case,
                              oracle_identity, oracle_sampling, oracle_verify,
@@ -563,6 +563,7 @@ def _derived_once(name):
     return _derived(name)
 
 
+@pytest.mark.deep
 @pytest.mark.parametrize("name", CASE_NAMES)
 @given(seed=st.integers(0, 2 ** 32 - 1), trials=st.integers(1, 5))
 @example(seed=42, trials=50)
@@ -597,6 +598,7 @@ def _point_value(unit: bool):
     return z.filter(lambda z: abs(z) >= _UNIT_MIN_MODULUS) if unit else z
 
 
+@pytest.mark.deep
 @given(st.lists(st.integers(-12, 12).filter(bool), min_size=1, max_size=4), st.data())
 def test_power_chains_keep_every_modulus(exponents, data):
     """The powers that ``_power_statements`` writes for one variable, as
@@ -630,6 +632,7 @@ def test_power_statements_keep_exp_log_powers():
     assert _power_statements("v", -100, set())[-1] == "pm100_v = 1/p100_v"
 
 
+@pytest.mark.deep
 @given(_polys(max_exp=7), st.data())
 def test_reduced_sum_keeps_every_modulus(poly, data):
     """The compiled trial's statement writer gives, at points whose
@@ -740,6 +743,7 @@ _ATTEMPTS = {
 }
 
 
+@pytest.mark.deep
 @pytest.mark.parametrize("attempts", list(_ATTEMPTS))
 @given(seed=st.integers(0, 2 ** 32 - 1), trials=st.integers(1, 5))
 @example(seed=42, trials=100)

@@ -19,6 +19,9 @@ from wildcv.polyring import (EXP_LIMIT, LaurentPoly, Monomial,
 
 from _support import term_walk
 
+# every test here runs in the deep ring run (tests/conftest.py)
+pytestmark = pytest.mark.deep
+
 P = parse
 
 

@@ -1,7 +1,8 @@
 """The immutable record base: parity with frozen dataclasses, validation on
-``replace``, the angle order, and a ``wildcv.cli`` import without
-``dataclasses``."""
+``replace``, the angle order, a ``wildcv.cli`` import without
+``dataclasses``, and no import of another module's private names."""
 
+import ast
 import copy
 import dataclasses
 import itertools
@@ -174,3 +175,18 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     added = json.loads(out)
     assert "wildcv.cli" in added
     assert not {"dataclasses", "inspect"} & set(added)
+
+
+def test_no_module_imports_another_modules_private_names():
+    """A data format that two modules know belongs behind one of them: no
+    ``src/wildcv`` module imports an underscore name from another, by a
+    relative or an absolute import."""
+    found = []
+    for path in sorted(pathlib.Path(wildcv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "wildcv"):
+                found += [f"{path.name}: from {'.' * node.level}{node.module or ''} "
+                          f"import {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert found == []

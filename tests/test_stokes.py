@@ -1,5 +1,6 @@
 """Directions, Stokes matrices, formal monodromies."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,14 @@ def _union(spec):
 def test_rational_angle_normalization_and_order():
     assert RationalAngle.of(7, 3).turns == Fraction(1, 3)
     assert RationalAngle.of(2).turns == 0
-    assert RationalAngle.of(1, 2) < RationalAngle.of(1, 1)
+    half, one = RationalAngle.of(1, 2), RationalAngle.of(1, 1)
+    assert half < one and not one < half and not half < half
+    assert half <= one and half <= RationalAngle.of(1, 2) and not one <= half
+    assert one > half and not half > one and not half > half
+    assert one >= half and half >= RationalAngle.of(1, 2) and not half >= one
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(half, Fraction(1, 2))
     assert str(RationalAngle.of(1, 3)) == "pi/3"
     assert str(RationalAngle.of(3, 2)) == "3*pi/2"
     assert str(RationalAngle.of(1)) == "pi"
@@ -159,6 +167,7 @@ def _dot_reference(row, col):
     return total
 
 
+@pytest.mark.deep
 @given(_MATRICES, _MATRICES)
 def test_product_matches_the_dot_reference(a, b):
     """Each entry of a * b has, in the same order and with the same
@@ -172,6 +181,7 @@ def test_product_matches_the_dot_reference(a, b):
                 [(m, c, type(c)) for m, c in want.terms.items()]
 
 
+@pytest.mark.deep
 @given(_MATRICES, _MATRICES)
 def test_product_is_the_matrix_the_constructor_builds(a, b):
     """a * b, built without ``__init__``, holds its rows as three 3-tuples,

@@ -51,7 +51,6 @@ import itertools
 import linecache
 import random
 import weakref
-from contextlib import contextmanager
 from functools import cached_property
 from typing import Optional
 
@@ -185,13 +184,20 @@ def _compare_expected(spec: CaseSpec, cubic: CubicSurface) -> ExpectedComparison
                               not mismatches, tuple(mismatches))
 
 
-@contextmanager
-def _stage(label: str):
+class _stage:
     """Re-raise a PolyError from the stage as a DerivationError "[label] ..."."""
-    try:
-        yield
-    except PolyError as exc:
-        raise DerivationError(f"[{label}] {exc}") from exc
+
+    __slots__ = ("label",)
+
+    def __init__(self, label: str):
+        self.label = label
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, PolyError):
+            raise DerivationError(f"[{self.label}] {exc}") from exc
 
 
 def derive_case(name: str, trials: int = DEFAULT_TRIALS,

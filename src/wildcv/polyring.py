@@ -24,11 +24,11 @@ reads the packed format; the invariant rewrite's masks and int sums are
 Products with a constant-1 factor return the other factor, products with a
 single-term factor map the other's terms one to one, sums with zero return
 the other summand, and a substitution that binds none of a polynomial's
-variables returns it.  Otherwise a sum, difference, product or substitution
-adds its terms into one dict by ``_accumulate``'s rules: a new monomial goes
-last, a sum is kept canonical, and a zero sum is removed.  The general
-product, ``-`` and ``substitute`` each do so in a loop of their own, written
-inline, with no generator between a term and its sum.
+variables returns it.  Otherwise a sum, difference, product, dot product or
+substitution adds its terms into one dict by ``_accumulate``'s rules: a new
+monomial goes last, a sum is kept canonical, and a zero sum is removed.  The
+general product, ``-``, ``substitute`` and ``dot`` each do so in a loop of
+their own, written inline, with no generator between a term and its sum.
 
 Polynomials print deterministically (terms sorted by exponent vector in
 registry order) in a small text grammar, and ``parse`` round-trips it::
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -318,11 +318,12 @@ def _accumulate(out: dict, pairs: Iterable[tuple[int, Scalar]]) -> dict:
     new to out.  The mask test and the canonical form are ``_checked``'s and
     ``_canonical``'s, written inline.
 
-    ``__add__``, ``from_terms`` and ``in_products`` add through this
-    loop.  ``_products`` (the general product), ``substitute`` and
-    ``__sub__`` each add their terms in an inlined copy of it, with the same
-    rules; there each term product or image is nonzero, so only a sum can
-    vanish."""
+    ``__add__``, ``from_terms``, ``in_products`` and ``dot`` (for a
+    product of two multi-term factors) add through this loop.  ``_products``
+    (the general product), ``substitute``, ``__sub__`` and ``dot`` (for a
+    single-term factor's image of the other) each add their terms in an
+    inlined copy of it, with the same rules; there each term product or
+    image is nonzero, so only a sum can vanish."""
     for m, c in pairs:
         s = out.get(m)
         if s is not None:
@@ -559,7 +560,9 @@ class LaurentPoly:
     def inverse_term(self) -> "LaurentPoly":
         """Inverse of a single term whose monomial involves only unit variables."""
         c, m = self.single_term()
-        return LaurentPoly({m.inverse(): Fraction(1, c)})
+        # ±1 is its own inverse, as an int: c is canonical, so no Fraction is ±1
+        inverse = c if c in (1, -1) else _canonical(Fraction(1, c))
+        return _poly({m.inverse(): inverse})
 
     def in_products(self, gens, choose) -> "LaurentPoly":
         """self with each term's part in the variables of ``gens``, a
@@ -568,10 +571,20 @@ class LaurentPoly:
         any other the exponent tuple that ``choose(part, found)`` picks from
         ``found``, every factorization (none when it is empty).  Each part is
         masked off as in ``split``, factored once per call and replaced by one
-        int sum; the terms are added in self's order by ``_accumulate``."""
+        int sum; the terms are added in self's order by ``_accumulate``.  A
+        generator that holds no non-unit variable is a PolyError, raised
+        before any term is factored, as no search over it would end."""
         ids, monos = zip(*gens) if gens else ((), ())
         names = [1 << v.shift for v in ids]
-        mask = sum(_FIELD << v.shift for v in {v for mono in monos for v in mono.variables()})
+        fields = 0
+        for v, mono in gens:
+            held = (mono + _OFFSET) ^ _OFFSET
+            if not held & _NONUNIT_FIELDS:
+                raise PolyError(f"generator {v.name} = {mono} holds no non-unit variable")
+            fields |= held
+        mask = 0
+        for shift in _shifts(fields):
+            mask |= _FIELD << shift
         offset = _OFFSET & mask
         chosen: dict = {}    # a term's part -> its product of the VarIds
         terms = []
@@ -606,8 +619,9 @@ class LaurentPoly:
         """
         if not bindings:
             return self
-        bound = sorted(bindings, key=attrgetter("index"))
-        mask = sum(_FIELD << v.shift for v in bound)
+        mask = 0
+        for v in bindings:
+            mask |= _FIELD << v.shift
         offset = _OFFSET & mask
         for m in self.terms:
             if (m + _OFFSET) & mask != offset:
@@ -622,11 +636,13 @@ class LaurentPoly:
             image = images.get(part)
             if image is None:
                 image = _ONE
-                for v in bound:
-                    k = ((biased >> v.shift) & _FIELD) - _BIAS
-                    if k:
-                        power = _power_image(v, k, bindings[v])
-                        image = power if image is _ONE else image * power
+                held = (biased & mask) ^ offset    # the bound fields that the term holds
+                while held:    # x1's first, as _shifts reads them
+                    shift = (held.bit_length() - 1) // _WIDTH * _WIDTH
+                    held &= (1 << shift) - 1
+                    v = _AT_SHIFT[shift]
+                    power = _power_image(v, ((biased >> shift) & _FIELD) - _BIAS, bindings[v])
+                    image = power if image is _ONE else image * power
                 image = images[part] = image.terms
             rest = m - part
             for mi, ci in image.items():    # each added as _accumulate adds it
@@ -715,6 +731,49 @@ def _lift(x) -> LaurentPoly:
     raise TypeError(f"cannot lift {x!r} into the ring")
 
 
+def dot(row: Iterable[LaurentPoly], col: Iterable[LaurentPoly]) -> LaurentPoly:
+    """The sum of row[k] * col[k], with the terms, in the same order, of
+    adding each product in turn to the sum of those before it.  A product
+    with a zero factor is skipped, as adding zero changes nothing.  A
+    single-term factor maps the other's terms one to one, so its image of
+    the other is added straight into the sum, term by term, as
+    ``_accumulate`` adds it: no two image terms meet, so this adds the
+    finished product.  A product of two multi-term factors is formed whole
+    by ``_products`` and then added."""
+    out: dict = {}
+    for a, b in zip(row, col):
+        a, b = a.terms, b.terms
+        if not (a and b):
+            continue
+        if len(a) == 1:
+            ((mono, coef),) = a.items()
+        elif len(b) == 1:
+            ((mono, coef),) = b.items()
+            b = a
+        else:
+            _accumulate(out, _products(a, b).items())
+            continue
+        for m, c in b.items():
+            m += mono
+            s = out.get(m)
+            if s is None:
+                c *= coef
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                if (m + _OFFSET) & _GUARD != _IN_RANGE:
+                    _checked(m)
+                out[_new_int(Monomial, m)] = c
+            else:
+                c = s + c * coef
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+    return _poly(out)
+
+
 # --------------------------------------------------------------------------
 # linear solving
 # --------------------------------------------------------------------------
@@ -732,13 +791,14 @@ def solve_linear(eq: LaurentPoly, target: VarId) -> LaurentPoly:
         found = ", ".join(str(k) for k in sorted(k for (k,) in parts))
         raise NotLinearError(f"exponents of {target.name} are {{{found}}}, need {{1}} or {{0, 1}}")
     coeff = parts[(1,)]
-    rest = parts.get((0,), LaurentPoly.zero())
     try:
-        inv = coeff.inverse_term()
+        ((mono, coef),) = coeff.inverse_term().terms.items()
     except NotInvertibleError:
         raise NotInvertibleError(
             f"coefficient of {target.name} is not an invertible term: {coeff}") from None
-    return -rest * inv
+    # -rest * inverse, as one map of rest's terms by the negated inverse term
+    rest = parts.get((0,))
+    return _poly({} if rest is None else _shifted(rest.terms, mono, -coef))
 
 
 def solve_in_order(equations, plan) -> dict:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable
 
-from .polyring import LaurentPoly
+from .polyring import LaurentPoly, dot
 from .record import Record
 
 
@@ -76,17 +76,6 @@ def singular_directions(pair, ramification: int) -> tuple:
 _ZERO, _ONE = LaurentPoly.zero(), LaurentPoly.constant(1)
 
 
-def _dot(row, col) -> LaurentPoly:
-    """Sum of row[k] * col[k], added in turn, skipping the products with a
-    zero factor: adding an empty polynomial leaves the sum's terms and their
-    order unchanged, and the first product is the sum of itself and zero."""
-    total = None
-    for a, b in zip(row, col):
-        if a.terms and b.terms:
-            total = a * b if total is None else total + a * b
-    return _ZERO if total is None else total
-
-
 class SymMat3:
     """Immutable 3x3 matrix of LaurentPoly entries."""
 
@@ -107,24 +96,26 @@ class SymMat3:
         return self.rows[i - 1][j - 1]
 
     def __mul__(self, other: "SymMat3") -> "SymMat3":
-        """The product.  A unit row of self (the shared one at i, zeros
+        """The product, each entry ``polyring.dot`` of a row of self and a
+        column of other.  A unit row of self (the shared one at i, zeros
         elsewhere) takes other's row i as it is, whose entries have the terms
-        that ``_dot`` would give: 1*b and 0 + b have b's terms.  The rows are
+        that ``dot`` would give: 1*b and 0 + b have b's terms.  The rows are
         3-tuples of entries, so the product skips ``__init__``'s check."""
         rows = other.rows
         c0, c1, c2 = zip(*rows)
         product = object.__new__(SymMat3)
         product.rows = tuple([rows[i]
                               if row[i] is _ONE and not (row[i - 1].terms or row[i - 2].terms)
-                              else (_dot(row, c0), _dot(row, c1), _dot(row, c2))
+                              else (dot(row, c0), dot(row, c1), dot(row, c2))
                               for i, row in enumerate(self.rows)])
         return product
 
     def product_trace(self, other: "SymMat3") -> LaurentPoly:
-        """Tr(self * other) from the product's diagonal alone, each entry and
-        the sum formed as ``__mul__`` and ``trace`` form them."""
-        d0, d1, d2 = (_dot(row, col) for row, col in zip(self.rows, zip(*other.rows)))
-        return d0 + d1 + d2
+        """Tr(self * other) from the product's diagonal alone: each diagonal
+        entry is ``polyring.dot`` of a row and a column, as in ``__mul__``,
+        and the three are summed by ``+``, as in ``trace``."""
+        (r0, r1, r2), (c0, c1, c2) = self.rows, zip(*other.rows)
+        return dot(r0, c0) + dot(r1, c1) + dot(r2, c2)
 
     def __eq__(self, other):
         return isinstance(other, SymMat3) and self.rows == other.rows
@@ -176,11 +167,15 @@ class SymMat3:
 
 
 def stokes_matrix(layout) -> SymMat3:
-    """Identity plus the scheduled strictly off-diagonal fresh variables."""
-    rows = [[_ONE if i == j else _ZERO for j in range(3)] for i in range(3)]
+    """Identity plus the scheduled strictly off-diagonal fresh variables.
+    The rows are built as 3-tuples, as ``SymMat3.__mul__`` builds them, so
+    the matrix skips ``__init__``'s check."""
+    rows = [[_ONE, _ZERO, _ZERO], [_ZERO, _ONE, _ZERO], [_ZERO, _ZERO, _ONE]]
     for row, col, name in layout.entries:
         rows[row - 1][col - 1] = LaurentPoly.variable(name)
-    return SymMat3(rows)
+    mat = object.__new__(SymMat3)
+    mat.rows = (tuple(rows[0]), tuple(rows[1]), tuple(rows[2]))
+    return mat
 
 
 def formal_monodromy(kind: int) -> SymMat3:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from wildcv import pipeline
-from wildcv.model import CASE_NAMES, ShapeError, case_spec
+from wildcv.model import CASE_NAMES, DerivationError, ShapeError, case_spec
 from wildcv.monodromy import monodromy_factors
 from wildcv.pipeline import (_PIVOT_FLOOR, _UNIT_MIN_MODULUS, ORACLE_TOLERANCE,
                              CubicSurface, DegenerateSampleError, OracleVerdict,
@@ -28,7 +28,7 @@ from wildcv.polyring import LaurentPoly, Monomial, parse, var_id
 from wildcv.report import report_to_dict
 from wildcv.stokes import formal_monodromy
 
-from _support import case_closure, patch_expected, term_walk
+from _support import case_closure, patch_expected, term_walk, time_limit
 from test_polyring import _EVAL_VARS, _polys
 
 P = parse
@@ -1085,6 +1085,17 @@ def test_det_check_rejects_a_scaled_formal_monodromy(name, monkeypatch):
     assert report.expected.matched
     assert report.det_is_one is False
     assert report.passed is False
+
+
+def test_a_generator_of_units_alone_ends_the_derivation_at_closure(monkeypatch):
+    """A generator that holds no non-unit variable, which ``validate_spec``
+    keeps out of the case data, ends a derivation in one [closure] line."""
+    spec = case_spec("JKTVI")
+    defs = spec.generator_defs[:-1] + (("T", Monomial(((var_id("alpha"), 1),))),)
+    monkeypatch.setattr(pipeline, "case_spec", lambda name: spec.replace(generator_defs=defs))
+    with time_limit(1), pytest.raises(
+            DerivationError, match=r"^\[closure\] generator T = alpha holds no non-unit variable$"):
+        derive_case("JKTVI", run_oracle=False)
 
 
 def test_eliminate_propagates_solver_errors():

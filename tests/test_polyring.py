@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,12 +13,12 @@ from hypothesis import example, given, strategies as st
 
 from wildcv.polyring import (EXP_LIMIT, LaurentPoly, Monomial,
                              ExponentOverflowError, NotInvertibleError,
-                             NotLinearError, ParseError, _REGISTRY_NAMES,
+                             NotLinearError, ParseError, PolyError, _REGISTRY_NAMES,
                              SubstitutionDomainError, UnboundVariableError,
                              UnknownVariableError, format_poly, parse,
                              solve_in_order, solve_linear, var_id)
 
-from _support import term_walk
+from _support import term_walk, time_limit
 
 # every test here runs in the deep ring run (tests/conftest.py)
 pytestmark = pytest.mark.deep
@@ -234,6 +235,32 @@ def test_substitute_formal_square_root():
     alpha_sub = P("alpha*V^2").substitute({var_id("alpha"): P("r^2"),
                                            var_id("V"): P("r^-1*Y - 1")})
     assert alpha_sub == P("Y^2 - 2*r*Y + r^2")
+
+
+def test_substitute_names_the_first_binding_it_cannot_invert():
+    """Of two negative powers whose bindings cannot be inverted, the error
+    names the first in registry order, whatever the order of the bindings."""
+    poly = P("x1 + alpha^-1*beta^-2")
+    alpha, beta = var_id("alpha"), var_id("beta")
+    for bindings in ({alpha: P("x1"), beta: P("x2 + 1")}, {beta: P("x2 + 1"), alpha: P("x1")}):
+        with pytest.raises(SubstitutionDomainError, match="^cannot invert binding of alpha: x1$"):
+            poly.substitute(bindings)
+    with pytest.raises(SubstitutionDomainError, match="^cannot invert binding of beta: x2 \\+ 1$"):
+        poly.substitute({beta: P("x2 + 1"), alpha: P("r^2")})
+
+
+@pytest.mark.parametrize("gens, line", [
+    ((("U", "1"),), "generator U = 1 holds no non-unit variable"),
+    ((("U", "x1"), ("V", "alpha")), "generator V = alpha holds no non-unit variable"),
+    ((("U", "alpha^2*gamma^-1"), ("V", "x1")), "generator U = alpha^2*gamma^-1 holds no non-unit variable"),
+])
+def test_in_products_rejects_a_generator_of_units_alone(gens, line):
+    """A generator that holds no non-unit variable (the constant 1, or units
+    alone) is refused in one line before any term is factored: no search
+    over it would end."""
+    gens = tuple((var_id(name), P(text).single_term()[1]) for name, text in gens)
+    with time_limit(1), pytest.raises(PolyError, match=f"^{re.escape(line)}$"):
+        P("x1 + 2*x1*alpha").in_products(gens, min)
 
 
 def test_substitute_unit_inverse_needs_unit_term():
@@ -483,6 +510,16 @@ def test_coefficients_are_int_when_whole():
     _assert_canonical(P("3*x1 + 3/2*x2"))
 
 
+def test_inverse_term_coefficient_types():
+    """The inverse of ±1 and of ±1/2 is an int, of ±2 a Fraction, with the
+    inverse monomial."""
+    for c, want in ((1, 1), (-1, -1), (2, Fraction(1, 2)), (-2, Fraction(-1, 2)),
+                    (Fraction(1, 2), 2), (Fraction(-1, 2), -2)):
+        ((m, got),) = P(f"{c}*alpha*gamma^-2").inverse_term().terms.items()
+        assert m == P("alpha^-1*gamma^2").single_term()[1]
+        assert got == want and type(got) is type(want)
+
+
 @given(_polys(), _polys(), st.integers(0, 3), _unit_terms())
 def test_ring_operations_keep_coefficients_canonical(a, b, k, unit):
     """Every coefficient is an int when its denominator is 1, and a Fraction
@@ -496,6 +533,25 @@ def test_ring_operations_keep_coefficients_canonical(a, b, k, unit):
     for poly in results:
         _assert_canonical(poly)
     assert solve_linear(eq, x2) == -rest * unit.inverse_term()
+
+
+@given(_polys(), _polys(), _unit_terms(), st.sampled_from(["x1", "x2", "X"]))
+# a zero rest with the coefficient 1; then the coefficient -1, and a Fraction whose inverse is whole
+@example(P("0"), P("0"), P("1"), "x1")
+@example(P("x2 - 1/2*X"), P("0"), P("-1"), "x1")
+@example(P("x2 - 1/2*X"), P("0"), P("1/3*alpha"), "x1")
+def test_solve_linear_maps_rest_as_the_product_does(a, b, unit, name):
+    """solve_linear(eq, t) has the terms, order and coefficient types of
+    -rest * coeff.inverse_term(), for eq split into coeff*t + rest, with
+    coeff a single term in units: the reference is kept here, as the
+    product that solve_linear's one map of rest replaces."""
+    t = var_id(name)
+    # eq = coeff*t + rest, with t in neither: rest from a and b, coeff a unit term
+    rest = a.substitute({t: LaurentPoly.constant(1)}) + b.substitute({t: LaurentPoly.zero()})
+    eq = unit * LaurentPoly.variable(name) + rest
+    parts = eq.split((t,))
+    want = -parts.get((0,), LaurentPoly.zero()) * parts[(1,)].inverse_term()
+    _same(solve_linear(eq, t), want)
 
 
 _MONO_VARS = ("x1", "x2", "X", "alpha", "gamma", "e")
@@ -976,6 +1032,10 @@ def _bindings(draw):
 @example(P(f"x1*X^{_L - 2}"), {var_id("x1"): P("X + 1")})
 @example(P(f"x1*X^{_L - 1}"), {var_id("x1"): P("X + 1")})
 @example(P(f"x1*alpha^-{_L}"), {var_id("x1"): P("alpha^-1 + x2")})
+# six bindings, and terms that hold three of them, two, one and none
+@example(P("2*x1*X*alpha^-1 + x2*gamma - 1/3*x3 + Z"),
+         {var_id("gamma"): P("alpha^2"), var_id("x3"): P("1/2*Y"), var_id("X"): P("x2"),
+          var_id("x1"): P("X + 1"), var_id("alpha"): P("-2*gamma"), var_id("x2"): P("x1 - x2")})
 def test_substitute_adds_images_as_from_terms(p, bindings):
     """substitute gives the terms, order and coefficient types of from_terms
     over every term of every term's image (``_general_substitute``), or

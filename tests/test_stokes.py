@@ -4,7 +4,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from wildcv.model import CASE_NAMES, StokesEntryLayout, case_spec
 from wildcv.polyring import LaurentPoly, parse
@@ -123,6 +123,13 @@ def test_stokes_matrix_two_entry_and_empty():
     assert m.entry(1, 3) == P("x2") and m.entry(2, 3) == P("x3")
     empty = StokesEntryLayout(RationalAngle.of(0), ())
     assert stokes_matrix(empty) == SymMat3.identity()
+    # built without __init__: three 3-tuples, equal to and hashing as the
+    # same entries passed through SymMat3(...)
+    for mat in (m, stokes_matrix(empty)):
+        assert type(mat) is SymMat3 and type(mat.rows) is tuple and len(mat.rows) == 3
+        assert all(type(row) is tuple and len(row) == 3 for row in mat.rows)
+        built = SymMat3([list(row) for row in mat.rows])
+        assert mat == built and hash(mat) == hash(built)
 
 
 def test_every_scheduled_stokes_matrix_is_unipotent():
@@ -136,8 +143,10 @@ def test_every_scheduled_stokes_matrix_is_unipotent():
             assert (n * n).rows == SymMat3([[P("0")] * 3] * 3).rows
 
 
+# x1, -x1, x1 - 1 and 1/2*x1 cancel across a row: a dot product's sum may
+# reach zero and come back, or lose a term and take it again last
 _ENTRIES = st.sampled_from(["x1", "x2 + 1", "-1/2*alpha^-1", "x1*x3 - x4 + 2",
-                             "3", "1"]).map(P)
+                             "3", "1", "-x1", "x1 - 1", "1/2*x1", "-2"]).map(P)
 
 
 @st.composite
@@ -167,8 +176,24 @@ def _dot_reference(row, col):
     return total
 
 
+def _matrix(*rows):
+    return SymMat3([[P(e) for e in row] for row in rows])
+
+
+_ONES = _matrix(["1", "1", "1"], ["1", "1", "1"], ["1", "1", "1"])
+_CANCELLING = _matrix(["x1", "-x1", "x1 - 1"], ["x1", "x2 - x1", "x1 - 1"],
+                      ["1/2*x1", "x1 - 1", "-2"])
+
+
 @pytest.mark.deep
 @given(_MATRICES, _MATRICES)
+# against a column of ones, row 1's sum reaches zero at the second product
+# and comes back at the third; row 2's x1 goes at the second and comes back last
+@example(_CANCELLING, _ONES)
+# (x1 + x2)*(x1 - x2) is formed whole, so its x1*x2 terms cancel within it
+# and the sum's x1*x2 keeps its place: added term by term, it would go last
+@example(_matrix(["x1*x2", "x1 + x2", "0"], ["0", "1", "0"], ["0", "0", "1"]),
+         _matrix(["1", "0", "0"], ["x1 - x2", "1", "0"], ["0", "0", "1"]))
 def test_product_matches_the_dot_reference(a, b):
     """Each entry of a * b has, in the same order and with the same
     coefficient types, the terms of the reference dot product of its row and
@@ -179,6 +204,24 @@ def test_product_matches_the_dot_reference(a, b):
             want = _dot_reference(a.rows[i], [b.rows[k][j] for k in range(3)])
             assert [(m, c, type(c)) for m, c in got.rows[i][j].terms.items()] == \
                 [(m, c, type(c)) for m, c in want.terms.items()]
+
+
+@pytest.mark.deep
+@given(_MATRICES, _MATRICES)
+# the diagonal's second entry loses x1 and takes it again last
+@example(_CANCELLING, _ONES)
+# the second diagonal entry is zero, so the sum's x1 keeps its place: added
+# product by product into one sum, x1 would go and come back after x2
+@example(_matrix(["x1", "x2", "0"], ["-x1", "x1", "0"], ["0", "0", "1"]), _ONES)
+def test_product_trace_matches_the_dot_reference(a, b):
+    """Tr(a * b) from ``product_trace`` has, in the same order and with the
+    same coefficient types, the terms of the reference dot products of the
+    diagonal, summed by ``+`` as ``trace`` sums them."""
+    d0, d1, d2 = (_dot_reference(a.rows[i], [b.rows[k][i] for k in range(3)]) for i in range(3))
+    want = d0 + d1 + d2
+    got = a.product_trace(b)
+    assert [(m, c, type(c)) for m, c in got.terms.items()] == \
+        [(m, c, type(c)) for m, c in want.terms.items()]
 
 
 @pytest.mark.deep

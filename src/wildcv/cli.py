@@ -94,7 +94,15 @@ def _emit(text: str, output) -> None:
         except OSError as exc:
             raise UsageError(f"cannot write {output}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # fd 1 goes to the null device, so the flush at exit stays quiet
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise UsageError(f"cannot write stdout: {exc.strerror}") from None
 
 
 def _add_common(sub, with_format=True, with_oracle=True, case_default=None):

@@ -26,9 +26,10 @@ single-term factor map the other's terms one to one, sums with zero return
 the other summand, and a substitution that binds none of a polynomial's
 variables returns it.  Otherwise a sum, difference, product, dot product or
 substitution adds its terms into one dict by ``_accumulate``'s rules: a new
-monomial goes last, a sum is kept canonical, and a zero sum is removed.  The
-general product, ``-``, ``substitute`` and ``dot`` each do so in a loop of
-their own, written inline, with no generator between a term and its sum.
+monomial goes last, a sum is kept canonical, and a zero sum is removed.  Two
+loops hold these rules: ``_accumulate`` adds a stream of (monomial,
+coefficient) pairs, and ``_add_shifted`` adds a polynomial's terms times one
+term, which is what ``-``, every product, ``substitute`` and ``dot`` add.
 
 Polynomials print deterministically (terms sorted by exponent vector in
 registry order) in a small text grammar, and ``parse`` round-trips it::
@@ -319,11 +320,9 @@ def _accumulate(out: dict, pairs: Iterable[tuple[int, Scalar]]) -> dict:
     ``_canonical``'s, written inline.
 
     ``__add__``, ``from_terms``, ``in_products`` and ``dot`` (for a
-    product of two multi-term factors) add through this loop.  ``_products``
-    (the general product), ``substitute``, ``__sub__`` and ``dot`` (for a
-    single-term factor's image of the other) each add their terms in an
-    inlined copy of it, with the same rules; there each term product or
-    image is nonzero, so only a sum can vanish."""
+    product of two multi-term factors) add through this loop; a
+    polynomial times one term is added by ``_add_shifted``, with the same
+    rules."""
     for m, c in pairs:
         s = out.get(m)
         if s is not None:
@@ -349,46 +348,37 @@ def _poly(terms: dict) -> "LaurentPoly":
     return p
 
 
-def _shifted(terms: dict, mono: int, coef: Scalar) -> dict:
-    """terms times the single term coef*mono: a one-to-one map, so the
-    terms keep their order and no two of them meet.  The mask test and the
-    canonical form are written inline, as in ``_accumulate``."""
-    out = {}
+def _add_shifted(out: dict, terms: dict, mono: int, coef: Scalar) -> dict:
+    """Add each term of terms times the single term coef*mono into out, in
+    terms' order, by ``_accumulate``'s rules; each such product is nonzero,
+    so only a sum can vanish.  The mask test and the canonical form are
+    written inline, as in ``_accumulate``."""
     for m, c in terms.items():
         m += mono
-        if (m + _OFFSET) & _GUARD != _IN_RANGE:
-            _checked(m)
-        c *= coef
-        if type(c) is not int and c.denominator == 1:
-            c = c.numerator
-        out[_new_int(Monomial, m)] = c
+        s = out.get(m)
+        if s is None:
+            c *= coef
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
+            if (m + _OFFSET) & _GUARD != _IN_RANGE:
+                _checked(m)
+            out[_new_int(Monomial, m)] = c
+        else:
+            c = s + c * coef
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
+            if c:
+                out[m] = c
+            else:
+                del out[m]
     return out
 
 
 def _products(a: dict, b: dict) -> dict:
-    """The sum of every term product of a and b, a's terms outermost, each
-    added as ``_accumulate`` adds it."""
+    """The sum of every term product of a and b, a's terms outermost."""
     out: dict = {}
-    b = b.items()
-    for m1, c1 in a.items():
-        for m2, c2 in b:
-            m = m1 + m2
-            s = out.get(m)
-            if s is None:
-                c = c1 * c2
-                if type(c) is not int and c.denominator == 1:
-                    c = c.numerator
-                if (m + _OFFSET) & _GUARD != _IN_RANGE:
-                    _checked(m)
-                out[_new_int(Monomial, m)] = c
-            else:
-                c = s + c1 * c2
-                if type(c) is not int and c.denominator == 1:
-                    c = c.numerator
-                if c:
-                    out[m] = c
-                else:
-                    del out[m]
+    for m, c in a.items():
+        _add_shifted(out, b, m, c)
     return out
 
 
@@ -450,31 +440,17 @@ class LaurentPoly:
         return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        """self + (-other), in one pass: each of other's terms is negated as
-        it is added, as ``_accumulate`` adds it."""
+        """self + (-other), in one pass: other's terms are added times -1."""
         if type(other) is not LaurentPoly:
             other = _lift(other)
         if not other.terms:
             return self
         if not self.terms:
             return -other
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = -c
-            else:
-                c = s - c
-                if type(c) is not int and c.denominator == 1:
-                    c = c.numerator
-                if c:
-                    out[m] = c
-                else:
-                    del out[m]
-        return _poly(out)
+        return _poly(_add_shifted(dict(self.terms), other.terms, 0, -1))
 
     def __rsub__(self, other):
-        return _lift(other) + (-self)
+        return _lift(other) - self
 
     def __mul__(self, other):
         """The product, with the terms in the order of adding every term
@@ -488,12 +464,12 @@ class LaurentPoly:
             if b.get(_MONOMIAL_ONE) == 1:
                 return self
             ((m, c),) = b.items()
-            return _poly(_shifted(a, m, c))
+            return _poly(_add_shifted({}, a, m, c))
         if len(a) == 1:
             if a.get(_MONOMIAL_ONE) == 1:
                 return other
             ((m, c),) = a.items()
-            return _poly(_shifted(b, m, c))
+            return _poly(_add_shifted({}, b, m, c))
         return _poly(_products(a, b))
 
     __rmul__ = __mul__
@@ -644,25 +620,7 @@ class LaurentPoly:
                     power = _power_image(v, ((biased >> shift) & _FIELD) - _BIAS, bindings[v])
                     image = power if image is _ONE else image * power
                 image = images[part] = image.terms
-            rest = m - part
-            for mi, ci in image.items():    # each added as _accumulate adds it
-                mi += rest
-                s = out.get(mi)
-                if s is None:
-                    ci *= c
-                    if type(ci) is not int and ci.denominator == 1:
-                        ci = ci.numerator
-                    if (mi + _OFFSET) & _GUARD != _IN_RANGE:
-                        _checked(mi)
-                    out[_new_int(Monomial, mi)] = ci
-                else:
-                    ci = s + ci * c
-                    if type(ci) is not int and ci.denominator == 1:
-                        ci = ci.numerator
-                    if ci:
-                        out[mi] = ci
-                    else:
-                        del out[mi]
+            _add_shifted(out, image, m - part, c)
         return _poly(out)
 
     def evaluate(self, values: Mapping[VarId, complex]) -> complex:
@@ -747,30 +705,12 @@ def dot(row: Iterable[LaurentPoly], col: Iterable[LaurentPoly]) -> LaurentPoly:
             continue
         if len(a) == 1:
             ((mono, coef),) = a.items()
+            _add_shifted(out, b, mono, coef)
         elif len(b) == 1:
             ((mono, coef),) = b.items()
-            b = a
+            _add_shifted(out, a, mono, coef)
         else:
             _accumulate(out, _products(a, b).items())
-            continue
-        for m, c in b.items():
-            m += mono
-            s = out.get(m)
-            if s is None:
-                c *= coef
-                if type(c) is not int and c.denominator == 1:
-                    c = c.numerator
-                if (m + _OFFSET) & _GUARD != _IN_RANGE:
-                    _checked(m)
-                out[_new_int(Monomial, m)] = c
-            else:
-                c = s + c * coef
-                if type(c) is not int and c.denominator == 1:
-                    c = c.numerator
-                if c:
-                    out[m] = c
-                else:
-                    del out[m]
     return _poly(out)
 
 
@@ -798,7 +738,7 @@ def solve_linear(eq: LaurentPoly, target: VarId) -> LaurentPoly:
             f"coefficient of {target.name} is not an invertible term: {coeff}") from None
     # -rest * inverse, as one map of rest's terms by the negated inverse term
     rest = parts.get((0,))
-    return _poly({} if rest is None else _shifted(rest.terms, mono, -coef))
+    return _poly({} if rest is None else _add_shifted({}, rest.terms, mono, -coef))
 
 
 def solve_in_order(equations, plan) -> dict:

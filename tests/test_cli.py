@@ -3,6 +3,8 @@
 import errno
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -283,6 +285,41 @@ def test_failed_write_is_usage_error(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
+
+
+_STDOUT_COMMANDS = [("dump-spec", "--case", "all"), ("directions", "--case", "JKTI")]
+
+
+def _run_with_stdout(argv, stdout):
+    """``python -m wildcv`` in a fresh interpreter, from these sources, its
+    stdout on ``stdout``: the exit code and the lines of stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "wildcv", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    return done.returncode, done.stderr.splitlines()
+
+
+@pytest.mark.parametrize("argv", _STDOUT_COMMANDS, ids=lambda argv: argv[0])
+def test_closed_stdout_pipe_is_usage_error(argv):
+    """A stdout pipe whose reader has gone (``wildcv ... | true``) ends in one
+    ``error:`` line and exit 2, with no traceback."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        code, err = _run_with_stdout(argv, write)
+    finally:
+        os.close(write)
+    assert (code, err) == (2, [f"error: cannot write stdout: {os.strerror(errno.EPIPE)}"])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", _STDOUT_COMMANDS, ids=lambda argv: argv[0])
+def test_full_stdout_device_is_usage_error(argv):
+    """A stdout that is full (``/dev/full``) ends in one ``error:`` line and
+    exit 2, with no traceback."""
+    with open("/dev/full", "w") as full:
+        code, err = _run_with_stdout(argv, full)
+    assert (code, err) == (2, [f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}"])
 
 
 def _failing_derivation(monkeypatch):

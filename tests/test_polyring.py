@@ -1,5 +1,6 @@
 """Ring substrate: canonical arithmetic, grammar round trips, linear solving."""
 
+import ast
 import itertools
 import json
 import math
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
+from wildcv import polyring
 from wildcv.polyring import (EXP_LIMIT, LaurentPoly, Monomial,
                              ExponentOverflowError, NotInvertibleError,
                              NotLinearError, ParseError, PolyError, _REGISTRY_NAMES,
@@ -974,8 +976,22 @@ def test_constants_hash_as_their_scalars():
 
 
 # --------------------------------------------------------------------------
-# the inlined accumulation loops against from_terms over their term streams
+# the two accumulation loops: the paths through _add_shifted against
+# from_terms over their term streams
 # --------------------------------------------------------------------------
+
+
+def test_only_the_two_accumulation_loops_delete_a_zero_sum():
+    """The accumulation rule (a new monomial goes last, a sum stays
+    canonical, a zero sum is deleted) is written out in two loops:
+    ``_accumulate`` for a stream of pairs and ``_add_shifted`` for a
+    polynomial times one term.  Deleting a zero sum is the rule's signature,
+    so no other function of the ring holds a ``del``."""
+    tree = ast.parse(Path(polyring.__file__).read_text())
+    holders = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and any(isinstance(inner, ast.Delete) for inner in ast.walk(node))}
+    assert holders == {"_accumulate", "_add_shifted"}
 
 
 def _same_or_overflow(got, want):

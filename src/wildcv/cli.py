@@ -36,6 +36,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(2, f"error: {self.prog}: {message}\n")
 
+    def print_help(self, file=None):
+        # to stdout, as a command's output is: a failed write is a usage error
+        _emit(self.format_help(), None)
+
 
 def _default_seed() -> int:
     raw = os.environ.get(ENV_SEED)
@@ -86,6 +90,20 @@ def _check_output(output) -> None:
     raise UsageError(f"cannot write {output}: {reason}")
 
 
+def _write(stream, text: str) -> None:
+    """Write text to stream and flush it.  When that fails, the stream's fd
+    goes to the null device, so the flush at exit stays quiet, and the
+    OSError is raised again."""
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        raise
+
+
 def _emit(text: str, output) -> None:
     if output:
         try:
@@ -95,13 +113,8 @@ def _emit(text: str, output) -> None:
             raise UsageError(f"cannot write {output}: {exc.strerror}") from None
     else:
         try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            _write(sys.stdout, text)
         except OSError as exc:
-            # fd 1 goes to the null device, so the flush at exit stays quiet
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
             raise UsageError(f"cannot write stdout: {exc.strerror}") from None
 
 
@@ -218,17 +231,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.output:
             _check_output(args.output)
         return _COMMANDS[args.command](args)
-    except (UnknownCaseError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DerivationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except (UnknownCaseError, UsageError, DerivationError) as exc:
+        try:
+            _write(sys.stderr, f"error: {exc}\n")
+        except OSError:
+            pass    # an unwritable stderr leaves the exit code as it is
+        return 3 if isinstance(exc, DerivationError) else 2
 
 
 if __name__ == "__main__":

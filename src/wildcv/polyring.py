@@ -21,15 +21,15 @@ range raises ``ExponentOverflowError`` and never wraps.  Only this module
 reads the packed format; the invariant rewrite's masks and int sums are
 ``LaurentPoly.in_products``.
 
-Products with a constant-1 factor return the other factor, products with a
-single-term factor map the other's terms one to one, sums with zero return
-the other summand, and a substitution that binds none of a polynomial's
-variables returns it.  Otherwise a sum, difference, product, dot product or
-substitution adds its terms into one dict by ``_accumulate``'s rules: a new
-monomial goes last, a sum is kept canonical, and a zero sum is removed.  Two
-loops hold these rules: ``_accumulate`` adds a stream of (monomial,
-coefficient) pairs, and ``_add_shifted`` adds a polynomial's terms times one
-term, which is what ``-``, every product, ``substitute`` and ``dot`` add.
+Products with a constant-1 factor return the other factor, sums with zero
+return the other summand, and a substitution that binds none of a
+polynomial's variables returns it.  Otherwise a sum, difference, product, dot
+product or substitution adds its terms into one dict in one loop,
+``_add_shifted``, which adds (monomial, coefficient) pairs times one term: a
+new monomial goes last, a sum is kept canonical, and a zero sum is removed.
+A product with a single-term factor adds the other's terms times that term,
+and a stream of pairs (``+``, ``from_terms``, ``in_products``) is added times
+the unit term.
 
 Polynomials print deterministically (terms sorted by exponent vector in
 registry order) in a small text grammar, and ``parse`` round-trips it::
@@ -311,36 +311,6 @@ def _canonical(c: Scalar) -> Scalar:
     return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
-def _accumulate(out: dict, pairs: Iterable[tuple[int, Scalar]]) -> dict:
-    """Add each (monomial, coefficient) pair into out, in order: a new
-    monomial goes last, a sum is kept canonical, and a zero sum is removed,
-    so a monomial that comes back later goes last.  A monomial may come as
-    the plain int sum of two; it is range-checked and packed only when it is
-    new to out.  The mask test and the canonical form are ``_checked``'s and
-    ``_canonical``'s, written inline.
-
-    ``__add__``, ``from_terms``, ``in_products`` and ``dot`` (for a
-    product of two multi-term factors) add through this loop; a
-    polynomial times one term is added by ``_add_shifted``, with the same
-    rules."""
-    for m, c in pairs:
-        s = out.get(m)
-        if s is not None:
-            c = s + c
-        if type(c) is not int and c.denominator == 1:
-            c = c.numerator
-        if c:
-            if s is not None or type(m) is Monomial:
-                out[m] = c
-            else:
-                if (m + _OFFSET) & _GUARD != _IN_RANGE:
-                    _checked(m)
-                out[_new_int(Monomial, m)] = c
-        elif s is not None:
-            del out[m]
-    return out
-
-
 def _poly(terms: dict) -> "LaurentPoly":
     """A LaurentPoly of terms already canonical and without zeros."""
     p = object.__new__(LaurentPoly)
@@ -348,12 +318,18 @@ def _poly(terms: dict) -> "LaurentPoly":
     return p
 
 
-def _add_shifted(out: dict, terms: dict, mono: int, coef: Scalar) -> dict:
-    """Add each term of terms times the single term coef*mono into out, in
-    terms' order, by ``_accumulate``'s rules; each such product is nonzero,
-    so only a sum can vanish.  The mask test and the canonical form are
-    written inline, as in ``_accumulate``."""
-    for m, c in terms.items():
+def _add_shifted(out: dict, pairs: Iterable[tuple[int, Scalar]], mono: int,
+                 coef: Scalar) -> dict:
+    """Add each (monomial, coefficient) pair times the single term coef*mono
+    into out, in order: a new monomial goes last, a sum is kept canonical,
+    and a zero sum is removed, so a monomial that comes back later goes last.
+    No coefficient, coef included, may be zero: a product of nonzero
+    rationals is nonzero, so only a sum can vanish.  A monomial may come as
+    the plain int sum of two; it is range-checked and packed only when it is
+    new to out.  The mask test and the canonical form are ``_checked``'s and
+    ``_canonical``'s, written inline.  A stream of pairs is added times the
+    unit term: ``mono`` 0 and ``coef`` 1."""
+    for m, c in pairs:
         m += mono
         s = out.get(m)
         if s is None:
@@ -377,8 +353,9 @@ def _add_shifted(out: dict, terms: dict, mono: int, coef: Scalar) -> dict:
 def _products(a: dict, b: dict) -> dict:
     """The sum of every term product of a and b, a's terms outermost."""
     out: dict = {}
+    pairs = b.items()
     for m, c in a.items():
-        _add_shifted(out, b, m, c)
+        _add_shifted(out, pairs, m, c)
     return out
 
 
@@ -420,8 +397,9 @@ class LaurentPoly:
     def from_terms(cls, pairs: Iterable[tuple[Monomial, Scalar]]) -> "LaurentPoly":
         """The sum of (monomial, coefficient) pairs, added in order into one
         dict: the terms and their order are those of adding each pair as a
-        ``term`` to zero in turn."""
-        return _poly(_accumulate({}, ((m, _coerce_scalar(c)) for m, c in pairs)))
+        ``term`` to zero in turn, so a zero coefficient adds nothing."""
+        coerced = ((m, _coerce_scalar(c)) for m, c in pairs)
+        return _poly(_add_shifted({}, filter(itemgetter(1), coerced), 0, 1))
 
     # -- ring structure ----------------------------------------------------
 
@@ -432,7 +410,7 @@ class LaurentPoly:
             return self
         if not self.terms:
             return other
-        return _poly(_accumulate(dict(self.terms), other.terms.items()))
+        return _poly(_add_shifted(dict(self.terms), other.terms.items(), 0, 1))
 
     __radd__ = __add__
 
@@ -447,7 +425,7 @@ class LaurentPoly:
             return self
         if not self.terms:
             return -other
-        return _poly(_add_shifted(dict(self.terms), other.terms, 0, -1))
+        return _poly(_add_shifted(dict(self.terms), other.terms.items(), 0, -1))
 
     def __rsub__(self, other):
         return _lift(other) - self
@@ -464,12 +442,12 @@ class LaurentPoly:
             if b.get(_MONOMIAL_ONE) == 1:
                 return self
             ((m, c),) = b.items()
-            return _poly(_add_shifted({}, a, m, c))
+            return _poly(_add_shifted({}, a.items(), m, c))
         if len(a) == 1:
             if a.get(_MONOMIAL_ONE) == 1:
                 return other
             ((m, c),) = a.items()
-            return _poly(_add_shifted({}, b, m, c))
+            return _poly(_add_shifted({}, b.items(), m, c))
         return _poly(_products(a, b))
 
     __rmul__ = __mul__
@@ -547,7 +525,7 @@ class LaurentPoly:
         any other the exponent tuple that ``choose(part, found)`` picks from
         ``found``, every factorization (none when it is empty).  Each part is
         masked off as in ``split``, factored once per call and replaced by one
-        int sum; the terms are added in self's order by ``_accumulate``.  A
+        int sum; the terms are added in self's order by ``_add_shifted``.  A
         generator that holds no non-unit variable is a PolyError, raised
         before any term is factored, as no search over it would end."""
         ids, monos = zip(*gens) if gens else ((), ())
@@ -572,7 +550,7 @@ class LaurentPoly:
                 exps = found[0] if len(found) == 1 else choose(_new_int(Monomial, x), found)
                 product = chosen[x] = sum(e * g for e, g in zip(exps, names))
             terms.append((m - x + product, c))
-        return _poly(_accumulate({}, terms))
+        return _poly(_add_shifted({}, terms, 0, 1))
 
     def sorted_terms(self) -> list:
         """The terms, highest monomial first: by the packed int, which orders
@@ -587,8 +565,8 @@ class LaurentPoly:
         Each term's image is its coefficient times the product of the bound
         powers' images, taken in registry order from the first of them (a
         power 1 is the binding itself), shifted by the term's unbound part as
-        one monomial; the images' terms are added in term order into one
-        dict, as ``_accumulate`` adds them.
+        one monomial; ``_add_shifted`` adds the images' terms, in term order,
+        into one dict.
 
         A variable occurring with a negative exponent can only be replaced by
         a single term in unit variables, otherwise SubstitutionDomainError.
@@ -619,7 +597,7 @@ class LaurentPoly:
                     v = _AT_SHIFT[shift]
                     power = _power_image(v, ((biased >> shift) & _FIELD) - _BIAS, bindings[v])
                     image = power if image is _ONE else image * power
-                image = images[part] = image.terms
+                image = images[part] = image.terms.items()
             _add_shifted(out, image, m - part, c)
         return _poly(out)
 
@@ -693,11 +671,11 @@ def dot(row: Iterable[LaurentPoly], col: Iterable[LaurentPoly]) -> LaurentPoly:
     """The sum of row[k] * col[k], with the terms, in the same order, of
     adding each product in turn to the sum of those before it.  A product
     with a zero factor is skipped, as adding zero changes nothing.  A
-    single-term factor maps the other's terms one to one, so its image of
-    the other is added straight into the sum, term by term, as
-    ``_accumulate`` adds it: no two image terms meet, so this adds the
-    finished product.  A product of two multi-term factors is formed whole
-    by ``_products`` and then added."""
+    single-term factor maps the other's terms one to one, so
+    ``_add_shifted`` adds the other's terms times it straight into the sum:
+    no two image terms meet, so this adds the finished product.  A product
+    of two multi-term factors is formed whole by ``_products`` and then
+    added times the unit term, in the same loop."""
     out: dict = {}
     for a, b in zip(row, col):
         a, b = a.terms, b.terms
@@ -705,12 +683,12 @@ def dot(row: Iterable[LaurentPoly], col: Iterable[LaurentPoly]) -> LaurentPoly:
             continue
         if len(a) == 1:
             ((mono, coef),) = a.items()
-            _add_shifted(out, b, mono, coef)
+            _add_shifted(out, b.items(), mono, coef)
         elif len(b) == 1:
             ((mono, coef),) = b.items()
-            _add_shifted(out, a, mono, coef)
+            _add_shifted(out, a.items(), mono, coef)
         else:
-            _accumulate(out, _products(a, b).items())
+            _add_shifted(out, _products(a, b).items(), 0, 1)
     return _poly(out)
 
 
@@ -738,7 +716,7 @@ def solve_linear(eq: LaurentPoly, target: VarId) -> LaurentPoly:
             f"coefficient of {target.name} is not an invertible term: {coeff}") from None
     # -rest * inverse, as one map of rest's terms by the negated inverse term
     rest = parts.get((0,))
-    return _poly({} if rest is None else _add_shifted({}, rest.terms, mono, -coef))
+    return _poly({} if rest is None else _add_shifted({}, rest.terms.items(), mono, -coef))
 
 
 def solve_in_order(equations, plan) -> dict:

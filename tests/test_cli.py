@@ -287,39 +287,78 @@ def test_failed_write_is_usage_error(tmp_path, capsys, monkeypatch):
     assert captured.err == f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
 
 
-_STDOUT_COMMANDS = [("dump-spec", "--case", "all"), ("directions", "--case", "JKTI")]
+_STDOUT_COMMANDS = [("dump-spec", "--case", "all"), ("directions", "--case", "JKTI"),
+                    ("--help",)]
 
 
-def _run_with_stdout(argv, stdout):
-    """``python -m wildcv`` in a fresh interpreter, from these sources, its
-    stdout on ``stdout``: the exit code and the lines of stderr."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-m", "wildcv", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, env=env, text=True, timeout=60)
-    return done.returncode, done.stderr.splitlines()
+def _run_both_ways(argv, stdout, stderr=subprocess.PIPE, **env):
+    """``python -m wildcv`` in two fresh interpreters, from these sources,
+    with ``PYTHONUNBUFFERED=1`` and with the variable removed: for each, the
+    exit code and the lines of stderr (none when stderr is not piped here)."""
+    runs = []
+    for unbuffered in ({"PYTHONUNBUFFERED": "1"}, {}):
+        environ = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), **env)
+        environ.pop("PYTHONUNBUFFERED", None)
+        environ.update(unbuffered)
+        done = subprocess.run([sys.executable, "-m", "wildcv", *argv], stdout=stdout,
+                              stderr=stderr, env=environ, text=True, timeout=60)
+        runs.append((done.returncode, (done.stderr or "").splitlines()))
+    return runs
+
+
+def _closed_pipe():
+    """The write end of a pipe whose read end is closed."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
 
 
 @pytest.mark.parametrize("argv", _STDOUT_COMMANDS, ids=lambda argv: argv[0])
 def test_closed_stdout_pipe_is_usage_error(argv):
     """A stdout pipe whose reader has gone (``wildcv ... | true``) ends in one
-    ``error:`` line and exit 2, with no traceback."""
-    read, write = os.pipe()
-    os.close(read)
+    ``error:`` line and exit 2, with no traceback, buffered or not."""
+    write = _closed_pipe()
     try:
-        code, err = _run_with_stdout(argv, write)
+        runs = _run_both_ways(argv, write)
     finally:
         os.close(write)
-    assert (code, err) == (2, [f"error: cannot write stdout: {os.strerror(errno.EPIPE)}"])
+    assert runs == [(2, [f"error: cannot write stdout: {os.strerror(errno.EPIPE)}"])] * 2
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 @pytest.mark.parametrize("argv", _STDOUT_COMMANDS, ids=lambda argv: argv[0])
 def test_full_stdout_device_is_usage_error(argv):
     """A stdout that is full (``/dev/full``) ends in one ``error:`` line and
-    exit 2, with no traceback."""
+    exit 2, with no traceback, buffered or not."""
     with open("/dev/full", "w") as full:
-        code, err = _run_with_stdout(argv, full)
-    assert (code, err) == (2, [f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}"])
+        runs = _run_both_ways(argv, full)
+    assert runs == [(2, [f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}"])] * 2
+
+
+_USAGE_ERRORS = [(("dump-spec", "--case", "bogus"), {}), (("verify",), {cli.ENV_SEED: "x"})]
+
+
+@pytest.mark.parametrize("argv,env", _USAGE_ERRORS, ids=["unknown-case", "bad-env-seed"])
+def test_closed_stderr_pipe_keeps_the_usage_code(argv, env):
+    """A usage error whose ``error:`` line meets a stderr pipe with no
+    reader still exits 2, buffered or not: no code 1 of a traceback that
+    cannot be written, and no 120 of a flush at exit that fails."""
+    write = _closed_pipe()
+    try:
+        runs = _run_both_ways(argv, subprocess.DEVNULL, write, **env)
+    finally:
+        os.close(write)
+    assert runs == [(2, [])] * 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv,env", _USAGE_ERRORS, ids=["unknown-case", "bad-env-seed"])
+def test_full_stderr_device_keeps_the_usage_code(argv, env):
+    """A usage error whose ``error:`` line meets a full stderr
+    (``/dev/full``) still exits 2, buffered or not."""
+    with open("/dev/full", "w") as full:
+        runs = _run_both_ways(argv, subprocess.DEVNULL, full, **env)
+    assert runs == [(2, [])] * 2
 
 
 def _failing_derivation(monkeypatch):
@@ -448,6 +487,18 @@ def test_bad_case_data_exits_three(command, changes, line, capsys, monkeypatch):
     assert code == 3
     assert captured.out == ""
     assert captured.err == f"error: [spec] invalid case data: {line}\n"
+
+
+def test_closed_stderr_pipe_keeps_the_failed_stage_code(capsys, monkeypatch):
+    """Bad case data whose ``error:`` line meets a stderr pipe with no reader
+    still exits 3; the stream then closes without an error, as its fd was
+    sent to the null device."""
+    use_spec(monkeypatch, _IVB.replace(divisor="2{0}+{inf}"))
+    with open(_closed_pipe(), "w") as stream, monkeypatch.context() as patch:
+        patch.setattr(sys, "stderr", stream)
+        assert cli.main(["dump-spec", "--case", "JKTIVb"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == captured.err == ""
 
 
 def test_spec_line_splits_into_its_violations(capsys, monkeypatch):

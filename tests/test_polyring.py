@@ -976,22 +976,60 @@ def test_constants_hash_as_their_scalars():
 
 
 # --------------------------------------------------------------------------
-# the two accumulation loops: the paths through _add_shifted against
-# from_terms over their term streams
+# the one accumulation loop, _add_shifted: from_terms against a plain dict of
+# Fractions, and every other path through the loop against from_terms over
+# its term stream
 # --------------------------------------------------------------------------
 
 
 def test_only_the_two_accumulation_loops_delete_a_zero_sum():
     """The accumulation rule (a new monomial goes last, a sum stays
-    canonical, a zero sum is deleted) is written out in two loops:
-    ``_accumulate`` for a stream of pairs and ``_add_shifted`` for a
-    polynomial times one term.  Deleting a zero sum is the rule's signature,
+    canonical, a zero sum is deleted) is written out once, in
+    ``_add_shifted``, which adds pairs times one term; a stream of pairs is
+    added times the unit term.  Deleting a zero sum is the rule's signature,
     so no other function of the ring holds a ``del``."""
     tree = ast.parse(Path(polyring.__file__).read_text())
     holders = {node.name for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef)
                and any(isinstance(inner, ast.Delete) for inner in ast.walk(node))}
-    assert holders == {"_accumulate", "_add_shifted"}
+    assert holders == {"_add_shifted"}
+
+
+def _dict_of_fractions(pairs):
+    """The accumulation rule over a plain dict of Fractions: a sum keeps its
+    monomial's place, a zero sum is deleted, and a monomial new to the dict
+    goes last; a whole coefficient is then an int."""
+    acc: dict = {}
+    for m, c in pairs:
+        total = acc.get(m, Fraction(0)) + Fraction(c)
+        if total:
+            acc[m] = total
+        else:
+            acc.pop(m, None)
+    return [(m, c.numerator if c.denominator == 1 else c) for m, c in acc.items()]
+
+
+@given(st.lists(_monomials(), min_size=1, max_size=4), st.data())
+def test_from_terms_matches_a_plain_dict_of_fractions(pool, data):
+    """from_terms gives the terms, order and coefficient types of the rule
+    written over a plain dict of Fractions.  The monomials come from a small
+    pool, so they repeat; a coefficient is an int or a Fraction, zero
+    included, halves among them so that sums come out whole, and a pair may
+    cancel its monomial's sum so far."""
+    halves = st.integers(-6, 6).map(lambda k: Fraction(k, 2))
+    pairs = []
+    drawn = data.draw(st.lists(st.tuples(st.sampled_from(pool),
+                                         st.integers(-3, 3) | halves | _coefs),
+                               max_size=12))
+    for m, c in drawn:
+        pairs.append((m, c))
+        if data.draw(st.booleans()):
+            pairs.append((m, -sum(Fraction(d) for n, d in pairs if n == m)))
+    got = LaurentPoly.from_terms(pairs)
+    want = _dict_of_fractions(pairs)
+    assert [(m, c, type(c)) for m, c in got.terms.items()] == \
+        [(m, c, type(c)) for m, c in want]
+    assert all(type(m) is Monomial for m in got.terms)
 
 
 def _same_or_overflow(got, want):
